@@ -23,8 +23,9 @@ from .errors import (
     InvariantViolationError,
     ParamOutOfRangeError,
 )
-from .schemes import xu_max_unambiguous
-from .states import DensityMatrix
+from .measurement import clamp_probability
+from .schemes import _HALF_SQRT2, xu_max_unambiguous
+from .states import DensityMatrix, validate_priors
 
 #: Margin below which a comparison verdict flips to false.
 VERDICT_TOL = 1e-12
@@ -32,23 +33,6 @@ VERDICT_TOL = 1e-12
 TOL_LEFT_CLASSICAL = 1e-10
 #: Commutator norm gate for the block-commutation test.
 TOL_RIGHT_CLASSICAL = 1e-9
-
-_HALF_SQRT2 = np.sqrt(0.5)
-
-
-def _probability_triple(priors) -> tuple[float, float, float]:
-    p = np.array(priors, dtype=float).reshape(-1)
-    if p.shape[0] != 3:
-        raise DimensionMismatchError(f"expected 3 priors, got {p.shape[0]}")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-12:
-        raise ParamOutOfRangeError("priors must be non-negative and sum to 1")
-    return float(p[0]), float(p[1]), float(p[2])
-
-
-def _clamp_probability(value: float, what: str) -> float:
-    if not -VERDICT_TOL <= value <= 1.0 + VERDICT_TOL:
-        raise InvariantViolationError(f"{what} = {value!r} outside [0, 1]")
-    return min(1.0, max(0.0, value))
 
 
 @dataclass(frozen=True)
@@ -99,14 +83,16 @@ class ComparisonRecord:
         reference_kind: str,
         p_una_reference: float,
     ) -> "ComparisonRecord":
-        p = _probability_triple(priors)
+        p = tuple(validate_priors(priors, 3).tolist())
         margin = p_mixed - p_una_reference
         return cls(
             gamma=float(gamma),
             alpha=None if alpha is None else float(alpha),
             priors=p,
-            p_mixed=_clamp_probability(p_mixed, "p_mixed"),
-            p_una_reference=_clamp_probability(p_una_reference, "p_una_reference"),
+            p_mixed=clamp_probability(p_mixed, "p_mixed", VERDICT_TOL),
+            p_una_reference=clamp_probability(
+                p_una_reference, "p_una_reference", VERDICT_TOL
+            ),
             reference_kind=reference_kind,
             margin=margin,
             verdict=bool(margin >= -VERDICT_TOL),
@@ -144,7 +130,7 @@ def optimize_unambiguous_special(
     g = abs(gamma)
     if not 0.0 < g <= _HALF_SQRT2 + 1e-12:
         raise GammaOutOfRangeError(f"|gamma| = {g!r} outside (0, 1/sqrt(2)]")
-    p = _probability_triple(priors)
+    p = tuple(validate_priors(priors, 3).tolist())
     g2 = g * g
 
     def box(v: float) -> float:
@@ -211,7 +197,7 @@ def theorem21_check(
         raise GammaOutOfRangeError(
             f"|gamma| = {abs(gamma)!r} outside (0, 1/sqrt(2)]"
         )
-    p = _probability_triple(priors)
+    p = tuple(validate_priors(priors, 3).tolist())
     p_mixed = 1.0 - 2.0 * gamma**2 * (1.0 - p[2])
     opt = optimize_unambiguous_special(gamma, p, grid_step=grid_step)
     return ComparisonRecord.build(
@@ -231,7 +217,7 @@ def theorem31_check(gamma: float, priors) -> ComparisonRecord:
     gamma = float(gamma)
     if not 0.0 <= gamma < 1.0:
         raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
-    p = tuple(sorted(_probability_triple(priors)))
+    p = tuple(sorted(validate_priors(priors, 3).tolist()))
     p_mixed = 1.0 - gamma * (1.0 - p[2])
     reference = xu_max_unambiguous(gamma, p).value
     return ComparisonRecord.build(gamma, gamma, p, p_mixed, "xu_max", reference)
@@ -301,7 +287,7 @@ def max_unambiguous_symmetric_grid(
         raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
     if step <= 0.0:
         raise ParamOutOfRangeError(f"grid step {step!r} must be positive")
-    p = _probability_triple(priors)
+    p = tuple(validate_priors(priors, 3).tolist())
     if gamma == 0.0:
         return 1.0
 
@@ -340,11 +326,14 @@ def simplex_grid(step: float) -> list[tuple[float, float, float]]:
     """Probability triples on a lattice with the given spacing.
 
     Walks ``(i*step, j*step, 1 - i*step - j*step)`` over all non-negative
-    combinations; includes the simplex boundary.
+    combinations; includes the simplex boundary.  The step must divide 1,
+    so that every triple sums to 1.
     """
-    if step <= 0.0 or step > 1.0:
+    if not 0.0 < step <= 1.0:
         raise ParamOutOfRangeError(f"simplex step {step!r} outside (0, 1]")
     n = int(round(1.0 / step))
+    if abs(n * step - 1.0) > 1e-9:
+        raise ParamOutOfRangeError(f"simplex step {step!r} does not divide 1")
     out = []
     for i in range(n + 1):
         for j in range(n + 1 - i):

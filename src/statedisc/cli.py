@@ -25,38 +25,12 @@ from . import serialize
 from .analysis import simplex_grid
 from .errors import DiscriminationError
 from .linalg import dag, frobenius
-from .measurement import confusion_matrix
 from .montecarlo import brute_force_success, simulate, sweep
-from .schemes import (
-    Scheme,
-    build_mixed_general,
-    build_mixed_special,
-    build_rra,
-    build_unambiguous_special,
-    build_zero_aux,
-    coupled_ensemble,
-)
-from .states import Ket
+from .schemes import SCHEME_KINDS, Scheme, scheme_confusion
 
-BUILDER_IDS = (
-    "rra",
-    "mixed-special",
-    "mixed-general",
-    "unambiguous-special",
-    "zero-aux",
-)
-
-_PARAM_KEYS = (
-    "gamma",
-    "alpha",
-    "x0",
-    "x1",
-    "overlap",
-    "c_plus",
-    "c_minus",
-    "g01",
-    "g12",
-    "g20",
+# Every --<param> flag: the union of the kinds' inputs, first use first.
+_INPUT_KEYS = tuple(
+    dict.fromkeys(key for kind in SCHEME_KINDS.values() for key in kind.inputs)
 )
 
 
@@ -72,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None)
-    common.add_argument("--scheme", choices=BUILDER_IDS, default=None)
-    for key in _PARAM_KEYS:
+    common.add_argument("--scheme", choices=tuple(SCHEME_KINDS), default=None)
+    for key in _INPUT_KEYS:
         common.add_argument(
             "--" + key.replace("_", "-"), type=float, default=None, dest=key
         )
@@ -122,7 +96,7 @@ def _merge_config(args) -> dict:
     """
     cfg = _load_config(args.config) if args.config else {}
     params = dict(cfg.get("params") or {})
-    for key in _PARAM_KEYS:
+    for key in _INPUT_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
@@ -205,57 +179,18 @@ def _need_priors(cfg: dict, count: int, scheme: str) -> list[float]:
     return priors
 
 
-def _rra_kets(overlap: float) -> tuple[Ket, Ket]:
-    """Qubit pair with real inner product ``overlap``, symmetric about |0>."""
-    if not -1.0 <= overlap <= 1.0:
-        raise UsageError(f"--overlap {overlap!r} outside [-1, 1]")
-    c = np.sqrt((1.0 + overlap) / 2.0)
-    s = np.sqrt((1.0 - overlap) / 2.0)
-    return Ket(np.array([c, s])), Ket(np.array([c, -s]))
-
-
 def _build_scheme(cfg: dict) -> Scheme:
     scheme = cfg.get("scheme")
     if scheme is None:
         raise UsageError("missing --scheme")
-    if scheme not in BUILDER_IDS:
-        raise UsageError(f"unknown scheme {scheme!r}; choose from {BUILDER_IDS}")
-    allow_trivial = bool(cfg.get("allow_trivial", False))
-    if scheme == "rra":
-        priors = _need_priors(cfg, 2, scheme)
-        plus, minus = _rra_kets(_need_param(cfg, "overlap", scheme))
-        return build_rra(
-            plus,
-            minus,
-            priors,
-            _need_param(cfg, "c_plus", scheme),
-            _need_param(cfg, "c_minus", scheme),
+    kind = SCHEME_KINDS.get(scheme) if isinstance(scheme, str) else None
+    if kind is None:
+        raise UsageError(
+            f"unknown scheme {scheme!r}; choose from {tuple(SCHEME_KINDS)}"
         )
-    priors = _need_priors(cfg, 3, scheme)
-    if scheme == "mixed-special":
-        return build_mixed_special(
-            _need_param(cfg, "gamma", scheme), priors, allow_trivial=allow_trivial
-        )
-    if scheme == "mixed-general":
-        return build_mixed_general(
-            _need_param(cfg, "gamma", scheme),
-            _need_param(cfg, "alpha", scheme),
-            priors,
-            allow_trivial=allow_trivial,
-        )
-    if scheme == "unambiguous-special":
-        return build_unambiguous_special(
-            _need_param(cfg, "gamma", scheme),
-            _need_param(cfg, "x0", scheme),
-            _need_param(cfg, "x1", scheme),
-            priors,
-        )
-    return build_zero_aux(
-        _need_param(cfg, "g01", scheme),
-        _need_param(cfg, "g12", scheme),
-        _need_param(cfg, "g20", scheme),
-        priors,
-    )
+    priors = _need_priors(cfg, kind.n_priors, scheme)
+    values = {key: _need_param(cfg, key, scheme) for key in kind.inputs}
+    return kind.build(values, priors, bool(cfg.get("allow_trivial", False)))
 
 
 def _write_output(text: str, path: Optional[str]):
@@ -299,7 +234,7 @@ def _cmd_validate(cfg: dict) -> int:
 
 
 def _run_payload(cfg: dict, scheme: Scheme) -> dict:
-    conf = confusion_matrix(coupled_ensemble(scheme), scheme.povm)
+    conf = scheme_confusion(scheme)
     return {
         "scheme": cfg["scheme"],
         "params": serialize.params_to_json(scheme.params),
@@ -353,26 +288,18 @@ def _cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-_SWEEPABLE = {
-    "mixed-special": ("gamma",),
-    "mixed-general": ("gamma", "alpha"),
-    "unambiguous-special": ("gamma", "x0", "x1"),
-}
-
-
 def _cmd_sweep(cfg: dict) -> int:
     scheme_id = _need(cfg, "scheme", "sweep")
-    if scheme_id not in _SWEEPABLE:
-        raise UsageError(
-            f"sweep supports {sorted(_SWEEPABLE)}; got {scheme_id!r}"
-        )
+    sweepable = {k: v.sweepable for k, v in SCHEME_KINDS.items() if v.sweepable}
+    if scheme_id not in sweepable:
+        raise UsageError(f"sweep supports {sorted(sweepable)}; got {scheme_id!r}")
     grid = cfg.get("grid") or {}
     if len(grid) != 1:
         raise UsageError("sweep requires exactly one --grid PARAM=MIN:MAX:STEP")
     (param, rng), = grid.items()
-    if param not in _SWEEPABLE[scheme_id]:
+    if param not in sweepable[scheme_id]:
         raise UsageError(
-            f"scheme {scheme_id} sweeps over {_SWEEPABLE[scheme_id]}, not {param!r}"
+            f"scheme {scheme_id} sweeps over {sweepable[scheme_id]}, not {param!r}"
         )
     values = _range_values(rng, param)
     if not values:
@@ -389,7 +316,7 @@ def _cmd_sweep(cfg: dict) -> int:
             skipped += 1
             continue
         rows.append((v, scheme))
-    priors = _need_priors(cfg, 3, scheme_id)
+    priors = _need_priors(cfg, SCHEME_KINDS[scheme_id].n_priors, scheme_id)
     if cfg.get("format", "csv") == "json":
         payload = [
             {
@@ -423,7 +350,8 @@ def _cmd_compare(cfg: dict) -> int:
     if "gamma" not in grid:
         raise UsageError("compare requires --gamma-grid MIN:MAX:STEP")
     gammas = _range_values(grid["gamma"], "gamma")
-    prior_step = float(cfg.get("prior_step") or 0.05)
+    prior_step = cfg.get("prior_step")
+    prior_step = 0.05 if prior_step is None else float(prior_step)
     p2_min = cfg.get("p2_min")
     if p2_min is None:
         p2_min = 1.0 / 3.0 if theorem == "2.1" else 0.0

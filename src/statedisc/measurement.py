@@ -22,7 +22,7 @@ from .errors import (
     NotUnambiguousError,
     ZeroProbabilityOutcomeError,
 )
-from .states import DensityMatrix, Ensemble
+from .states import TOL_NORM, DensityMatrix, Ensemble
 
 #: Completeness tolerance: || sum(elements) - I ||_F.
 TOL_COMPLETE = 1e-9
@@ -111,10 +111,13 @@ class Povm:
         return hits[0]
 
 
-def _clamped_probability(raw: float, what: str) -> float:
-    if raw < -TOL_PROB or raw > 1.0 + TOL_PROB:
-        raise InvariantViolationError(f"{what} = {raw!r} outside [0, 1] tolerance band")
-    return min(max(raw, 0.0), 1.0)
+def clamp_probability(value: float, what: str, tol: float) -> float:
+    """``value`` clipped into [0, 1]; raises when it lies more than ``tol`` outside."""
+    if not -tol <= value <= 1.0 + tol:
+        raise InvariantViolationError(
+            f"{what} = {value!r} outside [0, 1] by more than {tol}"
+        )
+    return min(1.0, max(0.0, value))
 
 
 def outcome_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
@@ -123,7 +126,9 @@ def outcome_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
         raise DimensionMismatchError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
     probs = np.array(
         [
-            _clamped_probability(float(np.trace(m @ rho.matrix).real), "probability")
+            clamp_probability(
+                float(np.trace(m @ rho.matrix).real), "probability", TOL_PROB
+            )
             for m in povm.elements
         ]
     )
@@ -169,12 +174,36 @@ def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> dict[int, int]:
     return mapping
 
 
+def pure_confusion(vectors, povm: Povm) -> np.ndarray:
+    """Confusion matrix ``conf[i, x] = <w_i|M_x|w_i>`` of pure states.
+
+    ``vectors`` is an ``(n, dim)`` stack of state vectors.  Each norm must
+    be 1 within ``TOL_NORM``; each entry must lie in [0, 1] within
+    ``TOL_PROB`` and is then clamped; each row must sum to 1 within
+    ``TOL_COMPLETE``.
+    """
+    w = np.asarray(vectors, dtype=np.complex128)
+    if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] != povm.dim:
+        raise DimensionMismatchError(
+            f"POVM dim {povm.dim} vs state vectors of shape {w.shape}"
+        )
+    # Each test is written so that NaN fails it.
+    norms = np.linalg.norm(w, axis=1)
+    if not np.abs(norms - 1.0).max() <= TOL_NORM:
+        raise InvariantViolationError(f"state norms {norms!r} differ from 1")
+    conf = np.einsum("id,xde,ie->ix", w.conj(), np.array(povm.elements), w).real
+    for extreme in (conf.min(), conf.max()):
+        clamp_probability(float(extreme), "probability", TOL_PROB)
+    conf = np.clip(conf, 0.0, 1.0)
+    sums = conf.sum(axis=1)
+    if not np.abs(sums - 1.0).max() <= TOL_COMPLETE:
+        raise InvariantViolationError(f"outcome probabilities sum to {sums!r}")
+    return conf
+
+
 def confusion_matrix(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     """Matrix with entry (i, x) = Tr(M_x |u_i><u_i|); rows sum to 1."""
-    rows = [
-        outcome_probabilities(povm, DensityMatrix.pure(s)) for s in ensemble.states
-    ]
-    return np.array(rows)
+    return pure_confusion([s.amplitudes for s in ensemble.states], povm)
 
 
 def success_ambiguous(ensemble: Ensemble, povm: Povm) -> float:
@@ -191,7 +220,7 @@ def success_ambiguous(ensemble: Ensemble, povm: Povm) -> float:
     total = sum(
         ensemble.priors[i] * conf[i, mapping[i]] for i in range(len(ensemble))
     )
-    return _clamped_probability(float(total), "success probability")
+    return clamp_probability(float(total), "success probability", TOL_PROB)
 
 
 def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
@@ -246,7 +275,7 @@ def success_unambiguous(ensemble: Ensemble, povm: Povm) -> float:
         raise InvariantViolationError(
             f"direct and complement success forms differ by {abs(direct - complement):.3e}"
         )
-    return _clamped_probability(float(direct), "success probability")
+    return clamp_probability(float(direct), "success probability", TOL_PROB)
 
 
 def bayes_posterior(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measurement
 from .analysis import ComparisonRecord, theorem21_check, theorem31_check
 from .errors import (
     DiscriminationError,
@@ -21,23 +20,20 @@ from .errors import (
     InvariantViolationError,
     ParamOutOfRangeError,
 )
-from .schemes import Scheme, coupled_ensemble
-from .states import DensityMatrix
+from .schemes import Scheme, scheme_confusion
 
 
 def brute_force_success(scheme: Scheme) -> float:
     """Success probability recomputed end to end, ignoring the closed form.
 
-    Couples each state with the ancilla, applies the unitary, forms the
-    density matrix, and traces it against the POVM element that identifies
-    the state.  ``analytic_success`` is never consulted.
+    Couples each state with the ancilla, applies the unitary, and weighs
+    the probability of the outcome that identifies each state by its
+    prior.  ``analytic_success`` is never consulted.
     """
-    ens = coupled_ensemble(scheme)
+    conf = scheme_confusion(scheme)
     total = 0.0
-    for i, ket in enumerate(ens.states):
-        rho = DensityMatrix.pure(ket)
-        element = scheme.povm.elements[scheme.povm.identify_outcome(i)]
-        total += float(ens.priors[i]) * float(np.trace(element @ rho.matrix).real)
+    for i, prior in enumerate(scheme.ensemble.priors):
+        total += float(prior) * float(conf[i, scheme.povm.identify_outcome(i)])
     return float(min(1.0, max(0.0, total)))
 
 
@@ -108,8 +104,7 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
         raise ParamOutOfRangeError(f"shards = {shards} outside [1, n]")
     seed = int(seed)
 
-    ens = coupled_ensemble(scheme)
-    conf = measurement.confusion_matrix(ens, scheme.povm)
+    conf = scheme_confusion(scheme)
     n_states, n_out = conf.shape
     cum_priors = np.cumsum(scheme.ensemble.priors)
     cum_priors[-1] = 1.0
@@ -177,24 +172,16 @@ class SweepResult:
         return min(r.margin for r in self.records)
 
 
-_CHECKS = {
-    "2.1": theorem21_check,
-    "theorem21": theorem21_check,
-    "mixed-special": theorem21_check,
-    "3.1": theorem31_check,
-    "theorem31": theorem31_check,
-    "mixed-general": theorem31_check,
-}
+_CHECKS = {"2.1": theorem21_check, "3.1": theorem31_check}
 
 
 def sweep(check: str, gammas, priors_list) -> SweepResult:
     """Run a comparison check over a parameter-by-priors grid.
 
-    ``check`` selects the comparison: ``"2.1"`` (or the mixed-special
-    builder id) for the family comparison, ``"3.1"`` (or mixed-general)
-    for the symmetric-overlap comparison.  Grid points outside a check's
-    domain are skipped and reported, not fatal.  Iteration order is
-    gammas-major and deterministic.
+    ``check`` selects the comparison: ``"2.1"`` for the family
+    comparison, ``"3.1"`` for the symmetric-overlap comparison.  Grid
+    points outside a check's domain are skipped and reported, not fatal.
+    Iteration order is gammas-major and deterministic.
     """
     if check not in _CHECKS:
         raise ParamOutOfRangeError(

@@ -20,11 +20,14 @@ Builders
 ``build_zero_aux``            ancilla-free projective variant available
                               when the overlaps satisfy a cyclic
                               consistency condition
+
+``SCHEME_KINDS`` is the one table of these kinds: the command line and the
+JSON codec derive everything they know about a kind from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
     ZeroProbabilityOutcomeError,
 )
 from .measurement import OutcomeLabel, Povm
-from .states import Ensemble, GramSpec, Ket, states_from_gram
+from .states import Ensemble, GramSpec, Ket, states_from_gram, validate_priors
 
 #: Unitarity tolerance for scheme couplings.
 TOL_UNITARY = 1e-10
@@ -136,12 +139,13 @@ class Scheme:
         u.setflags(write=False)
 
         # Closed form must match the measurement pipeline on the spot.
-        total = 0.0
-        for i, w in enumerate(coupled_states(self)):
-            x = self.povm.identify_outcome(i)
-            total += self.ensemble.priors[i] * float(
-                (np.conj(w) @ self.povm.elements[x] @ w).real
+        conf = measurement.pure_confusion(_coupled_vectors(self), self.povm)
+        total = float(
+            sum(
+                p * conf[i, self.povm.identify_outcome(i)]
+                for i, p in enumerate(self.ensemble.priors)
             )
+        )
         if abs(total - self.analytic_success) > TOL_PIPELINE:
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
@@ -152,18 +156,15 @@ class Scheme:
         return self.ensemble.dim * self.ancilla_dim
 
 
+def _coupled_vectors(scheme: Scheme) -> np.ndarray:
+    """Rows ``U (u_i (x) |0>)``: the states times U's ancilla-|0> columns."""
+    states = np.array([s.amplitudes for s in scheme.ensemble.states])
+    return (scheme.coupling[:, :: scheme.ancilla_dim] @ states.T).T
+
+
 def coupled_states(scheme: Scheme) -> tuple[np.ndarray, ...]:
     """Joint-space vectors: coupling applied to each state (x) ancilla |0>."""
-    out = []
-    for s in scheme.ensemble.states:
-        if scheme.ancilla_dim > 1:
-            anc = np.zeros(scheme.ancilla_dim, dtype=np.complex128)
-            anc[0] = 1.0
-            v = np.kron(s.amplitudes, anc)
-        else:
-            v = s.amplitudes.astype(np.complex128)
-        out.append(scheme.coupling @ v)
-    return tuple(out)
+    return tuple(_coupled_vectors(scheme))
 
 
 def coupled_ensemble(scheme: Scheme) -> Ensemble:
@@ -175,17 +176,11 @@ def coupled_ensemble(scheme: Scheme) -> Ensemble:
 
 def scheme_confusion(scheme: Scheme) -> np.ndarray:
     """Confusion matrix (state x outcome) of the scheme's pipeline."""
-    return measurement.confusion_matrix(coupled_ensemble(scheme), scheme.povm)
+    return measurement.pure_confusion(_coupled_vectors(scheme), scheme.povm)
 
 
 def _proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, np.conj(vec))
-
-
-def _basis(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=np.complex128)
-    e[index] = 1.0
-    return e
 
 
 def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,14 +193,18 @@ def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ancilla_projectors() -> tuple[np.ndarray, np.ndarray]:
-    return _proj(_basis(2, 0)), _proj(_basis(2, 1))
+    e0a, e1a = np.eye(2, dtype=np.complex128)
+    return _proj(e0a), _proj(e1a)
 
 
-def _validate_priors(priors, n: int) -> np.ndarray:
-    p = np.array(priors, dtype=float).reshape(-1)
-    if p.shape[0] != n:
-        raise DimensionMismatchError(f"expected {n} priors, got {p.shape[0]}")
-    return p
+def _rra_kets(overlap: float) -> tuple[Ket, Ket]:
+    """Qubit pair with real inner product ``overlap``, symmetric about |0>."""
+    overlap = float(overlap)
+    if not -1.0 <= overlap <= 1.0:
+        raise ParamOutOfRangeError(f"overlap {overlap!r} outside [-1, 1]")
+    c = np.sqrt((1.0 + overlap) / 2.0)
+    s = np.sqrt((1.0 - overlap) / 2.0)
+    return Ket(np.array([c, s])), Ket(np.array([c, -s]))
 
 
 def build_rra(
@@ -225,7 +224,7 @@ def build_rra(
     """
     if psi_plus.dim != 2 or psi_minus.dim != 2:
         raise DimensionMismatchError("two-state scheme requires qubit inputs")
-    p = _validate_priors(priors, 2)
+    p = validate_priors(priors, 2)
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
     for name, c in (("c_plus", c_plus), ("c_minus", c_minus)):
@@ -238,15 +237,15 @@ def build_rra(
             f"but <psi_minus|psi_plus> = {overlap!r}"
         )
 
-    e0a = _basis(2, 0)
-    e1a = _basis(2, 1)
+    e0a, e1a = np.eye(2, dtype=np.complex128)
+    fail = np.kron(e0a, e1a)  # system |0>, ancilla |1>
     plus, minus = _plus_minus(2)
     v_plus = np.kron(psi_plus.amplitudes, e0a)
     v_minus = np.kron(psi_minus.amplitudes, e0a)
     img_plus = np.sqrt(max(0.0, 1.0 - abs(c_plus) ** 2)) * np.kron(plus, e0a)
-    img_plus = img_plus + c_plus * np.kron(_basis(2, 0), e1a)
+    img_plus = img_plus + c_plus * fail
     img_minus = np.sqrt(max(0.0, 1.0 - abs(c_minus) ** 2)) * np.kron(minus, e0a)
-    img_minus = img_minus + c_minus * np.kron(_basis(2, 0), e1a)
+    img_minus = img_minus + c_minus * fail
     u = linalg.isometry_completion([v_plus, v_minus], [img_plus, img_minus], 4)
 
     p0a, p1a = _ancilla_projectors()
@@ -297,9 +296,7 @@ def xu_max_unambiguous(gamma: float, priors) -> XuResult:
     gamma = float(gamma)
     if not 0.0 <= gamma < 1.0:
         raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
-    p_in = _validate_priors(priors, 3)
-    if p_in.min() < 0.0 or abs(p_in.sum() - 1.0) > 1e-12:
-        raise ParamOutOfRangeError("priors must be non-negative and sum to 1")
+    p_in = validate_priors(priors, 3)
     perm = tuple(int(i) for i in np.argsort(p_in, kind="stable"))
     p0, p1, p2 = (float(p_in[i]) for i in perm)
     r0, r1, r2 = np.sqrt(p0), np.sqrt(p1), np.sqrt(p2)
@@ -334,12 +331,13 @@ def _three_state_gram(gamma: float, alpha: float) -> np.ndarray:
 
 def _mixed_povm() -> Povm:
     plus, minus = _plus_minus(3)
+    e2s = np.eye(3, dtype=np.complex128)[2]
     p0a, p1a = _ancilla_projectors()
     return Povm(
         elements=(
             np.kron(_proj(plus), p0a),
             np.kron(_proj(minus), p0a),
-            np.kron(_proj(_basis(3, 2)), p0a),
+            np.kron(_proj(e2s), p0a),
             np.kron(np.eye(3), p1a),
         ),
         labels=(
@@ -358,8 +356,8 @@ def _mixed_coupling(ensemble: Ensemble, gamma: float, c2: complex) -> np.ndarray
     the third plus an orthogonal remainder, then maps the remainders to
     +/- branches whose interference term carries ``c = sqrt(c2)``.
     """
-    e0a = _basis(2, 0)
-    e1a = _basis(2, 1)
+    e0a, e1a = np.eye(2, dtype=np.complex128)
+    _, e1s, e2s = np.eye(3, dtype=np.complex128)
     v = [np.kron(s.amplitudes, e0a) for s in ensemble.states]
     scale = np.sqrt(1.0 - gamma**2)
     psi0 = (v[0] - gamma * v[2]) / scale
@@ -368,9 +366,9 @@ def _mixed_coupling(ensemble: Ensemble, gamma: float, c2: complex) -> np.ndarray
     r2 = 1.0 - abs(c) ** 2
     r = np.sqrt(r2) if r2 > 1e-12 else 0.0
     plus, minus = _plus_minus(3)
-    img2 = np.kron(_basis(3, 2), e0a)
-    img_psi0 = r * np.kron(plus, e0a) + np.conj(c) * np.kron(_basis(3, 1), e1a)
-    img_psi1 = r * np.kron(minus, e0a) + c * np.kron(_basis(3, 1), e1a)
+    img2 = np.kron(e2s, e0a)
+    img_psi0 = r * np.kron(plus, e0a) + np.conj(c) * np.kron(e1s, e1a)
+    img_psi1 = r * np.kron(minus, e0a) + c * np.kron(e1s, e1a)
     if r == 0.0:
         # |c| = 1 makes psi1 a multiple of psi0 (and img_psi1 of img_psi0),
         # so only the independent pair is pinned; linearity carries the rest.
@@ -390,7 +388,7 @@ def build_mixed_special(gamma: float, priors, allow_trivial: bool = False) -> Sc
     ``allow_trivial`` admits the boundary value ``gamma = 0``.
     """
     gamma = float(gamma)
-    p = _validate_priors(priors, 3)
+    p = validate_priors(priors, 3)
     if gamma == 0.0 and not allow_trivial:
         raise GammaOutOfRangeError("gamma = 0 is degenerate (pass allow_trivial)")
     if abs(gamma) > _HALF_SQRT2 + TOL_BOUNDARY:
@@ -426,7 +424,7 @@ def build_mixed_general(
     """
     gamma = float(gamma)
     alpha = float(alpha)
-    p = _validate_priors(priors, 3)
+    p = validate_priors(priors, 3)
     if abs(gamma) >= 1.0:
         raise ParamOutOfRangeError(f"|gamma| = {abs(gamma)!r} must be < 1")
     if not allow_trivial:
@@ -478,7 +476,7 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
     gamma = float(gamma)
     x0 = float(x0)
     x1 = float(x1)
-    p = _validate_priors(priors, 3)
+    p = validate_priors(priors, 3)
     if abs(gamma) > _HALF_SQRT2 + TOL_BOUNDARY:
         raise GammaOutOfRangeError(f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2)")
     g2 = gamma**2
@@ -499,27 +497,27 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
         )
 
     ens = states_from_gram(GramSpec(_three_state_gram(gamma, 0.0), p))
-    e0a = _basis(2, 0)
-    e1a = _basis(2, 1)
+    e0a, e1a = np.eye(2, dtype=np.complex128)
+    e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
     v = [np.kron(s.amplitudes, e0a) for s in ens.states]
     a0 = np.sqrt(x0)
     a1 = np.sqrt(x1)
     ap0 = gamma / a0 if x0 > 0.0 else 0.0
     ap1 = gamma / a1 if x1 > 0.0 else 0.0
-    img0 = np.sqrt(max(0.0, 1.0 - x0)) * np.kron(_basis(3, 0), e0a)
-    img0 = img0 + a0 * np.kron(_basis(3, 0), e1a)
-    img1 = np.sqrt(max(0.0, 1.0 - x1)) * np.kron(_basis(3, 1), e0a)
-    img1 = img1 + a1 * np.kron(_basis(3, 1), e1a)
-    img2 = np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * np.kron(_basis(3, 2), e0a)
-    img2 = img2 + ap0 * np.kron(_basis(3, 0), e1a) + ap1 * np.kron(_basis(3, 1), e1a)
+    img0 = np.sqrt(max(0.0, 1.0 - x0)) * np.kron(e0s, e0a)
+    img0 = img0 + a0 * np.kron(e0s, e1a)
+    img1 = np.sqrt(max(0.0, 1.0 - x1)) * np.kron(e1s, e0a)
+    img1 = img1 + a1 * np.kron(e1s, e1a)
+    img2 = np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * np.kron(e2s, e0a)
+    img2 = img2 + ap0 * np.kron(e0s, e1a) + ap1 * np.kron(e1s, e1a)
     u = linalg.isometry_completion(v, [img0, img1, img2], 6)
 
     p0a, p1a = _ancilla_projectors()
     povm = Povm(
         elements=(
-            np.kron(_proj(_basis(3, 0)), p0a),
-            np.kron(_proj(_basis(3, 1)), p0a),
-            np.kron(_proj(_basis(3, 2)), p0a),
+            np.kron(_proj(e0s), p0a),
+            np.kron(_proj(e1s), p0a),
+            np.kron(_proj(e2s), p0a),
             np.kron(np.eye(3), p1a),
         ),
         labels=(
@@ -542,7 +540,7 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
 
 def zero_aux_posterior(g12: complex, g20: complex, priors) -> float:
     """Posterior probability of state 2 given the outcome labeled 2."""
-    p = _validate_priors(priors, 3)
+    p = validate_priors(priors, 3)
     denom = p[0] * abs(g20) ** 2 + p[1] * abs(g12) ** 2 + p[2]
     if denom <= 1e-12:
         raise ZeroProbabilityOutcomeError("outcome 2 has zero probability")
@@ -562,7 +560,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     g01 = complex(g01)
     g12 = complex(g12)
     g20 = complex(g20)
-    p = _validate_priors(priors, 3)
+    p = validate_priors(priors, 3)
     for name, g in (("g12", g12), ("g20", g20)):
         if abs(g) >= 1.0:
             raise OverlapConstraintViolatedError(f"|{name}| = {abs(g)!r} must be < 1")
@@ -611,6 +609,70 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
         params=ZeroAuxParams(g01=g01, g12=g12, g20=g20),
         branch_note=f"posterior(state 2 | outcome 2) = {posterior:.12g}",
     )
+
+
+@dataclass(frozen=True)
+class SchemeKind:
+    """What the command line and the JSON codec need to know about a kind.
+
+    ``inputs`` are the numbers the command line supplies (``None``: the
+    params fields), and ``sweepable`` those a sweep may vary.  ``build``
+    adapts them to the builder: ``build(values, priors, allow_trivial)``
+    with ``values`` keyed by input name.
+    """
+
+    params: type
+    n_priors: int
+    build: Callable[[dict, list, bool], Scheme]
+    sweepable: tuple[str, ...] = ()
+    inputs: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if self.inputs is None:
+            names = tuple(f.name for f in fields(self.params))
+            object.__setattr__(self, "inputs", names)
+
+
+#: Every scheme kind, keyed by its params ``kind`` tag.
+SCHEME_KINDS: dict[str, SchemeKind] = {
+    RraParams.kind: SchemeKind(
+        RraParams,
+        2,
+        lambda v, p, trivial: build_rra(
+            *_rra_kets(v["overlap"]), p, v["c_plus"], v["c_minus"]
+        ),
+        inputs=("overlap", "c_plus", "c_minus"),
+    ),
+    MixedSpecialParams.kind: SchemeKind(
+        MixedSpecialParams,
+        3,
+        lambda v, p, trivial: build_mixed_special(
+            v["gamma"], p, allow_trivial=trivial
+        ),
+        sweepable=("gamma",),
+    ),
+    MixedGeneralParams.kind: SchemeKind(
+        MixedGeneralParams,
+        3,
+        lambda v, p, trivial: build_mixed_general(
+            v["gamma"], v["alpha"], p, allow_trivial=trivial
+        ),
+        sweepable=("gamma", "alpha"),
+    ),
+    UnambiguousSpecialParams.kind: SchemeKind(
+        UnambiguousSpecialParams,
+        3,
+        lambda v, p, trivial: build_unambiguous_special(
+            v["gamma"], v["x0"], v["x1"], p
+        ),
+        sweepable=("gamma", "x0", "x1"),
+    ),
+    ZeroAuxParams.kind: SchemeKind(
+        ZeroAuxParams,
+        3,
+        lambda v, p, trivial: build_zero_aux(v["g01"], v["g12"], v["g20"], p),
+    ),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -669,7 +731,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
         b2 = 0.0
     weight = q * mu2
     plus, minus = _plus_minus(3)
-    e0s, e2s = _basis(3, 0), _basis(3, 2)
+    e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
     cross = np.outer(e0s, np.conj(e2s)) + np.outer(e2s, np.conj(e0s))
     sys_part = (
         0.5 * q * b2 * (_proj(plus) + _proj(minus))
@@ -678,7 +740,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
     ) / (1.0 - weight)
 
     z = np.sqrt(np.complex128((alpha - gamma**2) * b2))
-    e0a, e1a = _basis(2, 0), _basis(2, 1)
+    e0a, e1a = np.eye(2, dtype=np.complex128)
     anc_part = (
         mu2 * _proj(e1a)
         + _HALF_SQRT2 * z * np.outer(e0a, np.conj(e1a))
@@ -697,7 +759,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
     for prior, wvec in zip(p, coupled_states(scheme)):
         rho_pipe += prior * np.outer(wvec, np.conj(wvec))
     recon = (1.0 - weight) * np.kron(sys_part, _proj(e0a))
-    recon = recon + weight * np.kron(_proj(_basis(3, 1)), anc_part)
+    recon = recon + weight * np.kron(_proj(e1s), anc_part)
     residual = linalg.frobenius(rho_pipe - recon)
     if residual > 1e-10:
         raise InvariantViolationError(f"decomposition residual {residual:.3e} > 1e-10")

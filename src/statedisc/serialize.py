@@ -10,7 +10,7 @@ separator, '\\n' line endings.
 """
 from __future__ import annotations
 
-from typing import Any, Optional
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,15 +18,7 @@ from .analysis import ComparisonRecord
 from .errors import LabelMismatchError, ParamOutOfRangeError
 from .measurement import OutcomeLabel, Povm
 from .montecarlo import SimResult
-from .schemes import (
-    MixedGeneralParams,
-    MixedSpecialParams,
-    RraParams,
-    Scheme,
-    SchemeParams,
-    UnambiguousSpecialParams,
-    ZeroAuxParams,
-)
+from .schemes import SCHEME_KINDS, Scheme, SchemeParams
 from .states import Ensemble, GramSpec, Ket
 
 CSV_HEADER = (
@@ -129,60 +121,32 @@ def povm_from_json(data) -> Povm:
     )
 
 
+# Codec per params field annotation, which is a string because schemes
+# postpones annotation evaluation: (to JSON, from JSON).
+_FIELD_CODECS = {
+    "complex": (complex_to_json, complex_from_json),
+    "float": (float, float),
+}
+
+
 def params_to_json(params: SchemeParams) -> dict:
-    if isinstance(params, RraParams):
-        return {
-            "kind": params.kind,
-            "c_plus": complex_to_json(params.c_plus),
-            "c_minus": complex_to_json(params.c_minus),
-        }
-    if isinstance(params, MixedSpecialParams):
-        return {"kind": params.kind, "gamma": params.gamma}
-    if isinstance(params, MixedGeneralParams):
-        return {"kind": params.kind, "gamma": params.gamma, "alpha": params.alpha}
-    if isinstance(params, UnambiguousSpecialParams):
-        return {
-            "kind": params.kind,
-            "gamma": params.gamma,
-            "x0": params.x0,
-            "x1": params.x1,
-        }
-    if isinstance(params, ZeroAuxParams):
-        return {
-            "kind": params.kind,
-            "g01": complex_to_json(params.g01),
-            "g12": complex_to_json(params.g12),
-            "g20": complex_to_json(params.g20),
-        }
-    raise ParamOutOfRangeError(f"unknown params type {type(params).__name__}")
+    kind = SCHEME_KINDS.get(getattr(params, "kind", None))
+    if kind is None or type(params) is not kind.params:
+        raise ParamOutOfRangeError(f"unknown params type {type(params).__name__}")
+    out = {"kind": params.kind}
+    for f in fields(params):
+        out[f.name] = _FIELD_CODECS[f.type][0](getattr(params, f.name))
+    return out
 
 
 def params_from_json(data) -> SchemeParams:
-    kind = data.get("kind")
-    if kind == "rra":
-        return RraParams(
-            c_plus=complex_from_json(data["c_plus"]),
-            c_minus=complex_from_json(data["c_minus"]),
-        )
-    if kind == "mixed-special":
-        return MixedSpecialParams(gamma=float(data["gamma"]))
-    if kind == "mixed-general":
-        return MixedGeneralParams(
-            gamma=float(data["gamma"]), alpha=float(data["alpha"])
-        )
-    if kind == "unambiguous-special":
-        return UnambiguousSpecialParams(
-            gamma=float(data["gamma"]),
-            x0=float(data["x0"]),
-            x1=float(data["x1"]),
-        )
-    if kind == "zero-aux":
-        return ZeroAuxParams(
-            g01=complex_from_json(data["g01"]),
-            g12=complex_from_json(data["g12"]),
-            g20=complex_from_json(data["g20"]),
-        )
-    raise ParamOutOfRangeError(f"unknown params kind {kind!r}")
+    tag = data.get("kind")
+    kind = SCHEME_KINDS.get(tag) if isinstance(tag, str) else None
+    if kind is None:
+        raise ParamOutOfRangeError(f"unknown params kind {tag!r}")
+    return kind.params(
+        **{f.name: _FIELD_CODECS[f.type][1](data[f.name]) for f in fields(kind.params)}
+    )
 
 
 def scheme_to_json(scheme: Scheme) -> dict:

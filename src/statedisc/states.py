@@ -15,6 +15,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvariantViolationError,
     NotPsdError,
+    ParamOutOfRangeError,
 )
 
 #: Norm tolerance for state vectors.
@@ -28,6 +29,22 @@ TOL_PRIORS = 1e-12
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def validate_priors(priors, n: int) -> np.ndarray:
+    """Caller-supplied priors as a float array of ``n`` probabilities.
+
+    Raises :class:`DimensionMismatchError` for a wrong count and
+    :class:`ParamOutOfRangeError` unless every prior is non-negative and
+    they sum to 1 within ``TOL_PRIORS``; the test is written so that NaN
+    and infinity fail it.
+    """
+    p = np.array(priors, dtype=float).reshape(-1)
+    if p.shape[0] != n:
+        raise DimensionMismatchError(f"expected {n} priors, got {p.shape[0]}")
+    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= TOL_PRIORS):
+        raise ParamOutOfRangeError("priors must be non-negative and sum to 1")
+    return p
 
 
 @dataclass(frozen=True, eq=False)

@@ -274,3 +274,15 @@ def test_simplex_grid_step_validation():
         simplex_grid(0.0)
     with pytest.raises(ParamOutOfRangeError):
         simplex_grid(2.0)
+    # Steps that do not divide 1 would emit triples that do not sum to 1.
+    for step in (0.6, 0.3, 0.15, float("nan")):
+        with pytest.raises(ParamOutOfRangeError):
+            simplex_grid(step)
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.04, 0.01])
+def test_simplex_grid_dividing_steps_sum_to_one(step):
+    pts = simplex_grid(step)
+    n = round(1.0 / step)
+    assert len(pts) == (n + 1) * (n + 2) // 2
+    assert all(abs(sum(p) - 1.0) < 1e-12 and min(p) >= 0.0 for p in pts)

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from statedisc import serialize
 from statedisc.cli import main
+from statedisc.schemes import SCHEME_KINDS
 
 MIXED = [
     "--scheme",
@@ -70,6 +72,30 @@ def test_domain_error_exit_2(capsys):
     assert out == ""
     assert err.startswith("error: GammaOutOfRange: ")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--scheme", "mixed-special", "--gamma", "0.5",
+         "--priors", "0.5,0.6,-0.1"],
+        ["validate", "--scheme", "mixed-special", "--gamma", "0.5",
+         "--priors", "nan,0.5,0.5"],
+        ["validate", "--scheme", "rra", "--overlap", "2", "--c-plus", "0.7",
+         "--c-minus", "0.4", "--priors", "0.6,0.4"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
+         "--prior-step", "0"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
+         "--prior-step", "0.6"],
+    ],
+    ids=["negative-prior", "nan-prior", "rra-overlap-2", "prior-step-0",
+         "prior-step-0.6"],
+)
+def test_out_of_domain_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParamOutOfRange: ")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -230,3 +256,12 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
     no_command.write_text("{}")
     code, _, err = run_cli(capsys, ["--config", str(no_command)])
     assert code == 1 and "names no command" in err
+
+
+def test_readme_lists_each_schemes_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for name, kind in SCHEME_KINDS.items():
+        flags = " ".join("--" + key.replace("_", "-") for key in kind.inputs)
+        row = f"| `{name}` | `{flags}` | {kind.n_priors} |"
+        sweepable = f" `{' '.join(kind.sweepable)}` |" if kind.sweepable else " |"
+        assert row + sweepable in readme, name

@@ -146,9 +146,10 @@ def test_sweep_skips_domain_errors():
 
 
 def test_sweep_aliases_and_empty_grid():
-    a = sweep("theorem31", [0.3], [(0.05, 0.05, 0.9)])
     b = sweep("3.1", [0.3], [(0.05, 0.05, 0.9)])
-    assert a.records[0].margin == b.records[0].margin
+    assert b.records[0].reference_kind == "xu_max"
+    with pytest.raises(ParamOutOfRangeError):
+        sweep("theorem31", [0.3], [(0.05, 0.05, 0.9)])
     with pytest.raises(EmptyGridError):
         sweep("2.1", [], [(0.3, 0.3, 0.4)])
     with pytest.raises(ParamOutOfRangeError):

@@ -4,7 +4,6 @@ import pytest
 from statedisc import linalg
 from statedisc.errors import (
     AmplitudeOutOfRangeError,
-    InvariantViolationError,
     DimensionMismatchError,
     GammaOutOfRangeError,
     GramNotPsdError,
@@ -15,6 +14,7 @@ from statedisc.errors import (
     ParamOutOfRangeError,
     ZeroProbabilityOutcomeError,
 )
+from statedisc.analysis import theorem21_check, theorem31_check
 from statedisc.measurement import bayes_posterior, success_unambiguous, unambiguity_check
 from statedisc.schemes import (
     build_mixed_general,
@@ -119,10 +119,36 @@ def test_mixed_special_rejects_bad_gamma():
 
 
 def test_mixed_special_rejects_bad_priors():
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParamOutOfRangeError):
         build_mixed_special(0.5, (0.5, 0.6, -0.1))
     with pytest.raises(DimensionMismatchError):
         build_mixed_special(0.5, (0.5, 0.5))
+
+
+PRIOR_TAKERS = {
+    "rra": lambda p: build_rra(
+        Ket(np.array([0.8, 0.6])), Ket(np.array([0.8, -0.6])), p[:2], 0.7, 0.4
+    ),
+    "mixed-special": lambda p: build_mixed_special(0.5, p),
+    "mixed-general": lambda p: build_mixed_general(0.5, 0.2, p),
+    "unambiguous-special": lambda p: build_unambiguous_special(0.5, 0.6, 0.6, p),
+    "zero-aux": lambda p: build_zero_aux(0.06, 0.3, 0.2, p),
+    "xu_max_unambiguous": lambda p: xu_max_unambiguous(0.3, p),
+    "theorem21_check": lambda p: theorem21_check(0.5, p),
+    "theorem31_check": lambda p: theorem31_check(0.3, p),
+}
+
+
+@pytest.mark.parametrize(
+    "priors",
+    [(0.7, -0.1, 0.4), (0.5, 0.3, 0.4), (float("nan"), 0.5, 0.5)],
+    ids=["negative", "not-normalized", "nan"],
+)
+@pytest.mark.parametrize("taker", sorted(PRIOR_TAKERS))
+def test_bad_priors_are_out_of_range(taker, priors):
+    # rra takes the first two priors; each pair is bad on its own too.
+    with pytest.raises(ParamOutOfRangeError):
+        PRIOR_TAKERS[taker](priors)
 
 
 # ---------------------------------------------------------------- mixed general
