@@ -2,14 +2,20 @@
 
 The two headline comparisons pit the mixed schemes against the best fully
 unambiguous alternative: the coupled-failure family for the two-orthogonal
-geometry, and the symmetric-overlap piecewise maximum for equal overlaps.
-Each comparison is captured in a :class:`ComparisonRecord` whose verdict is
-a plain margin test, so sweeps over parameter grids reduce to counting
-false verdicts.
+geometry (theorem 2.1), and the symmetric-overlap piecewise maximum for
+equal overlaps (theorem 3.1).  :func:`compare_columns` is the one
+implementation of both: a numpy kernel over a gamma-by-priors grid that
+returns column arrays, with a row code in place of an exception for every
+point outside a comparison's domain.  :func:`theorem21_check`,
+:func:`theorem31_check`, :func:`optimize_unambiguous_special` and
+:func:`statedisc.schemes.xu_max_unambiguous` are one-row calls of it.  A
+compared point is a :class:`ComparisonRecord` whose verdict is a plain
+margin test, so sweeps over parameter grids reduce to counting false
+verdicts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -17,6 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    DiscriminationError,
     EmptyGridError,
     GammaOutOfRangeError,
     InvalidGammaError,
@@ -24,15 +31,40 @@ from .errors import (
     ParamOutOfRangeError,
 )
 from .measurement import clamp_probability
-from .schemes import _HALF_SQRT2, xu_max_unambiguous
-from .states import DensityMatrix, validate_priors
+from .schemes import _HALF_SQRT2
+from .states import DensityMatrix, priors_ok, validate_priors
 
 #: Margin below which a comparison verdict flips to false.
 VERDICT_TOL = 1e-12
+#: Largest gap between a record's margin and its clamped operands.
+TOL_MARGIN = 1e-12
 #: Commutator norm gate for the projector-commutation test.
 TOL_LEFT_CLASSICAL = 1e-10
 #: Commutator norm gate for the block-commutation test.
 TOL_RIGHT_CLASSICAL = 1e-9
+#: Finest prior lattice :func:`simplex_grid` builds (501,501 triples).
+MIN_SIMPLEX_STEP = 1e-3
+
+#: What each comparison measures the mixed scheme against, by theorem.
+REFERENCE_KINDS = {"2.1": "family_optimum", "3.1": "xu_max"}
+#: Regimes of the symmetric-overlap maximum, indexed by ``xu_case``.
+XU_CASES = ("1-limit", "1", "2", "3", "4")
+
+# Meaning of ComparisonColumns.code: 0 for a compared point, otherwise the
+# first check the point failed, numbered in the order the checks apply.
+_ROW_ERRORS = (
+    (None, ""),
+    (GammaOutOfRangeError, "|gamma| outside (0, 1/sqrt(2)]"),
+    (InvalidGammaError, "symmetric overlap outside [0, 1)"),
+    (DimensionMismatchError, "expected 3 priors"),
+    (ParamOutOfRangeError, "priors must be non-negative and sum to 1"),
+    (InvariantViolationError, f"p_mixed outside [0, 1] by more than {VERDICT_TOL}"),
+    (
+        InvariantViolationError,
+        f"p_una_reference outside [0, 1] by more than {VERDICT_TOL}",
+    ),
+    (InvariantViolationError, "margin inconsistent with its operands"),
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +100,7 @@ class ComparisonRecord:
         ):
             if not -VERDICT_TOL <= v <= 1.0 + VERDICT_TOL:
                 raise InvariantViolationError(f"{what} = {v!r} outside [0, 1]")
-        if abs(self.margin - (self.p_mixed - self.p_una_reference)) > 1e-12:
+        if abs(self.margin - (self.p_mixed - self.p_una_reference)) > TOL_MARGIN:
             raise InvariantViolationError("margin inconsistent with its operands")
         if self.verdict != (self.margin >= -VERDICT_TOL):
             raise InvariantViolationError("verdict inconsistent with margin")
@@ -99,14 +131,259 @@ class ComparisonRecord:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class ComparisonColumns:
+    """One comparison over a grid of points, one array entry per point.
+
+    ``code`` is 0 for a compared point and otherwise names the first check
+    the point failed (:meth:`error`); the other columns of such a point
+    hold junk.  ``priors`` is ``(n, 3)``, sorted ascending for 3.1.
+    ``p_mixed`` and ``p_una_reference`` are clamped into [0, 1] as in a
+    record; ``reference`` is the reference's closed form unclamped.
+    ``x0``/``x1`` are the family optimum's failure probabilities (NaN for
+    3.1) and ``xu_case`` indexes :data:`XU_CASES` (-1 for 2.1).
+    """
+
+    theorem: str
+    gamma: np.ndarray
+    priors: np.ndarray
+    p_mixed: np.ndarray
+    p_una_reference: np.ndarray
+    reference: np.ndarray
+    margin: np.ndarray
+    verdict: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    xu_case: np.ndarray
+    code: np.ndarray
+
+    def __len__(self) -> int:
+        return self.gamma.shape[0]
+
+    @property
+    def reference_kind(self) -> str:
+        return REFERENCE_KINDS[self.theorem]
+
+    def select(self, rows) -> "ComparisonColumns":
+        """The points an index array or boolean mask picks, in its order."""
+        return replace(
+            self,
+            **{
+                f.name: getattr(self, f.name)[rows]
+                for f in fields(self)
+                if f.name != "theorem"
+            },
+        )
+
+    def error(self, i: int) -> Optional[DiscriminationError]:
+        """The error point ``i`` was skipped for, or None if it was compared."""
+        cls, reason = _ROW_ERRORS[self.code[i]]
+        if cls is None:
+            return None
+        return cls(f"{reason} (gamma = {float(self.gamma[i])!r})")
+
+    def skip_counts(self) -> dict[str, int]:
+        """Number of points skipped per error code, in code order."""
+        counts: dict[str, int] = {}
+        row_codes, hits = np.unique(self.code[self.code > 0], return_counts=True)
+        for row_code, n in zip(row_codes.tolist(), hits.tolist()):
+            code = _ROW_ERRORS[row_code][0]().code
+            counts[code] = counts.get(code, 0) + n
+        return dict(sorted(counts.items()))
+
+    def record(self, i: int) -> ComparisonRecord:
+        """Point ``i`` as a validated record; raises the point's error."""
+        err = self.error(i)
+        if err is not None:
+            raise err
+        gamma = float(self.gamma[i])
+        return ComparisonRecord(
+            gamma=gamma,
+            alpha=gamma if self.theorem == "3.1" else None,
+            priors=tuple(self.priors[i].tolist()),
+            p_mixed=float(self.p_mixed[i]),
+            p_una_reference=float(self.p_una_reference[i]),
+            reference_kind=self.reference_kind,
+            margin=float(self.margin[i]),
+            verdict=bool(self.verdict[i]),
+        )
+
+
+def _prior_rows(priors) -> tuple[np.ndarray, np.ndarray]:
+    """Priors as ``(T, 3)`` float rows, and which rows hold three values.
+
+    Each row is flattened as :func:`states.validate_priors` reads it; a
+    row with any other count becomes NaN.
+    """
+    try:
+        rows = np.array(priors, dtype=float)
+    except ValueError:  # rows of different lengths
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.shape[1] == 3:
+        return rows, np.ones(rows.shape[0], dtype=bool)
+    flat = [np.array(p, dtype=float).reshape(-1) for p in priors]
+    rows = np.full((len(flat), 3), np.nan)
+    counted = np.zeros(len(flat), dtype=bool)
+    for j, p in enumerate(flat):
+        if p.shape[0] == 3:
+            rows[j], counted[j] = p, True
+    return rows, counted
+
+
+def _family_optimum(g, p0, p1, p2):
+    """Failure probabilities and value of the coupled-failure optimum.
+
+    Objective ``1 - p0 x0 - p1 x1 - p2 g^2 (1/x0 + 1/x1)`` over ``x_i in
+    [g^2, 1]`` subject to ``g^2 (1/x0 + 1/x1) <= 1``.  The objective is
+    concave and the feasible set convex, so the separable stationary point
+    ``x_i = g sqrt(p2/p_i)`` clipped to the box is optimal when feasible;
+    otherwise the optimum is projected onto the feasibility boundary in
+    ``t = 1/x`` coordinates.
+    """
+    g2 = g * g
+
+    def box(v):
+        return np.minimum(1.0, np.maximum(g2, v))
+
+    x0 = np.where(p0 > 0.0, box(g * np.sqrt(p2 / p0)), 1.0)
+    x1 = np.where(p1 > 0.0, box(g * np.sqrt(p2 / p1)), 1.0)
+    # Projection onto the boundary g^2 (t0 + t1) = 1 with t = 1/x.
+    big_t = 1.0 / g2
+    r0, r1 = np.sqrt(p0), np.sqrt(p1)
+    t0 = np.where(r0 + r1 > 0.0, big_t * r0 / (r0 + r1), big_t / 2.0)
+    t0 = np.minimum(big_t - 1.0, np.maximum(1.0, t0))
+    infeasible = g2 * (1.0 / x0 + 1.0 / x1) > 1.0
+    x0 = np.where(infeasible, box(1.0 / t0), x0)
+    x1 = np.where(infeasible, box(1.0 / (big_t - t0)), x1)
+    value = 1.0 - p0 * x0 - p1 * x1 - p2 * g2 * (1.0 / x0 + 1.0 / x1)
+    return x0, x1, value
+
+
+def _xu_max(gamma, p0, p1, p2):
+    """Case index and value of the symmetric-overlap maximum, p0 <= p1 <= p2.
+
+    The four regimes are checked in order and the first match wins.  When
+    the two largest priors coincide the regime thresholds diverge and the
+    value is ``1 - gamma`` (case ``"1-limit"``).
+    """
+    r0, r1, r2 = np.sqrt(p0), np.sqrt(p1), np.sqrt(p2)
+    spread = r2 - r1
+    g1 = r1 / spread
+    g2 = r0 / spread
+    case = np.full(gamma.shape, 4, dtype=np.int8)
+    # Later assignments win, so the regimes go in reverse order.
+    case[(g1 >= gamma) & (gamma >= g2)] = 3
+    case[gamma >= g1] = 2
+    case[g2 >= 1.0] = 1
+    case[spread < 1e-12] = 0
+    # float_power is libm pow, as Python's ** on floats; x**2 would be x*x.
+    gamma_sq = np.float_power(gamma, 2.0)
+    limit = 1.0 - gamma
+    value = np.choose(
+        case,
+        (
+            limit,
+            limit,
+            1.0 - p0 - p1 - 2.0 * p2 * gamma_sq / (gamma + 1.0),
+            1.0 - p0 - 2.0 * r1 * r2 * gamma - np.float_power(spread, 2.0) * gamma_sq,
+            1.0 - 2.0 * (r1 * r2 + r0 * r2 - r0 * r1) * gamma,
+        ),
+    )
+    return case, value
+
+
+def compare_columns(theorem: str, gammas, priors) -> ComparisonColumns:
+    """Theorem 2.1 or 3.1 comparison at every point of ``gammas x priors``.
+
+    Point ``i * len(priors) + j`` pairs ``gammas[i]`` with ``priors[j]``;
+    :func:`theorem21_check` and :func:`theorem31_check` describe the two
+    comparisons.  A point outside a comparison's domain gets a code, never
+    an exception.  The checks apply in this order and the first failure is
+    the code: the gamma domain (``GammaOutOfRange`` for 2.1,
+    ``InvalidGamma`` for 3.1); a prior count other than 3
+    (``DimensionMismatch``); priors that are not a probability vector, NaN
+    and infinity included (``ParamOutOfRange``); ``p_mixed`` or the
+    reference outside [0, 1] by more than ``VERDICT_TOL``, or a margin
+    inconsistent with the clamped values (``InvariantViolation``).
+    """
+    if theorem not in REFERENCE_KINDS:
+        raise ParamOutOfRangeError(
+            f"unknown check {theorem!r}; expected one of {sorted(REFERENCE_KINDS)}"
+        )
+    gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    rows, counted = _prior_rows(priors)
+    if theorem == "3.1":
+        rows = np.sort(rows, axis=1, kind="stable")
+    gamma = np.repeat(gammas, rows.shape[0])
+    p0, p1, p2 = by_point = np.tile(rows.T, gammas.shape[0])
+    n = gamma.shape[0]
+    with np.errstate(all="ignore"):  # points outside the domain compute junk
+        if theorem == "2.1":
+            g = np.abs(gamma)
+            gamma_ok = (g > 0.0) & (g <= _HALF_SQRT2 + 1e-12)
+            p_mixed = 1.0 - 2.0 * np.float_power(gamma, 2.0) * (1.0 - p2)
+            x0, x1, reference = _family_optimum(g, p0, p1, p2)
+            xu_case = np.full(n, -1, dtype=np.int8)
+        else:
+            gamma_ok = (gamma >= 0.0) & (gamma < 1.0)
+            p_mixed = 1.0 - gamma * (1.0 - p2)
+            xu_case, reference = _xu_max(gamma, p0, p1, p2)
+            x0 = x1 = np.full(n, np.nan)
+        margin = p_mixed - reference
+        mixed_out = ~((p_mixed >= -VERDICT_TOL) & (p_mixed <= 1.0 + VERDICT_TOL))
+        reference_out = ~(
+            (reference >= -VERDICT_TOL) & (reference <= 1.0 + VERDICT_TOL)
+        )
+        mixed_clamped = np.minimum(1.0, np.maximum(0.0, p_mixed))
+        reference_clamped = np.minimum(1.0, np.maximum(0.0, reference))
+        margin_off = (
+            np.abs(margin - (mixed_clamped - reference_clamped)) > TOL_MARGIN
+        )
+    failed = (
+        (~gamma_ok, 1 if theorem == "2.1" else 2),
+        (~np.tile(counted, gammas.shape[0]), 3),
+        (~priors_ok(by_point.T), 4),
+        (mixed_out, 5),
+        (reference_out, 6),
+        (margin_off, 7),
+    )
+    code = np.zeros(n, dtype=np.int8)
+    for bad, row_code in reversed(failed):  # the first failed check wins
+        code[bad] = row_code
+    return ComparisonColumns(
+        theorem=theorem,
+        gamma=gamma,
+        priors=by_point.T,
+        p_mixed=mixed_clamped,
+        p_una_reference=reference_clamped,
+        reference=reference,
+        margin=margin,
+        verdict=margin >= -VERDICT_TOL,
+        x0=x0,
+        x1=x1,
+        xu_case=xu_case,
+        code=code,
+    )
+
+
+def _reference_point(theorem: str, gamma, priors) -> ComparisonColumns:
+    """One-row kernel call for a reference closed form.
+
+    Raises the point's domain error; an ``InvariantViolation`` of the
+    comparison record is not raised, since the closed form is still
+    defined there.
+    """
+    cols = compare_columns(theorem, [float(gamma)], [priors])
+    err = cols.error(0)
+    if err is not None and not isinstance(err, InvariantViolationError):
+        raise err
+    return cols
+
+
 class OptimizeResult(NamedTuple):
     x0: float
     x1: float
     value: float
-
-
-def _family_value(gamma2: float, p, x0: float, x1: float) -> float:
-    return 1.0 - p[0] * x0 - p[1] * x1 - p[2] * gamma2 * (1.0 / x0 + 1.0 / x1)
 
 
 def optimize_unambiguous_special(
@@ -116,42 +393,19 @@ def optimize_unambiguous_special(
 
     Objective ``1 - p0 x0 - p1 x1 - p2 g^2 (1/x0 + 1/x1)`` over failure
     probabilities ``x_i in [g^2, 1]`` subject to ``g^2 (1/x0 + 1/x1) <=
-    1`` (g = |gamma|).  The objective is concave and the feasible set
-    convex, so the separable stationary point ``x_i = g sqrt(p2/p_i)``
-    clipped to the box is optimal when feasible; otherwise the optimum is
-    projected onto the feasibility boundary in ``t = 1/x`` coordinates.
+    1`` (g = |gamma|), solved in closed form by :func:`compare_columns`.
 
     ``grid_step`` enables a brute-force cross-check: a grid at that
     resolution must not beat the returned value by more than 1e-5.
     Pass ``None`` to skip (used by high-volume sweeps); the default
     keeps the operation self-validating.
     """
-    gamma = float(gamma)
-    g = abs(gamma)
-    if not 0.0 < g <= _HALF_SQRT2 + 1e-12:
-        raise GammaOutOfRangeError(f"|gamma| = {g!r} outside (0, 1/sqrt(2)]")
-    p = tuple(validate_priors(priors, 3).tolist())
-    g2 = g * g
-
-    def box(v: float) -> float:
-        return min(1.0, max(g2, v))
-
-    xs = [box(g * np.sqrt(p[2] / p[i])) if p[i] > 0.0 else 1.0 for i in (0, 1)]
-    if g2 * (1.0 / xs[0] + 1.0 / xs[1]) > 1.0:
-        # Project onto the boundary g^2 (t0 + t1) = 1 with t = 1/x.
-        big_t = 1.0 / g2
-        r0, r1 = np.sqrt(p[0]), np.sqrt(p[1])
-        if r0 + r1 > 0.0:
-            t0 = big_t * r0 / (r0 + r1)
-        else:
-            t0 = big_t / 2.0
-        t0 = min(big_t - 1.0, max(1.0, t0))
-        xs = [1.0 / t0, 1.0 / (big_t - t0)]
-        xs = [box(x) for x in xs]
-    x0, x1 = xs
-    value = _family_value(g2, p, x0, x1)
-
+    cols = _reference_point("2.1", gamma, priors)
+    x0, x1, value = (float(c[0]) for c in (cols.x0, cols.x1, cols.reference))
     if grid_step is not None:
+        g = abs(cols.gamma[0])
+        g2 = g * g
+        p = cols.priors[0]
         axis = np.arange(g2, 1.0, grid_step)
         axis = np.append(axis, 1.0)
         xx0, xx1 = np.meshgrid(axis, axis, indexing="ij")
@@ -168,7 +422,7 @@ def optimize_unambiguous_special(
                 raise InvariantViolationError(
                     f"grid search found {best_grid!r} above optimizer {value!r}"
                 )
-    return OptimizeResult(x0=float(x0), x1=float(x1), value=float(value))
+    return OptimizeResult(x0=x0, x1=x1, value=value)
 
 
 def theorem21_bound(gamma: float, p2: float) -> float:
@@ -186,23 +440,17 @@ def theorem21_check(
     """Mixed scheme versus the best fully unambiguous family member.
 
     For the two-orthogonal geometry: ``p_mixed = 1 - 2 g^2 (1 - p2)``
-    against the family optimum.  The comparison is guaranteed in favor of
-    the mixed scheme when ``p2 >= 1/3``; records are still produced below
-    that threshold and simply carry whatever verdict the margin gives.
-    The closed-form ceiling on the reference is available separately as
-    :func:`theorem21_bound`.
+    against the family optimum (a one-row :func:`compare_columns` call).
+    The comparison is guaranteed in favor of the mixed scheme when
+    ``p2 >= 1/3``; records are still produced below that threshold and
+    simply carry whatever verdict the margin gives.  ``grid_step`` runs
+    the optimizer's grid cross-check.  The closed-form ceiling on the
+    reference is available separately as :func:`theorem21_bound`.
     """
-    gamma = float(gamma)
-    if not 0.0 < abs(gamma) <= _HALF_SQRT2 + 1e-12:
-        raise GammaOutOfRangeError(
-            f"|gamma| = {abs(gamma)!r} outside (0, 1/sqrt(2)]"
-        )
-    p = tuple(validate_priors(priors, 3).tolist())
-    p_mixed = 1.0 - 2.0 * gamma**2 * (1.0 - p[2])
-    opt = optimize_unambiguous_special(gamma, p, grid_step=grid_step)
-    return ComparisonRecord.build(
-        gamma, None, p, p_mixed, "family_optimum", opt.value
-    )
+    record = compare_columns("2.1", [float(gamma)], [priors]).record(0)
+    if grid_step is not None:
+        optimize_unambiguous_special(gamma, priors, grid_step=grid_step)
+    return record
 
 
 def theorem31_check(gamma: float, priors) -> ComparisonRecord:
@@ -212,15 +460,9 @@ def theorem31_check(gamma: float, priors) -> ComparisonRecord:
     pair overlap to it, giving ``p_mixed = 1 - gamma (1 - p2)`` with
     ``p2`` the largest prior.  Priors are sorted ascending and the record
     stores the sorted triple; the reference is the piecewise maximum at
-    the same priors.
+    the same priors (a one-row :func:`compare_columns` call).
     """
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
-    p = tuple(sorted(validate_priors(priors, 3).tolist()))
-    p_mixed = 1.0 - gamma * (1.0 - p[2])
-    reference = xu_max_unambiguous(gamma, p).value
-    return ComparisonRecord.build(gamma, gamma, p, p_mixed, "xu_max", reference)
+    return compare_columns("3.1", [float(gamma)], [priors]).record(0)
 
 
 def left_classicality_check(rho_part, projector) -> tuple[bool, float]:
@@ -327,10 +569,13 @@ def simplex_grid(step: float) -> list[tuple[float, float, float]]:
 
     Walks ``(i*step, j*step, 1 - i*step - j*step)`` over all non-negative
     combinations; includes the simplex boundary.  The step must divide 1,
-    so that every triple sums to 1.
+    so that every triple sums to 1, and be at least ``MIN_SIMPLEX_STEP``,
+    which bounds the list at 501,501 triples.
     """
-    if not 0.0 < step <= 1.0:
-        raise ParamOutOfRangeError(f"simplex step {step!r} outside (0, 1]")
+    if not MIN_SIMPLEX_STEP <= step <= 1.0:
+        raise ParamOutOfRangeError(
+            f"simplex step {step!r} outside [{MIN_SIMPLEX_STEP}, 1]"
+        )
     n = int(round(1.0 / step))
     if abs(n * step - 1.0) > 1e-9:
         raise ParamOutOfRangeError(f"simplex step {step!r} does not divide 1")

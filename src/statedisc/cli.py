@@ -28,6 +28,11 @@ from .linalg import dag, frobenius
 from .montecarlo import brute_force_success, simulate, sweep
 from .schemes import SCHEME_KINDS, Scheme, scheme_confusion
 
+#: Most values a MIN:MAX:STEP grid may expand to.
+MAX_GRID_VALUES = 10_000
+#: Most (gamma, priors) points one ``compare`` run may evaluate.
+MAX_COMPARE_POINTS = 1_000_000
+
 # Every --<param> flag: the union of the kinds' inputs, first use first.
 _INPUT_KEYS = tuple(
     dict.fromkeys(key for kind in SCHEME_KINDS.values() for key in kind.inputs)
@@ -150,10 +155,15 @@ def _range_values(rng: dict, what: str) -> list[float]:
         lo, hi, step = float(rng["min"]), float(rng["max"]), float(rng["step"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad {what} grid: need min, max, step") from exc
+    if not all(np.isfinite((lo, hi, step))):
+        raise UsageError(f"{what} grid bounds and step must be finite")
     if step <= 0.0:
         raise UsageError(f"{what} grid step must be positive")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + k * step, 12) for k in range(max(count, 0))]
+    # (hi - lo) / step can overflow to an infinity of either sign.
+    count = max(np.floor((hi - lo) / step + 1e-9) + 1, 0.0)
+    if not count <= MAX_GRID_VALUES:
+        raise UsageError(f"{what} grid has more than {MAX_GRID_VALUES} values")
+    return [round(lo + k * step, 12) for k in range(int(count))]
 
 
 def _need(cfg: dict, key: str, command: str):
@@ -365,22 +375,28 @@ def _cmd_compare(cfg: dict) -> int:
     if not triples:
         raise UsageError(f"no prior triples with p2 >= {p2_min}")
 
-    result = sweep(theorem, gammas, triples)
-    if cfg.get("format", "csv") == "json":
-        payload = [serialize.comparison_record_to_json(r) for r in result.records]
-        _write_output(_json_text(payload), cfg.get("output"))
-    else:
-        _write_output(
-            serialize.comparison_records_to_csv(result.records), cfg.get("output")
+    if len(gammas) * len(triples) > MAX_COMPARE_POINTS:
+        raise UsageError(
+            f"{len(gammas)} gammas x {len(triples)} prior triples is more "
+            f"than {MAX_COMPARE_POINTS} points"
         )
-    min_margin = (
-        "n/a" if not result.records else serialize.format_float(result.min_margin)
+
+    result = sweep(theorem, gammas, triples)
+    table = result.table
+    if cfg.get("format", "csv") == "json":
+        text = serialize.comparison_columns_to_json(table)
+    else:
+        text = serialize.comparison_columns_to_csv(table)
+    _write_output(text, cfg.get("output"))
+    min_margin = "n/a" if not len(table) else serialize.format_float(result.min_margin)
+    skip_counts = result.grid.skip_counts()
+    summary = (
+        f"points: {len(table)}  failures: {result.failures}  "
+        f"min margin: {min_margin}  skipped: {sum(skip_counts.values())}"
     )
-    print(
-        f"points: {len(result.records)}  failures: {result.failures}  "
-        f"min margin: {min_margin}  skipped: {len(result.skipped)}",
-        file=sys.stderr,
-    )
+    if skip_counts:
+        summary += " (" + ", ".join(f"{c}: {n}" for c, n in skip_counts.items()) + ")"
+    print(summary, file=sys.stderr)
     return 0
 
 

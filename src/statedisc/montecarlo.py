@@ -6,20 +6,23 @@ across runs, platforms, and shard splits: shard k of a run seeded with s
 uses the 128-bit Philox key ``(k << 64) | (s mod 2^64)`` and draws an
 (n_k, 2) uniform block, column 0 selecting the prepared state and column
 1 the measurement outcome, both by inverse CDF.
+
+Comparison sweeps run on :func:`analysis.compare_columns`, the one
+implementation of both theorem comparisons: :func:`sweep` makes a single
+kernel call over the whole grid, and its :class:`SweepResult` keeps the
+columns, building a record only when one is accessed.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .analysis import ComparisonRecord, theorem21_check, theorem31_check
-from .errors import (
-    DiscriminationError,
-    EmptyGridError,
-    InvariantViolationError,
-    ParamOutOfRangeError,
-)
+from .analysis import ComparisonColumns, compare_columns
+from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
 from .schemes import Scheme, scheme_confusion
 
 
@@ -152,27 +155,73 @@ class SkippedPoint:
     """Grid point rejected by a check's domain guards, with the error code."""
 
     gamma: float
-    priors: tuple[float, float, float]
+    priors: tuple[float, ...]
     code: str
 
 
-@dataclass(frozen=True)
+class ComparisonRecords(Sequence):
+    """Read-only records of a comparison table, built and validated on access."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: ComparisonColumns):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        k = operator.index(index)
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("record index out of range")
+        return self._table.record(k % n)
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    records: tuple[ComparisonRecord, ...]
-    skipped: tuple[SkippedPoint, ...]
+    """Outcome of :func:`sweep`, backed by the comparison kernel's columns.
+
+    ``grid`` holds every grid point, gamma-major, with its row code, and
+    ``priors`` the priors as given, one per grid column.  ``table`` is the
+    compared points; ``records`` views them as :class:`ComparisonRecord`
+    objects, each built when it is accessed.
+    """
+
+    grid: ComparisonColumns
+    priors: tuple
+
+    @cached_property
+    def table(self) -> ComparisonColumns:
+        return self.grid.select(self.grid.code == 0)
+
+    @property
+    def records(self) -> ComparisonRecords:
+        return ComparisonRecords(self.table)
+
+    @cached_property
+    def skipped(self) -> tuple[SkippedPoint, ...]:
+        n = len(self.priors)
+        return tuple(
+            SkippedPoint(
+                gamma=float(self.grid.gamma[i]),
+                priors=tuple(float(x) for x in self.priors[i % n]),
+                code=self.grid.error(i).code,
+            )
+            for i in np.flatnonzero(self.grid.code).tolist()
+        )
 
     @property
     def failures(self) -> int:
-        return sum(1 for r in self.records if not r.verdict)
+        return int(np.count_nonzero(~self.table.verdict))
 
     @property
     def min_margin(self) -> float:
-        if not self.records:
+        if not len(self.table):
             return float("nan")
-        return min(r.margin for r in self.records)
-
-
-_CHECKS = {"2.1": theorem21_check, "3.1": theorem31_check}
+        return float(self.table.margin.min())
 
 
 def sweep(check: str, gammas, priors_list) -> SweepResult:
@@ -183,21 +232,10 @@ def sweep(check: str, gammas, priors_list) -> SweepResult:
     points outside a check's domain are skipped and reported, not fatal.
     Iteration order is gammas-major and deterministic.
     """
-    if check not in _CHECKS:
-        raise ParamOutOfRangeError(
-            f"unknown check {check!r}; expected one of {sorted(_CHECKS)}"
-        )
-    fn = _CHECKS[check]
     gammas = [float(g) for g in gammas]
-    priors_list = [tuple(float(x) for x in p) for p in priors_list]
+    priors_list = tuple(priors_list)
     if not gammas or not priors_list:
         raise EmptyGridError("empty parameter grid")
-    records = []
-    skipped = []
-    for g in gammas:
-        for p in priors_list:
-            try:
-                records.append(fn(g, p))
-            except DiscriminationError as exc:
-                skipped.append(SkippedPoint(gamma=g, priors=p, code=exc.code))
-    return SweepResult(records=tuple(records), skipped=tuple(skipped))
+    return SweepResult(
+        grid=compare_columns(check, gammas, priors_list), priors=priors_list
+    )

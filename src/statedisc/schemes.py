@@ -39,7 +39,6 @@ from .errors import (
     GramNotPsdError,
     HypothesisViolatedError,
     InfeasibleAmplitudesError,
-    InvalidGammaError,
     InvariantViolationError,
     OverlapConstraintViolatedError,
     ParamOutOfRangeError,
@@ -291,31 +290,19 @@ def xu_max_unambiguous(gamma: float, priors) -> XuResult:
     The priors are sorted ascending internally (p0 <= p1 <= p2); the four
     regimes are checked in order and the first match wins.  When the two
     largest priors coincide the regime thresholds diverge and the value
-    ``1 - gamma`` is returned with case tag ``"1-limit"``.
+    ``1 - gamma`` is returned with case tag ``"1-limit"``.  The closed form
+    is the theorem 3.1 reference of :func:`analysis.compare_columns`, called
+    for one point.
     """
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
-    p_in = validate_priors(priors, 3)
-    perm = tuple(int(i) for i in np.argsort(p_in, kind="stable"))
-    p0, p1, p2 = (float(p_in[i]) for i in perm)
-    r0, r1, r2 = np.sqrt(p0), np.sqrt(p1), np.sqrt(p2)
+    from .analysis import XU_CASES, _reference_point  # analysis imports schemes
 
-    spread = r2 - r1
-    if spread < 1e-12:
-        return XuResult(1.0 - gamma, "1-limit", perm)
-    g1 = r1 / spread
-    g2 = r0 / spread
-    if g2 >= 1.0:
-        return XuResult(1.0 - gamma, "1", perm)
-    if gamma >= g1:
-        value = 1.0 - p0 - p1 - 2.0 * p2 * gamma**2 / (gamma + 1.0)
-        return XuResult(value, "2", perm)
-    if g1 >= gamma >= g2:
-        value = 1.0 - p0 - 2.0 * r1 * r2 * gamma - spread**2 * gamma**2
-        return XuResult(value, "3", perm)
-    value = 1.0 - 2.0 * (r1 * r2 + r0 * r2 - r0 * r1) * gamma
-    return XuResult(value, "4", perm)
+    point = _reference_point("3.1", gamma, priors)
+    perm = np.argsort(validate_priors(priors, 3), kind="stable")
+    return XuResult(
+        float(point.reference[0]),
+        XU_CASES[point.xu_case[0]],
+        tuple(int(i) for i in perm),
+    )
 
 
 def _three_state_gram(gamma: float, alpha: float) -> np.ndarray:

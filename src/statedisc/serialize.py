@@ -6,7 +6,8 @@ nested row lists of those pairs; outcome labels as the tagged strings
 the public constructors, so every invariant is re-checked on the way in.
 
 CSV output is byte-stable: floats at 12 significant digits, '.' decimal
-separator, '\\n' line endings.
+separator, '\\n' line endings.  Comparison tables are written straight
+from the kernel's columns, byte-identical to writing their records.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .analysis import ComparisonRecord
+from .analysis import ComparisonColumns, ComparisonRecord
 from .errors import LabelMismatchError, ParamOutOfRangeError
 from .measurement import OutcomeLabel, Povm
 from .montecarlo import SimResult
@@ -28,10 +29,7 @@ CSV_HEADER = (
 
 def format_float(value: float) -> str:
     """Fixed 12-significant-digit rendering used by every CSV cell."""
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # fold -0.0
-    return "%.12g" % value
+    return "%.12g" % (float(value) + 0.0)  # adding 0.0 folds -0.0
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -221,25 +219,101 @@ def comparison_record_from_json(data) -> ComparisonRecord:
     )
 
 
-def comparison_record_to_csv_row(record: ComparisonRecord) -> str:
-    alpha = "" if record.alpha is None else format_float(record.alpha)
-    cells = [
-        format_float(record.gamma),
-        alpha,
-        format_float(record.priors[0]),
-        format_float(record.priors[1]),
-        format_float(record.priors[2]),
-        format_float(record.p_mixed),
-        record.reference_kind,
-        format_float(record.p_una_reference),
-        format_float(record.margin),
-        "true" if record.verdict else "false",
+def _csv_row_template(reference_kind: str, has_alpha: bool) -> str:
+    """%-template of one comparison CSV row.
+
+    It takes gamma, alpha (only when ``has_alpha``), p0, p1, p2, p_mixed,
+    p_una_reference and margin, each with -0.0 already folded, then the
+    verdict text; a record without alpha leaves its cell empty.
+    """
+    alpha = "%.12g" if has_alpha else ""
+    return f"%.12g,{alpha},%.12g,%.12g,%.12g,%.12g,{reference_kind},%.12g,%.12g,%s"
+
+
+# Rows are formatted this many at a time from the columns, so that only
+# one chunk's worth of Python floats and row strings is alive at once.
+_CHUNK_ROWS = 4096
+
+
+def _template_rows(template: str, columns, sep: str) -> list[str]:
+    """``template % row`` for every row of the columns, ``sep``-joined per chunk."""
+    chunks = []
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(c[i : i + _CHUNK_ROWS].tolist() for c in columns))
+        chunks.append(sep.join(map(template.__mod__, rows)))
+    return chunks
+
+
+def _table_columns(table: ComparisonColumns, fold: bool) -> list:
+    """The columns a row template takes, gamma doubling as alpha for 3.1."""
+    floats = [
+        table.gamma, *table.priors.T,
+        table.p_mixed, table.p_una_reference, table.margin,
     ]
-    return ",".join(cells)
+    if fold:
+        floats = [c + 0.0 for c in floats]  # adding 0.0 folds -0.0
+    if table.theorem == "3.1":  # alpha is gamma
+        floats.insert(1, floats[0])
+    return [*floats, np.where(table.verdict, "true", "false")]
+
+
+def _csv_document(rows) -> str:
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+def comparison_record_to_csv_row(record: ComparisonRecord) -> str:
+    alpha = () if record.alpha is None else (record.alpha,)
+    values = (
+        record.gamma, *alpha, *record.priors,
+        record.p_mixed, record.p_una_reference, record.margin,
+    )
+    template = _csv_row_template(record.reference_kind, record.alpha is not None)
+    return template % (
+        *(float(v) + 0.0 for v in values), "true" if record.verdict else "false"
+    )
 
 
 def comparison_records_to_csv(records) -> str:
     """Full CSV document (header plus rows), '\\n' separated, trailing newline."""
-    lines = [CSV_HEADER]
-    lines.extend(comparison_record_to_csv_row(r) for r in records)
-    return "\n".join(lines) + "\n"
+    return _csv_document(map(comparison_record_to_csv_row, records))
+
+
+def comparison_columns_to_csv(table: ComparisonColumns) -> str:
+    """The CSV document of a comparison table, written from its columns.
+
+    Byte-identical to :func:`comparison_records_to_csv` over the table's
+    records, without building them: one %-template per row.
+    """
+    template = _csv_row_template(table.reference_kind, table.theorem == "3.1")
+    return _csv_document(_template_rows(template, _table_columns(table, True), "\n"))
+
+
+def _json_record_template(reference_kind: str, has_alpha: bool) -> str:
+    """``json.dumps`` text of one comparison record as an ``indent=2`` list item.
+
+    The %-template takes the same columns as :func:`_csv_row_template`,
+    unfolded: ``%r`` is the ``repr`` that ``json`` writes for a float,
+    ``-0.0`` included.  A record without alpha has ``null`` there.
+    """
+    alpha = "%r" if has_alpha else "null"
+    return (
+        f'  {{\n    "gamma": %r,\n    "alpha": {alpha},\n'
+        '    "priors": [\n      %r,\n      %r,\n      %r\n    ],\n'
+        '    "p_mixed": %r,\n    "p_una_reference": %r,\n'
+        f'    "reference_kind": "{reference_kind}",\n'
+        '    "margin": %r,\n    "verdict": %s\n  }'
+    )
+
+
+def comparison_columns_to_json(table: ComparisonColumns) -> str:
+    """The JSON document of a comparison table, written from its columns.
+
+    Byte-identical to ``json.dumps([comparison_record_to_json(r) for r in
+    records], indent=2) + "\\n"`` over the table's records, without
+    building them: one %-template per record.
+    """
+    if not len(table):
+        return "[]\n"
+    template = _json_record_template(table.reference_kind, table.theorem == "3.1")
+    body = ",\n".join(_template_rows(template, _table_columns(table, False), ",\n"))
+    return "[\n" + body + "\n]\n"

@@ -42,9 +42,22 @@ def validate_priors(priors, n: int) -> np.ndarray:
     p = np.array(priors, dtype=float).reshape(-1)
     if p.shape[0] != n:
         raise DimensionMismatchError(f"expected {n} priors, got {p.shape[0]}")
-    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= TOL_PRIORS):
+    if not priors_ok(p):
         raise ParamOutOfRangeError("priors must be non-negative and sum to 1")
     return p
+
+
+def priors_ok(p: np.ndarray) -> np.ndarray:
+    """Which prior vectors along the last axis are probability vectors.
+
+    True where every entry is non-negative and the entries sum to 1 within
+    ``TOL_PRIORS``; NaN and infinity fail.  The sum runs left to right, so
+    a vector gets the same answer alone or as a row of a batch.
+    """
+    total = p[..., 0]
+    for k in range(1, p.shape[-1]):
+        total = total + p[..., k]
+    return (p >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= TOL_PRIORS)
 
 
 @dataclass(frozen=True, eq=False)

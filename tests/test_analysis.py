@@ -278,6 +278,11 @@ def test_simplex_grid_step_validation():
     for step in (0.6, 0.3, 0.15, float("nan")):
         with pytest.raises(ParamOutOfRangeError):
             simplex_grid(step)
+    # Steps finer than 1e-3 would need more than 501,501 triples; the
+    # smallest denormal used to overflow 1/step.
+    for step in (1e-4, 2.0**-20, 5e-324):
+        with pytest.raises(ParamOutOfRangeError):
+            simplex_grid(step)
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.04, 0.01])

@@ -87,9 +87,11 @@ def test_domain_error_exit_2(capsys):
          "--prior-step", "0"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
          "--prior-step", "0.6"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
+         "--prior-step", "5e-324"],
     ],
     ids=["negative-prior", "nan-prior", "rra-overlap-2", "prior-step-0",
-         "prior-step-0.6"],
+         "prior-step-0.6", "prior-step-denormal"],
 )
 def test_out_of_domain_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -106,6 +108,17 @@ def test_usage_errors_exit_1(capsys):
         ["run", "--scheme", "mixed-special", "--gamma", "0.5", "--priors", "x,y,z"],
         ["sweep"] + MIXED + ["--grid", "gamma=0.1:0.7"],
         ["dump", "--format", "csv"] + MIXED,
+        # Non-finite grid bounds and steps.
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0:nan:0.1"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "nan:0.5:0.1"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0:inf:0.1"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.5:inf"],
+        ["sweep"] + MIXED + ["--grid", "gamma=0:nan:0.1"],
+        # Grids too large to allocate.
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0:1e300:1e-300"],
+        ["compare", "--theorem", "2.1", "--gamma-grid=-1e308:1e308:1"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.999:0.001",
+         "--prior-step", "0.01"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 1, argv
@@ -173,6 +186,17 @@ def test_compare_theorem21_grid(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
     assert "failures: 0" in err
     assert "points: 70" in err
+
+
+def test_compare_summary_counts_skips_per_code(capsys):
+    argv = ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.8:0.2",
+            "--prior-step", "0.5"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    # gammas 0 and 0.8 are outside (0, 1/sqrt(2)]; 3 triples have p2 >= 1/3
+    assert err.strip() == (
+        "points: 9  failures: 0  min margin: 0.08  skipped: 6 (GammaOutOfRange: 6)"
+    )
 
 
 def test_compare_json_format(capsys):

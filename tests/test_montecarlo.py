@@ -154,3 +154,21 @@ def test_sweep_aliases_and_empty_grid():
         sweep("2.1", [], [(0.3, 0.3, 0.4)])
     with pytest.raises(ParamOutOfRangeError):
         sweep("nope", [0.3], [(0.3, 0.3, 0.4)])
+
+
+def test_sweep_records_are_a_read_only_view():
+    r = sweep("3.1", [0.2, 1.0, 0.5], [(0.9, 0.05, 0.05), (0.3, 0.3, 0.4)])
+    recs = r.records
+    assert len(recs) == 4 and len(r.skipped) == 2
+    assert recs[-1] == recs[3]
+    assert recs[1:3] == (recs[1], recs[2])
+    assert list(recs) == [recs[i] for i in range(4)]
+    assert recs[0].priors == (0.05, 0.05, 0.9)  # sorted for the comparison
+    assert r.skipped[0].priors == (0.9, 0.05, 0.05)  # as given
+    assert [s.gamma for s in r.skipped] == [1.0, 1.0]
+    with pytest.raises(IndexError):
+        recs[4]
+    with pytest.raises(TypeError):
+        recs[0] = recs[1]
+    assert r.failures == 0
+    assert r.min_margin == min(rec.margin for rec in recs)

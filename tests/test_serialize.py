@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from statedisc import serialize
+from statedisc.analysis import simplex_grid
 from statedisc.errors import (
     InvariantViolationError,
     LabelMismatchError,
     ParamOutOfRangeError,
 )
 from statedisc.measurement import OutcomeLabel
-from statedisc.montecarlo import simulate
+from statedisc.montecarlo import simulate, sweep
 from statedisc.schemes import (
     build_mixed_general,
     build_mixed_special,
@@ -186,3 +187,20 @@ def test_records_to_csv_document():
     assert lines[0] == serialize.CSV_HEADER
     assert len(lines) == 4 and lines[3] == ""  # trailing newline
     assert doc == serialize.comparison_records_to_csv(recs)  # byte stable
+
+
+@pytest.mark.parametrize(
+    "check, gammas, step",
+    [("2.1", [-0.3, 0.0, 0.4, 0.7], 0.02), ("3.1", [-0.0, 0.3, 0.9, 1.0], 0.1),
+     ("2.1", [0.0], 0.5)],
+    ids=["2.1-over-one-chunk", "3.1-negative-zero", "empty"],
+)
+def test_column_writers_match_record_writers(check, gammas, step):
+    result = sweep(check, gammas, simplex_grid(step))
+    assert serialize.comparison_columns_to_csv(
+        result.table
+    ) == serialize.comparison_records_to_csv(result.records)
+    want = json.dumps(
+        [serialize.comparison_record_to_json(r) for r in result.records], indent=2
+    )
+    assert serialize.comparison_columns_to_json(result.table) == want + "\n"
