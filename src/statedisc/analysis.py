@@ -30,9 +30,7 @@ from .errors import (
     InvariantViolationError,
     ParamOutOfRangeError,
 )
-from .measurement import clamp_probability
-from .schemes import _HALF_SQRT2
-from .states import DensityMatrix, priors_ok, validate_priors
+from .states import _HALF_SQRT2, DensityMatrix, priors_ok, validate_priors
 
 #: Margin below which a comparison verdict flips to false.
 VERDICT_TOL = 1e-12
@@ -42,8 +40,6 @@ TOL_MARGIN = 1e-12
 TOL_LEFT_CLASSICAL = 1e-10
 #: Commutator norm gate for the block-commutation test.
 TOL_RIGHT_CLASSICAL = 1e-9
-#: Finest prior lattice :func:`simplex_grid` builds (501,501 triples).
-MIN_SIMPLEX_STEP = 1e-3
 
 #: What each comparison measures the mixed scheme against, by theorem.
 REFERENCE_KINDS = {"2.1": "family_optimum", "3.1": "xu_max"}
@@ -52,16 +48,21 @@ XU_CASES = ("1-limit", "1", "2", "3", "4")
 
 # Meaning of ComparisonColumns.code: 0 for a compared point, otherwise the
 # first check the point failed, numbered in the order the checks apply.
+# The messages are filled in from the point's row (ComparisonColumns.error).
 _ROW_ERRORS = (
     (None, ""),
-    (GammaOutOfRangeError, "|gamma| outside (0, 1/sqrt(2)]"),
-    (InvalidGammaError, "symmetric overlap outside [0, 1)"),
-    (DimensionMismatchError, "expected 3 priors"),
+    (GammaOutOfRangeError, "|gamma| = {abs_gamma!r} outside (0, 1/sqrt(2)]"),
+    (InvalidGammaError, "symmetric overlap {gamma!r} outside [0, 1)"),
+    (DimensionMismatchError, "expected 3 priors, got {count:.0f}"),
     (ParamOutOfRangeError, "priors must be non-negative and sum to 1"),
-    (InvariantViolationError, f"p_mixed outside [0, 1] by more than {VERDICT_TOL}"),
     (
         InvariantViolationError,
-        f"p_una_reference outside [0, 1] by more than {VERDICT_TOL}",
+        "p_mixed = {p_mixed!r} outside [0, 1] by more than " + repr(VERDICT_TOL),
+    ),
+    (
+        InvariantViolationError,
+        "p_una_reference = {reference!r} outside [0, 1] by more than "
+        + repr(VERDICT_TOL),
     ),
     (InvariantViolationError, "margin inconsistent with its operands"),
 )
@@ -105,31 +106,6 @@ class ComparisonRecord:
         if self.verdict != (self.margin >= -VERDICT_TOL):
             raise InvariantViolationError("verdict inconsistent with margin")
 
-    @classmethod
-    def build(
-        cls,
-        gamma: float,
-        alpha: Optional[float],
-        priors,
-        p_mixed: float,
-        reference_kind: str,
-        p_una_reference: float,
-    ) -> "ComparisonRecord":
-        p = tuple(validate_priors(priors, 3).tolist())
-        margin = p_mixed - p_una_reference
-        return cls(
-            gamma=float(gamma),
-            alpha=None if alpha is None else float(alpha),
-            priors=p,
-            p_mixed=clamp_probability(p_mixed, "p_mixed", VERDICT_TOL),
-            p_una_reference=clamp_probability(
-                p_una_reference, "p_una_reference", VERDICT_TOL
-            ),
-            reference_kind=reference_kind,
-            margin=margin,
-            verdict=bool(margin >= -VERDICT_TOL),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ComparisonColumns:
@@ -137,9 +113,12 @@ class ComparisonColumns:
 
     ``code`` is 0 for a compared point and otherwise names the first check
     the point failed (:meth:`error`); the other columns of such a point
-    hold junk.  ``priors`` is ``(n, 3)``, sorted ascending for 3.1.
-    ``p_mixed`` and ``p_una_reference`` are clamped into [0, 1] as in a
-    record; ``reference`` is the reference's closed form unclamped.
+    hold junk, except what its error message reads: a prior row of any
+    other count than 3 holds that count followed by NaN, and an
+    out-of-band ``p_mixed`` is left unclamped.  ``priors`` is ``(n, 3)``,
+    sorted ascending for 3.1.  ``p_mixed`` and ``p_una_reference`` are
+    clamped into [0, 1] as in a record; ``reference`` is the reference's
+    closed form unclamped.
     ``x0``/``x1`` are the family optimum's failure probabilities (NaN for
     3.1) and ``xu_case`` indexes :data:`XU_CASES` (-1 for 2.1).
     """
@@ -180,7 +159,16 @@ class ComparisonColumns:
         cls, reason = _ROW_ERRORS[self.code[i]]
         if cls is None:
             return None
-        return cls(f"{reason} (gamma = {float(self.gamma[i])!r})")
+        gamma = float(self.gamma[i])
+        return cls(
+            reason.format(
+                gamma=gamma,
+                abs_gamma=abs(gamma),
+                count=float(self.priors[i, 0]),
+                p_mixed=float(self.p_mixed[i]),
+                reference=float(self.reference[i]),
+            )
+        )
 
     def skip_counts(self) -> dict[str, int]:
         """Number of points skipped per error code, in code order."""
@@ -213,7 +201,7 @@ def _prior_rows(priors) -> tuple[np.ndarray, np.ndarray]:
     """Priors as ``(T, 3)`` float rows, and which rows hold three values.
 
     Each row is flattened as :func:`states.validate_priors` reads it; a
-    row with any other count becomes NaN.
+    row with any other count becomes that count followed by NaN.
     """
     try:
         rows = np.array(priors, dtype=float)
@@ -227,6 +215,8 @@ def _prior_rows(priors) -> tuple[np.ndarray, np.ndarray]:
     for j, p in enumerate(flat):
         if p.shape[0] == 3:
             rows[j], counted[j] = p, True
+        else:
+            rows[j, 0] = p.shape[0]
     return rows, counted
 
 
@@ -339,6 +329,7 @@ def compare_columns(theorem: str, gammas, priors) -> ComparisonColumns:
         margin_off = (
             np.abs(margin - (mixed_clamped - reference_clamped)) > TOL_MARGIN
         )
+        mixed_clamped[mixed_out] = p_mixed[mixed_out]
     failed = (
         (~gamma_ok, 1 if theorem == "2.1" else 2),
         (~np.tile(counted, gammas.shape[0]), 3),
@@ -380,6 +371,34 @@ def _reference_point(theorem: str, gamma, priors) -> ComparisonColumns:
     return cols
 
 
+def _family_grid_guard(cols: ComparisonColumns, grid_step: float):
+    """Brute-force cross-check of a one-row 2.1 kernel call's family optimum.
+
+    No point of a grid at ``grid_step`` over the feasible failure
+    probabilities may beat the closed form by more than 1e-5.
+    """
+    value = float(cols.reference[0])
+    g = abs(cols.gamma[0])
+    g2 = g * g
+    p = cols.priors[0]
+    axis = np.arange(g2, 1.0, grid_step)
+    axis = np.append(axis, 1.0)
+    xx0, xx1 = np.meshgrid(axis, axis, indexing="ij")
+    feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + 1e-12
+    if feasible.any():
+        vals = (
+            1.0
+            - p[0] * xx0
+            - p[1] * xx1
+            - p[2] * g2 * (1.0 / xx0 + 1.0 / xx1)
+        )
+        best_grid = float(vals[feasible].max())
+        if best_grid > value + 1e-5:
+            raise InvariantViolationError(
+                f"grid search found {best_grid!r} above optimizer {value!r}"
+            )
+
+
 class OptimizeResult(NamedTuple):
     x0: float
     x1: float
@@ -401,27 +420,9 @@ def optimize_unambiguous_special(
     keeps the operation self-validating.
     """
     cols = _reference_point("2.1", gamma, priors)
-    x0, x1, value = (float(c[0]) for c in (cols.x0, cols.x1, cols.reference))
     if grid_step is not None:
-        g = abs(cols.gamma[0])
-        g2 = g * g
-        p = cols.priors[0]
-        axis = np.arange(g2, 1.0, grid_step)
-        axis = np.append(axis, 1.0)
-        xx0, xx1 = np.meshgrid(axis, axis, indexing="ij")
-        feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + 1e-12
-        if feasible.any():
-            vals = (
-                1.0
-                - p[0] * xx0
-                - p[1] * xx1
-                - p[2] * g2 * (1.0 / xx0 + 1.0 / xx1)
-            )
-            best_grid = float(vals[feasible].max())
-            if best_grid > value + 1e-5:
-                raise InvariantViolationError(
-                    f"grid search found {best_grid!r} above optimizer {value!r}"
-                )
+        _family_grid_guard(cols, grid_step)
+    x0, x1, value = (float(c[0]) for c in (cols.x0, cols.x1, cols.reference))
     return OptimizeResult(x0=x0, x1=x1, value=value)
 
 
@@ -447,9 +448,10 @@ def theorem21_check(
     the optimizer's grid cross-check.  The closed-form ceiling on the
     reference is available separately as :func:`theorem21_bound`.
     """
-    record = compare_columns("2.1", [float(gamma)], [priors]).record(0)
+    cols = compare_columns("2.1", [float(gamma)], [priors])
+    record = cols.record(0)
     if grid_step is not None:
-        optimize_unambiguous_special(gamma, priors, grid_step=grid_step)
+        _family_grid_guard(cols, grid_step)
     return record
 
 
@@ -564,21 +566,37 @@ def max_unambiguous_symmetric_grid(
     return float(1.0 - cost)
 
 
+def _simplex_divisions(step: float) -> int:
+    """Lattice divisions ``1 / step`` of a valid simplex step."""
+    if not 0.0 < step <= 1.0:
+        raise ParamOutOfRangeError(f"simplex step {step!r} outside (0, 1]")
+    inverse = 1.0 / step
+    if inverse == np.inf:
+        raise ParamOutOfRangeError(f"simplex step {step!r}: 1/step overflows")
+    n = int(round(inverse))
+    if abs(n * step - 1.0) > 1e-9:
+        raise ParamOutOfRangeError(f"simplex step {step!r} does not divide 1")
+    return n
+
+
+def simplex_size(step: float) -> int:
+    """Number of triples :func:`simplex_grid` returns, without building them.
+
+    Raises for a step :func:`simplex_grid` rejects.
+    """
+    n = _simplex_divisions(step)
+    return (n + 1) * (n + 2) // 2
+
+
 def simplex_grid(step: float) -> list[tuple[float, float, float]]:
     """Probability triples on a lattice with the given spacing.
 
     Walks ``(i*step, j*step, 1 - i*step - j*step)`` over all non-negative
     combinations; includes the simplex boundary.  The step must divide 1,
-    so that every triple sums to 1, and be at least ``MIN_SIMPLEX_STEP``,
-    which bounds the list at 501,501 triples.
+    so that every triple sums to 1; :func:`simplex_size` counts the
+    triples beforehand.
     """
-    if not MIN_SIMPLEX_STEP <= step <= 1.0:
-        raise ParamOutOfRangeError(
-            f"simplex step {step!r} outside [{MIN_SIMPLEX_STEP}, 1]"
-        )
-    n = int(round(1.0 / step))
-    if abs(n * step - 1.0) > 1e-9:
-        raise ParamOutOfRangeError(f"simplex step {step!r} does not divide 1")
+    n = _simplex_divisions(step)
     out = []
     for i in range(n + 1):
         for j in range(n + 1 - i):

@@ -22,16 +22,17 @@ from typing import Optional
 import numpy as np
 
 from . import serialize
-from .analysis import simplex_grid
+from .analysis import simplex_grid, simplex_size
 from .errors import DiscriminationError
 from .linalg import dag, frobenius
 from .montecarlo import brute_force_success, simulate, sweep
 from .schemes import SCHEME_KINDS, Scheme, scheme_confusion
 
-#: Most values a MIN:MAX:STEP grid may expand to.
-MAX_GRID_VALUES = 10_000
-#: Most (gamma, priors) points one ``compare`` run may evaluate.
-MAX_COMPARE_POINTS = 1_000_000
+#: Most (gamma, priors) points, and prior triples, one ``compare`` run may
+#: hold.  The run costs about 0.46 KB (CSV) or 1.1 KB (JSON) per point, so
+#: this is about 8 or 18 GB; the per-record path it replaced cost 0.72 or
+#: 2.8 KB per point.
+MAX_COMPARE_POINTS = 2**24
 
 # Every --<param> flag: the union of the kinds' inputs, first use first.
 _INPUT_KEYS = tuple(
@@ -150,7 +151,8 @@ def _parse_grid_text(text: str) -> dict:
     return {name.strip(): _parse_range_text(rng)}
 
 
-def _range_values(rng: dict, what: str) -> list[float]:
+def _range_spec(rng: dict, what: str) -> tuple[float, float, int]:
+    """``(min, step, count)`` of a MIN:MAX:STEP grid, without listing it."""
     try:
         lo, hi, step = float(rng["min"]), float(rng["max"]), float(rng["step"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -161,9 +163,14 @@ def _range_values(rng: dict, what: str) -> list[float]:
         raise UsageError(f"{what} grid step must be positive")
     # (hi - lo) / step can overflow to an infinity of either sign.
     count = max(np.floor((hi - lo) / step + 1e-9) + 1, 0.0)
-    if not count <= MAX_GRID_VALUES:
-        raise UsageError(f"{what} grid has more than {MAX_GRID_VALUES} values")
-    return [round(lo + k * step, 12) for k in range(int(count))]
+    if not count <= sys.maxsize:
+        raise UsageError(f"{what} grid has too many values to list")
+    return lo, step, int(count)
+
+
+def _range_values(rng: dict, what: str) -> list[float]:
+    lo, step, count = _range_spec(rng, what)
+    return [round(lo + k * step, 12) for k in range(count)]
 
 
 def _need(cfg: dict, key: str, command: str):
@@ -359,7 +366,7 @@ def _cmd_compare(cfg: dict) -> int:
     grid = cfg.get("grid") or {}
     if "gamma" not in grid:
         raise UsageError("compare requires --gamma-grid MIN:MAX:STEP")
-    gammas = _range_values(grid["gamma"], "gamma")
+    n_gammas = _range_spec(grid["gamma"], "gamma")[2]
     prior_step = cfg.get("prior_step")
     prior_step = 0.05 if prior_step is None else float(prior_step)
     p2_min = cfg.get("p2_min")
@@ -367,6 +374,12 @@ def _cmd_compare(cfg: dict) -> int:
         p2_min = 1.0 / 3.0 if theorem == "2.1" else 0.0
     p2_min = float(p2_min)
 
+    # Both sizes are counted before their lists are built.
+    if simplex_size(prior_step) > MAX_COMPARE_POINTS:
+        raise UsageError(
+            f"prior step {prior_step!r} gives more than {MAX_COMPARE_POINTS} "
+            "prior triples"
+        )
     triples = simplex_grid(prior_step)
     if theorem == "3.1":
         # The comparison sorts priors anyway; deduplicate up to ordering.
@@ -375,13 +388,13 @@ def _cmd_compare(cfg: dict) -> int:
     if not triples:
         raise UsageError(f"no prior triples with p2 >= {p2_min}")
 
-    if len(gammas) * len(triples) > MAX_COMPARE_POINTS:
+    if n_gammas * len(triples) > MAX_COMPARE_POINTS:
         raise UsageError(
-            f"{len(gammas)} gammas x {len(triples)} prior triples is more "
+            f"{n_gammas} gammas x {len(triples)} prior triples is more "
             f"than {MAX_COMPARE_POINTS} points"
         )
 
-    result = sweep(theorem, gammas, triples)
+    result = sweep(theorem, _range_values(grid["gamma"], "gamma"), triples)
     table = result.table
     if cfg.get("format", "csv") == "json":
         text = serialize.comparison_columns_to_json(table)

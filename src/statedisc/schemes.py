@@ -32,6 +32,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import linalg, measurement
+from .analysis import XU_CASES, _reference_point
 from .errors import (
     AmplitudeOutOfRangeError,
     DimensionMismatchError,
@@ -45,7 +46,14 @@ from .errors import (
     ZeroProbabilityOutcomeError,
 )
 from .measurement import OutcomeLabel, Povm
-from .states import Ensemble, GramSpec, Ket, states_from_gram, validate_priors
+from .states import (
+    _HALF_SQRT2,
+    Ensemble,
+    GramSpec,
+    Ket,
+    states_from_gram,
+    validate_priors,
+)
 
 #: Unitarity tolerance for scheme couplings.
 TOL_UNITARY = 1e-10
@@ -53,8 +61,6 @@ TOL_UNITARY = 1e-10
 TOL_PIPELINE = 1e-9
 #: Slack for closed-interval parameter boundaries.
 TOL_BOUNDARY = 1e-12
-
-_HALF_SQRT2 = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -294,10 +300,9 @@ def xu_max_unambiguous(gamma: float, priors) -> XuResult:
     is the theorem 3.1 reference of :func:`analysis.compare_columns`, called
     for one point.
     """
-    from .analysis import XU_CASES, _reference_point  # analysis imports schemes
-
     point = _reference_point("3.1", gamma, priors)
-    perm = np.argsort(validate_priors(priors, 3), kind="stable")
+    # The kernel has validated the priors as three finite values.
+    perm = np.argsort(np.asarray(priors, dtype=float).reshape(-1), kind="stable")
     return XuResult(
         float(point.reference[0]),
         XU_CASES[point.xu_case[0]],

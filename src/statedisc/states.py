@@ -25,6 +25,9 @@ TOL_DENSITY = 1e-9
 #: Tolerance on the sum of ensemble priors.
 TOL_PRIORS = 1e-12
 
+# 1/sqrt(2): the |+>/|-> amplitude, and the largest two-orthogonal overlap.
+_HALF_SQRT2 = np.sqrt(0.5)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from statedisc.analysis import (
     ComparisonRecord,
+    compare_columns,
     left_classicality_check,
     max_unambiguous_symmetric_grid,
     optimize_unambiguous_special,
     right_classicality_check,
     simplex_grid,
+    simplex_size,
     theorem21_bound,
     theorem21_check,
     theorem31_check,
@@ -35,17 +39,48 @@ SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
 def test_comparison_record_build():
-    r = ComparisonRecord.build(
-        0.5, None, (0.3, 0.3, 0.4), 0.7, "family_optimum", 0.3072
-    )
-    assert r.margin == pytest.approx(0.7 - 0.3072)
+    r = compare_columns("2.1", [0.5], [(0.3, 0.3, 0.4)]).record(0)
+    assert r.p_mixed == pytest.approx(0.7)
+    # Interior stationary point: value 1 - 2 g sqrt(p2 (p0 + p1) / 2) * 2.
+    assert r.p_una_reference == pytest.approx(1.0 - 0.4 * np.sqrt(3.0))
+    assert r.margin == r.p_mixed - r.p_una_reference
+    assert r.reference_kind == "family_optimum"
     assert r.verdict is True
     assert r.alpha is None
 
 
 def test_comparison_record_rejects_bad_kind():
     with pytest.raises(ParamOutOfRangeError):
-        ComparisonRecord.build(0.5, None, (0.3, 0.3, 0.4), 0.7, "nonsense", 0.3)
+        ComparisonRecord(
+            gamma=0.5,
+            alpha=None,
+            priors=(0.3, 0.3, 0.4),
+            p_mixed=0.7,
+            p_una_reference=0.3,
+            reference_kind="nonsense",
+            margin=0.4,
+            verdict=True,
+        )
+
+
+def test_skipped_point_errors_name_the_offending_value():
+    cols = compare_columns(
+        "2.1", [0.5, 0.9], [(0.5, 0.5), (0.3, 0.3, 0.4, 0.0), (0.3, 0.3, 0.4)]
+    )
+    assert str(cols.error(0)) == "expected 3 priors, got 2"
+    assert str(cols.error(1)) == "expected 3 priors, got 4"
+    assert cols.error(2) is None
+    assert str(cols.error(5)) == "|gamma| = 0.9 outside (0, 1/sqrt(2)]"
+    with pytest.raises(DimensionMismatchError, match="expected 3 priors, got 2"):
+        theorem31_check(0.5, (0.5, 0.5))
+    # Valid priors keep both values in band; relabel a row to read the text.
+    cols = compare_columns("3.1", [0.5], [(0.2, 0.3, 0.5)])
+    for code, what, value in ((5, "p_mixed", 0.75), (6, "p_una_reference", None)):
+        value = float(cols.reference[0]) if value is None else value
+        bad = replace(cols, code=np.array([code], dtype=np.int8))
+        assert str(bad.error(0)) == (
+            f"{what} = {value!r} outside [0, 1] by more than 1e-12"
+        )
 
 
 def test_comparison_record_rejects_inconsistent_fields():
@@ -278,16 +313,20 @@ def test_simplex_grid_step_validation():
     for step in (0.6, 0.3, 0.15, float("nan")):
         with pytest.raises(ParamOutOfRangeError):
             simplex_grid(step)
-    # Steps finer than 1e-3 would need more than 501,501 triples; the
-    # smallest denormal used to overflow 1/step.
-    for step in (1e-4, 2.0**-20, 5e-324):
+    # The smallest denormal overflows 1/step.
+    for step in (5e-324, float("nan")):
+        with pytest.raises(ParamOutOfRangeError):
+            simplex_size(step)
         with pytest.raises(ParamOutOfRangeError):
             simplex_grid(step)
+    # Fine steps are counted without building their lattice.
+    assert simplex_size(1e-4) == 10_001 * 10_002 // 2
+    assert simplex_size(2.0**-20) == (2**20 + 1) * (2**20 + 2) // 2
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.04, 0.01])
 def test_simplex_grid_dividing_steps_sum_to_one(step):
     pts = simplex_grid(step)
     n = round(1.0 / step)
-    assert len(pts) == (n + 1) * (n + 2) // 2
+    assert len(pts) == (n + 1) * (n + 2) // 2 == simplex_size(step)
     assert all(abs(sum(p) - 1.0) < 1e-12 and min(p) >= 0.0 for p in pts)

@@ -114,11 +114,13 @@ def test_usage_errors_exit_1(capsys):
         ["compare", "--theorem", "2.1", "--gamma-grid", "0:inf:0.1"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.5:inf"],
         ["sweep"] + MIXED + ["--grid", "gamma=0:nan:0.1"],
-        # Grids too large to allocate.
+        # Grids too large to list, or to compare in memory.
         ["compare", "--theorem", "2.1", "--gamma-grid", "0:1e300:1e-300"],
         ["compare", "--theorem", "2.1", "--gamma-grid=-1e308:1e308:1"],
-        ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.999:0.001",
-         "--prior-step", "0.01"],
+        ["sweep"] + MIXED + ["--grid", "gamma=0:1e300:1e-300"],
+        ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.7:1e-9"],
+        ["compare", "--theorem", "3.1", "--gamma-grid", "0.1:0.2:0.1",
+         "--prior-step", "1e-4"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 1, argv

@@ -1,6 +1,7 @@
 """Property tests over the whole input domain, non-finite values included."""
 import contextlib
 import io
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -70,7 +71,10 @@ def test_batch_rows_equal_one_row_calls(check, gs, ps):
 
 def _compare(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # A lower point bound keeps each drawn run small; grids above it take
+    # the same usage-error path as grids above the real bound.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "MAX_COMPARE_POINTS", 20_000):
         code = cli.main(argv)
     return code, err.getvalue()
 
