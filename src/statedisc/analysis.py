@@ -435,24 +435,18 @@ def theorem21_bound(gamma: float, p2: float) -> float:
     return 1.0 - gamma**2 * (1.0 + p2)
 
 
-def theorem21_check(
-    gamma: float, priors, grid_step: Optional[float] = None
-) -> ComparisonRecord:
+def theorem21_check(gamma: float, priors) -> ComparisonRecord:
     """Mixed scheme versus the best fully unambiguous family member.
 
     For the two-orthogonal geometry: ``p_mixed = 1 - 2 g^2 (1 - p2)``
     against the family optimum (a one-row :func:`compare_columns` call).
     The comparison is guaranteed in favor of the mixed scheme when
     ``p2 >= 1/3``; records are still produced below that threshold and
-    simply carry whatever verdict the margin gives.  ``grid_step`` runs
-    the optimizer's grid cross-check.  The closed-form ceiling on the
-    reference is available separately as :func:`theorem21_bound`.
+    simply carry whatever verdict the margin gives.  The closed-form
+    ceiling on the reference is available separately as
+    :func:`theorem21_bound`.
     """
-    cols = compare_columns("2.1", [float(gamma)], [priors])
-    record = cols.record(0)
-    if grid_step is not None:
-        _family_grid_guard(cols, grid_step)
-    return record
+    return compare_columns("2.1", [float(gamma)], [priors]).record(0)
 
 
 def theorem31_check(gamma: float, priors) -> ComparisonRecord:

@@ -39,6 +39,21 @@ _INPUT_KEYS = tuple(
     dict.fromkeys(key for kind in SCHEME_KINDS.values() for key in kind.inputs)
 )
 
+#: Every one-value flag with its converter and choices; a builder input is
+#: kept under ``params``, and a config value for a ``str`` flag must be text.
+_SCALAR_FLAGS = {
+    **{key: (float, None) for key in _INPUT_KEYS},
+    "scheme": (str, tuple(SCHEME_KINDS)),
+    "output": (str, None),
+    "format": (str, ("csv", "json")),
+    "n": (int, None),
+    "seed": (int, None),
+    "shards": (int, None),
+    "theorem": (str, ("2.1", "3.1")),
+    "prior_step": (float, None),
+    "p2_min": (float, None),
+}
+
 
 class UsageError(Exception):
     """Bad flags, malformed values, missing required arguments."""
@@ -49,18 +64,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_scalar(parser: _Parser, key: str, **kwargs):
+    convert, choices = _SCALAR_FLAGS[key]
+    kwargs.update(type=None if convert is str else convert, choices=choices)
+    parser.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None)
-    common.add_argument("--scheme", choices=tuple(SCHEME_KINDS), default=None)
-    for key in _INPUT_KEYS:
-        common.add_argument(
-            "--" + key.replace("_", "-"), type=float, default=None, dest=key
-        )
+    for key in ("scheme", *_INPUT_KEYS):
+        _add_scalar(common, key)
     common.add_argument("--priors", metavar="P0,P1[,P2]", default=None)
     common.add_argument("--allow-trivial", action="store_true", default=False)
-    common.add_argument("--output", metavar="PATH", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    _add_scalar(common, "output", metavar="PATH")
+    _add_scalar(common, "format")
 
     parser = _Parser(prog="statedisc", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -69,18 +87,17 @@ def _build_parser() -> _Parser:
     sub.add_parser("dump", parents=[common])
 
     p_sim = sub.add_parser("simulate", parents=[common])
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--shards", type=int, default=None)
+    for key in ("n", "seed", "shards"):
+        _add_scalar(p_sim, key)
 
     p_sweep = sub.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--grid", metavar="PARAM=MIN:MAX:STEP", default=None)
 
     p_cmp = sub.add_parser("compare", parents=[common])
-    p_cmp.add_argument("--theorem", choices=("2.1", "3.1"), default=None)
+    _add_scalar(p_cmp, "theorem")
     p_cmp.add_argument("--gamma-grid", metavar="MIN:MAX:STEP", default=None)
-    p_cmp.add_argument("--prior-step", type=float, default=None)
-    p_cmp.add_argument("--p2-min", type=float, default=None)
+    _add_scalar(p_cmp, "prior_step")
+    _add_scalar(p_cmp, "p2_min")
     return parser
 
 
@@ -95,30 +112,52 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _config_value(key: str, value, convert, choices=None):
+    """A config-file value read with its flag's converter and choices."""
+    try:
+        if convert is str and not isinstance(value, str):
+            raise TypeError(f"{type(value).__name__} is not text")
+        value = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"config {key}: bad value {value!r} ({exc})") from exc
+    if choices is not None and value not in choices:
+        raise UsageError(f"config {key}: {value!r} is not one of {choices}")
+    return value
+
+
+def _read_config(path: str, flags) -> dict:
+    """The config file, each value read the way its flag in ``flags`` reads
+    it.  A null counts as absent; a flag the command lacks is not read."""
+    cfg = {k: v for k, v in _load_config(path).items() if v is not None}
+    params = cfg["params"] = _config_value("params", cfg.get("params") or {}, dict)
+    for key, (convert, choices) in _SCALAR_FLAGS.items():
+        where = params if key in _INPUT_KEYS else cfg
+        if key in flags and where.get(key) is not None:
+            where[key] = _config_value(key, where[key], convert, choices)
+    if "priors" in cfg:
+        cfg["priors"] = _config_value(
+            "priors", cfg["priors"], lambda ps: [float(p) for p in ps]
+        )
+    if not isinstance(cfg.get("grid", {}), dict):
+        raise UsageError("config grid must be a JSON object")
+    return cfg
+
+
 def _merge_config(args) -> dict:
     """Fold the optional config file and CLI flags into one request map.
 
     Explicit command-line values win over config-file values.
     """
-    cfg = _load_config(args.config) if args.config else {}
-    params = dict(cfg.get("params") or {})
-    for key in _INPUT_KEYS:
+    cfg = _read_config(args.config, vars(args)) if args.config else {}
+    params = cfg.setdefault("params", {})
+    for key in _SCALAR_FLAGS:
         val = getattr(args, key, None)
         if val is not None:
-            params[key] = val
-    cfg["params"] = params
-    for key in ("scheme", "output", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+            (params if key in _INPUT_KEYS else cfg)[key] = val
     if getattr(args, "priors", None) is not None:
         cfg["priors"] = _parse_priors_text(args.priors)
     if getattr(args, "allow_trivial", False):
         cfg["allow_trivial"] = True
-    for key in ("n", "seed", "shards", "prior_step", "p2_min", "theorem"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
     if getattr(args, "grid", None) is not None:
         cfg.setdefault("grid", {}).update(_parse_grid_text(args.grid))
     if getattr(args, "gamma_grid", None) is not None:
@@ -174,23 +213,13 @@ def _range_values(rng: dict, what: str) -> list[float]:
 
 
 def _need(cfg: dict, key: str, command: str):
-    if key not in cfg or cfg[key] is None:
+    if cfg.get(key) is None:
         raise UsageError(f"{command} requires --{key.replace('_', '-')}")
     return cfg[key]
 
 
-def _need_param(cfg: dict, key: str, scheme: str) -> float:
-    val = cfg["params"].get(key)
-    if val is None:
-        raise UsageError(f"scheme {scheme} requires --{key.replace('_', '-')}")
-    return float(val)
-
-
 def _need_priors(cfg: dict, count: int, scheme: str) -> list[float]:
-    priors = cfg.get("priors")
-    if priors is None:
-        raise UsageError(f"scheme {scheme} requires --priors")
-    priors = [float(p) for p in priors]
+    priors = _need(cfg, "priors", f"scheme {scheme}")
     if len(priors) != count:
         raise UsageError(f"scheme {scheme} takes {count} priors, got {len(priors)}")
     return priors
@@ -200,13 +229,9 @@ def _build_scheme(cfg: dict) -> Scheme:
     scheme = cfg.get("scheme")
     if scheme is None:
         raise UsageError("missing --scheme")
-    kind = SCHEME_KINDS.get(scheme) if isinstance(scheme, str) else None
-    if kind is None:
-        raise UsageError(
-            f"unknown scheme {scheme!r}; choose from {tuple(SCHEME_KINDS)}"
-        )
+    kind = SCHEME_KINDS[scheme]  # the flag and the config reader check the name
     priors = _need_priors(cfg, kind.n_priors, scheme)
-    values = {key: _need_param(cfg, key, scheme) for key in kind.inputs}
+    values = {k: _need(cfg["params"], k, f"scheme {scheme}") for k in kind.inputs}
     return kind.build(values, priors, bool(cfg.get("allow_trivial", False)))
 
 
@@ -290,10 +315,8 @@ def _cmd_dump(cfg: dict) -> int:
 
 def _cmd_simulate(cfg: dict) -> int:
     scheme = _build_scheme(cfg)
-    n = int(_need(cfg, "n", "simulate"))
-    seed = int(cfg.get("seed", 0))
-    shards = int(cfg.get("shards", 1))
-    result = simulate(scheme, n, seed, shards=shards)
+    n = _need(cfg, "n", "simulate")
+    result = simulate(scheme, n, cfg.get("seed", 0), shards=cfg.get("shards", 1))
     if cfg.get("format", "json") == "csv":
         lines = ["state,outcome,count"]
         for i, row in enumerate(result.counts):
@@ -361,18 +384,12 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_compare(cfg: dict) -> int:
     theorem = _need(cfg, "theorem", "compare")
-    if theorem not in ("2.1", "3.1"):
-        raise UsageError(f"--theorem must be 2.1 or 3.1, got {theorem!r}")
     grid = cfg.get("grid") or {}
     if "gamma" not in grid:
         raise UsageError("compare requires --gamma-grid MIN:MAX:STEP")
     n_gammas = _range_spec(grid["gamma"], "gamma")[2]
-    prior_step = cfg.get("prior_step")
-    prior_step = 0.05 if prior_step is None else float(prior_step)
-    p2_min = cfg.get("p2_min")
-    if p2_min is None:
-        p2_min = 1.0 / 3.0 if theorem == "2.1" else 0.0
-    p2_min = float(p2_min)
+    prior_step = cfg.get("prior_step", 0.05)
+    p2_min = cfg.get("p2_min", 1.0 / 3.0 if theorem == "2.1" else 0.0)
 
     # Both sizes are counted before their lists are built.
     if simplex_size(prior_step) > MAX_COMPARE_POINTS:

@@ -126,7 +126,8 @@ def psd_cholesky(g) -> np.ndarray:
     ell = dag(r)
     for k in range(ell.shape[1]):
         pivot = ell[k, k]
-        if abs(pivot) > 0.0:
+        # A subnormal pivot is roundoff, and dividing by it overflows.
+        if abs(pivot) >= np.finfo(float).tiny:
             ell[:, k] *= np.conj(pivot) / abs(pivot)
         ell[k, k] = ell[k, k].real + 0.0j
     return ell
@@ -173,12 +174,17 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
         ri = _orthonormal_residual(iv, img_basis)
         nd = np.linalg.norm(rd)
         ni = np.linalg.norm(ri)
-        if nd < RANK_TOL and ni < RANK_TOL:
+        if max(nd, ni) <= TOL_EIG:
             continue  # dependent pair; Gram equality keeps the map consistent
-        if nd < RANK_TOL or ni < RANK_TOL:
+        if (nd < RANK_TOL) != (ni < RANK_TOL):
             raise GramMismatchError(
                 "one side of a vector pair is linearly dependent, the other is not"
             )
+        # Near dependence magnifies a roundoff gap in the Gram entries into
+        # one between these norms, and a pair skipped as dependent is so only
+        # to within them: either way the map would miss its image.
+        if nd < RANK_TOL or abs(nd - ni) > TOL_EIG:
+            raise GramMismatchError(f"nearly dependent pair, norms {nd:.3e}, {ni:.3e}")
         dom_basis.append(rd / nd)
         img_basis.append(ri / ni)
 

@@ -3,9 +3,9 @@
 Sampling uses the Philox counter-based generator (numpy's implementation)
 with a fixed stream discipline, so results are reproducible bit-for-bit
 across runs, platforms, and shard splits: shard k of a run seeded with s
-uses the 128-bit Philox key ``(k << 64) | (s mod 2^64)`` and draws an
-(n_k, 2) uniform block, column 0 selecting the prepared state and column
-1 the measurement outcome, both by inverse CDF.
+(``0 <= s < 2^64``) uses the 128-bit Philox key ``(k << 64) | s`` and
+draws an (n_k, 2) uniform block, column 0 selecting the prepared state
+and column 1 the measurement outcome, both by inverse CDF.
 
 Comparison sweeps run on :func:`analysis.compare_columns`, the one
 implementation of both theorem comparisons: :func:`sweep` makes a single
@@ -106,6 +106,9 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     if shards < 1 or shards > n:
         raise ParamOutOfRangeError(f"shards = {shards} outside [1, n]")
     seed = int(seed)
+    # The key holds the seed in 64 bits; a wider one would alias another.
+    if not 0 <= seed < 1 << 64:
+        raise ParamOutOfRangeError(f"seed {seed} outside [0, 2^64)")
 
     conf = scheme_confusion(scheme)
     n_states, n_out = conf.shape
@@ -121,7 +124,7 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
         n_k = base + (1 if k < rem else 0)
         if n_k == 0:
             continue
-        key = (k << 64) | (seed % (1 << 64))
+        key = (k << 64) | seed
         rng = np.random.Generator(np.random.Philox(key=key))
         u = rng.random((n_k, 2))
         states = np.searchsorted(cum_priors, u[:, 0], side="right")

@@ -21,6 +21,14 @@ Builders
                               when the overlaps satisfy a cyclic
                               consistency condition
 
+The four coupled builders share one flagged-ancilla recipe (the layout of
+Roa, Retamal and Alid-Vaccarezza, PRL 107, 080401, 2011).  A builder
+validates its parameters and supplies the ensemble, the domain vectors and
+their images, one identifying system vector per state, and the closed
+form.  The recipe owns the rest: the coupling completes domain -> images,
+outcome k is identifying vector k with the ancilla in |0>, the ancilla in
+|1> flags the inconclusive outcome, and it returns the validated scheme.
+
 ``SCHEME_KINDS`` is the one table of these kinds: the command line and the
 JSON codec derive everything they know about a kind from it.
 """
@@ -59,7 +67,8 @@ from .states import (
 TOL_UNITARY = 1e-10
 #: Allowed gap between the closed-form and pipeline success probabilities.
 TOL_PIPELINE = 1e-9
-#: Slack for closed-interval parameter boundaries.
+#: Slack for closed-interval parameter boundaries.  Builders write each
+#: bound as ``not value <= bound``, so that NaN fails it.
 TOL_BOUNDARY = 1e-12
 
 
@@ -151,7 +160,7 @@ class Scheme:
                 for i, p in enumerate(self.ensemble.priors)
             )
         )
-        if abs(total - self.analytic_success) > TOL_PIPELINE:
+        if not abs(total - self.analytic_success) <= TOL_PIPELINE:  # NaN fails
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
             )
@@ -197,9 +206,33 @@ def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _ancilla_projectors() -> tuple[np.ndarray, np.ndarray]:
-    e0a, e1a = np.eye(2, dtype=np.complex128)
-    return _proj(e0a), _proj(e1a)
+def _ready_states(ensemble: Ensemble) -> list[np.ndarray]:
+    """Each state with the ancilla in |0>: the coupling's domain vectors."""
+    e0a = np.eye(2, dtype=np.complex128)[0]
+    return [np.kron(s.amplitudes, e0a) for s in ensemble.states]
+
+
+def _flagged_scheme(
+    ensemble: Ensemble, domain, images, identify, analytic: float,
+    params: SchemeParams, branch_note: str = "",
+) -> Scheme:
+    """The flagged-ancilla recipe shared by the four coupled builders.
+
+    The coupling sends ``domain[k]`` to ``images[k]`` on ``system (x)
+    qubit ancilla``.  Outcome k, labeled ``identify(k)``, projects the
+    system onto ``identify[k]`` with the ancilla in |0>; the last outcome,
+    labeled ``inconclusive``, is the ancilla in |1> whatever the system.
+    """
+    dim = ensemble.dim
+    flag0, flag1 = (_proj(e) for e in np.eye(2, dtype=np.complex128))
+    elements = [np.kron(_proj(vec), flag0) for vec in identify]
+    labels = [OutcomeLabel.identify(k) for k in range(len(identify))]
+    povm = Povm(
+        (*elements, np.kron(np.eye(dim), flag1)),
+        (*labels, OutcomeLabel.inconclusive()),
+    )
+    u = linalg.isometry_completion(domain, images, 2 * dim)
+    return Scheme(ensemble, 2, u, povm, analytic, params, branch_note)
 
 
 def _rra_kets(overlap: float) -> tuple[Ket, Ket]:
@@ -233,10 +266,10 @@ def build_rra(
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
     for name, c in (("c_plus", c_plus), ("c_minus", c_minus)):
-        if abs(c) > 1.0 + TOL_BOUNDARY:
+        if not abs(c) <= 1.0 + TOL_BOUNDARY:
             raise AmplitudeOutOfRangeError(f"|{name}| = {abs(c)!r} exceeds 1")
     overlap = complex(np.conj(psi_minus.amplitudes) @ psi_plus.amplitudes)
-    if abs(np.conj(c_plus) * c_minus - overlap) > 1e-10:
+    if not abs(np.conj(c_plus) * c_minus - overlap) <= 1e-10:
         raise OverlapConstraintViolatedError(
             f"conj(c_plus)*c_minus = {np.conj(c_plus) * c_minus!r} "
             f"but <psi_minus|psi_plus> = {overlap!r}"
@@ -245,35 +278,15 @@ def build_rra(
     e0a, e1a = np.eye(2, dtype=np.complex128)
     fail = np.kron(e0a, e1a)  # system |0>, ancilla |1>
     plus, minus = _plus_minus(2)
-    v_plus = np.kron(psi_plus.amplitudes, e0a)
-    v_minus = np.kron(psi_minus.amplitudes, e0a)
     img_plus = np.sqrt(max(0.0, 1.0 - abs(c_plus) ** 2)) * np.kron(plus, e0a)
     img_plus = img_plus + c_plus * fail
     img_minus = np.sqrt(max(0.0, 1.0 - abs(c_minus) ** 2)) * np.kron(minus, e0a)
     img_minus = img_minus + c_minus * fail
-    u = linalg.isometry_completion([v_plus, v_minus], [img_plus, img_minus], 4)
-
-    p0a, p1a = _ancilla_projectors()
-    povm = Povm(
-        elements=(
-            np.kron(_proj(plus), p0a),
-            np.kron(_proj(minus), p0a),
-            np.kron(np.eye(2), p1a),
-        ),
-        labels=(
-            OutcomeLabel.identify(0),
-            OutcomeLabel.identify(1),
-            OutcomeLabel.inconclusive(),
-        ),
-    )
+    ens = Ensemble((psi_plus, psi_minus), p)
     analytic = 1.0 - p[0] * abs(c_plus) ** 2 - p[1] * abs(c_minus) ** 2
-    return Scheme(
-        ensemble=Ensemble((psi_plus, psi_minus), p),
-        ancilla_dim=2,
-        coupling=u,
-        povm=povm,
-        analytic_success=analytic,
-        params=RraParams(c_plus=c_plus, c_minus=c_minus),
+    return _flagged_scheme(
+        ens, _ready_states(ens), [img_plus, img_minus], (plus, minus), analytic,
+        RraParams(c_plus=c_plus, c_minus=c_minus),
     )
 
 
@@ -321,51 +334,50 @@ def _three_state_gram(gamma: float, alpha: float) -> np.ndarray:
     )
 
 
-def _mixed_povm() -> Povm:
-    plus, minus = _plus_minus(3)
-    e2s = np.eye(3, dtype=np.complex128)[2]
-    p0a, p1a = _ancilla_projectors()
-    return Povm(
-        elements=(
-            np.kron(_proj(plus), p0a),
-            np.kron(_proj(minus), p0a),
-            np.kron(_proj(e2s), p0a),
-            np.kron(np.eye(3), p1a),
-        ),
-        labels=(
-            OutcomeLabel.identify(0),
-            OutcomeLabel.identify(1),
-            OutcomeLabel.identify(2),
-            OutcomeLabel.inconclusive(),
-        ),
-    )
+def _mixed_amplitudes(c2: complex) -> tuple[complex, float]:
+    """Interference amplitude ``c = sqrt(c2)`` and +/- amplitude ``r``.
+
+    ``r = sqrt(1 - |c|^2)``, snapped to 0 when ``1 - |c|^2 <= 1e-12``.
+    The mixed coupling and :func:`separable_decomposition` both take the
+    degenerate branch from here, so they cannot disagree on it.
+    """
+    c = np.sqrt(np.complex128(c2))
+    r2 = 1.0 - abs(c) ** 2
+    return c, (np.sqrt(r2) if r2 > 1e-12 else 0.0)
 
 
-def _mixed_coupling(ensemble: Ensemble, gamma: float, c2: complex) -> np.ndarray:
-    """Joint unitary for the mixed three-state schemes.
+def _mixed_scheme(
+    ensemble: Ensemble, gamma: float, c2: complex, analytic: float,
+    params: SchemeParams, branch_note: str = "",
+) -> Scheme:
+    """The flagged recipe for the mixed three-state schemes.
 
     Splits each of the first two coupled states into the component along
     the third plus an orthogonal remainder, then maps the remainders to
     +/- branches whose interference term carries ``c = sqrt(c2)``.
+    Outcomes: +, -, and the third state, each with the ancilla in |0>.
     """
     e0a, e1a = np.eye(2, dtype=np.complex128)
     _, e1s, e2s = np.eye(3, dtype=np.complex128)
-    v = [np.kron(s.amplitudes, e0a) for s in ensemble.states]
+    v = _ready_states(ensemble)
     scale = np.sqrt(1.0 - gamma**2)
     psi0 = (v[0] - gamma * v[2]) / scale
     psi1 = (v[1] - gamma * v[2]) / scale
-    c = np.sqrt(np.complex128(c2))
-    r2 = 1.0 - abs(c) ** 2
-    r = np.sqrt(r2) if r2 > 1e-12 else 0.0
+    c, r = _mixed_amplitudes(c2)
     plus, minus = _plus_minus(3)
-    img2 = np.kron(e2s, e0a)
-    img_psi0 = r * np.kron(plus, e0a) + np.conj(c) * np.kron(e1s, e1a)
-    img_psi1 = r * np.kron(minus, e0a) + c * np.kron(e1s, e1a)
+    domain = [v[2], psi0, psi1]
+    images = [
+        np.kron(e2s, e0a),
+        r * np.kron(plus, e0a) + np.conj(c) * np.kron(e1s, e1a),
+        r * np.kron(minus, e0a) + c * np.kron(e1s, e1a),
+    ]
     if r == 0.0:
-        # |c| = 1 makes psi1 a multiple of psi0 (and img_psi1 of img_psi0),
+        # |c| = 1 makes psi1 a multiple of psi0 (and its image of psi0's),
         # so only the independent pair is pinned; linearity carries the rest.
-        return linalg.isometry_completion([v[2], psi0], [img2, img_psi0], 6)
-    return linalg.isometry_completion([v[2], psi0, psi1], [img2, img_psi0, img_psi1], 6)
+        domain, images = domain[:2], images[:2]
+    return _flagged_scheme(
+        ensemble, domain, images, (plus, minus, e2s), analytic, params, branch_note
+    )
 
 
 def build_mixed_special(gamma: float, priors, allow_trivial: bool = False) -> Scheme:
@@ -383,22 +395,14 @@ def build_mixed_special(gamma: float, priors, allow_trivial: bool = False) -> Sc
     p = validate_priors(priors, 3)
     if gamma == 0.0 and not allow_trivial:
         raise GammaOutOfRangeError("gamma = 0 is degenerate (pass allow_trivial)")
-    if abs(gamma) > _HALF_SQRT2 + TOL_BOUNDARY:
+    if not abs(gamma) <= _HALF_SQRT2 + TOL_BOUNDARY:
         raise GammaOutOfRangeError(
             f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2); overlaps not realizable"
         )
     ens = states_from_gram(GramSpec(_three_state_gram(gamma, 0.0), p))
     c2 = -(gamma**2) / (1.0 - gamma**2)
-    u = _mixed_coupling(ens, gamma, c2)
     analytic = 1.0 - 2.0 * gamma**2 * (1.0 - p[2])
-    return Scheme(
-        ensemble=ens,
-        ancilla_dim=2,
-        coupling=u,
-        povm=_mixed_povm(),
-        analytic_success=analytic,
-        params=MixedSpecialParams(gamma=gamma),
-    )
+    return _mixed_scheme(ens, gamma, c2, analytic, MixedSpecialParams(gamma=gamma))
 
 
 def build_mixed_general(
@@ -417,7 +421,7 @@ def build_mixed_general(
     gamma = float(gamma)
     alpha = float(alpha)
     p = validate_priors(priors, 3)
-    if abs(gamma) >= 1.0:
+    if not abs(gamma) < 1.0:
         raise ParamOutOfRangeError(f"|gamma| = {abs(gamma)!r} must be < 1")
     if not allow_trivial:
         if gamma == 0.0:
@@ -426,7 +430,7 @@ def build_mixed_general(
             raise ParamOutOfRangeError(
                 f"alpha = {alpha!r} is a boundary value (pass allow_trivial)"
             )
-    if abs(alpha) > 1.0 + TOL_BOUNDARY:
+    if not abs(alpha) <= 1.0 + TOL_BOUNDARY:
         raise GramNotPsdError(f"|alpha| = {abs(alpha)!r} exceeds 1")
     gram = _three_state_gram(gamma, alpha)
     w = np.linalg.eigvalsh(gram)
@@ -436,24 +440,16 @@ def build_mixed_general(
         )
     if 1.0 - gamma**2 - abs(alpha - gamma**2) < -TOL_BOUNDARY:
         raise ParamOutOfRangeError("identifying amplitude would be imaginary")
-    ens = states_from_gram(GramSpec(gram, p))
-    c2 = (alpha - gamma**2) / (1.0 - gamma**2)
-    u = _mixed_coupling(ens, gamma, c2)
     if alpha >= gamma**2:
         analytic = 1.0 - alpha * (1.0 - p[2])
         note = "alpha >= gamma^2: success = 1 - alpha*(1 - p2)"
     else:
         analytic = 1.0 - (2.0 * gamma**2 - alpha) * (1.0 - p[2])
         note = "alpha < gamma^2: success = 1 - (2*gamma^2 - alpha)*(1 - p2)"
-    return Scheme(
-        ensemble=ens,
-        ancilla_dim=2,
-        coupling=u,
-        povm=_mixed_povm(),
-        analytic_success=analytic,
-        params=MixedGeneralParams(gamma=gamma, alpha=alpha),
-        branch_note=note,
-    )
+    ens = states_from_gram(GramSpec(gram, p))
+    c2 = (alpha - gamma**2) / (1.0 - gamma**2)
+    params = MixedGeneralParams(gamma=gamma, alpha=alpha)
+    return _mixed_scheme(ens, gamma, c2, analytic, params, note)
 
 
 def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Scheme:
@@ -469,11 +465,12 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
     x0 = float(x0)
     x1 = float(x1)
     p = validate_priors(priors, 3)
-    if abs(gamma) > _HALF_SQRT2 + TOL_BOUNDARY:
+    if not abs(gamma) <= _HALF_SQRT2 + TOL_BOUNDARY:
         raise GammaOutOfRangeError(f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2)")
     g2 = gamma**2
     for name, x in (("x0", x0), ("x1", x1)):
-        if not g2 - TOL_BOUNDARY <= x <= 1.0 + TOL_BOUNDARY:
+        # A failure probability is never negative, whatever the slack.
+        if not max(0.0, g2 - TOL_BOUNDARY) <= x <= 1.0 + TOL_BOUNDARY:
             raise InfeasibleAmplitudesError(
                 f"{name} = {x!r} outside [gamma^2, 1] = [{g2!r}, 1]"
             )
@@ -491,7 +488,6 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
     ens = states_from_gram(GramSpec(_three_state_gram(gamma, 0.0), p))
     e0a, e1a = np.eye(2, dtype=np.complex128)
     e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
-    v = [np.kron(s.amplitudes, e0a) for s in ens.states]
     a0 = np.sqrt(x0)
     a1 = np.sqrt(x1)
     ap0 = gamma / a0 if x0 > 0.0 else 0.0
@@ -502,31 +498,10 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
     img1 = img1 + a1 * np.kron(e1s, e1a)
     img2 = np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * np.kron(e2s, e0a)
     img2 = img2 + ap0 * np.kron(e0s, e1a) + ap1 * np.kron(e1s, e1a)
-    u = linalg.isometry_completion(v, [img0, img1, img2], 6)
-
-    p0a, p1a = _ancilla_projectors()
-    povm = Povm(
-        elements=(
-            np.kron(_proj(e0s), p0a),
-            np.kron(_proj(e1s), p0a),
-            np.kron(_proj(e2s), p0a),
-            np.kron(np.eye(3), p1a),
-        ),
-        labels=(
-            OutcomeLabel.identify(0),
-            OutcomeLabel.identify(1),
-            OutcomeLabel.identify(2),
-            OutcomeLabel.inconclusive(),
-        ),
-    )
     analytic = 1.0 - p[0] * x0 - p[1] * x1 - p[2] * (ap0**2 + ap1**2)
-    return Scheme(
-        ensemble=ens,
-        ancilla_dim=2,
-        coupling=u,
-        povm=povm,
-        analytic_success=analytic,
-        params=UnambiguousSpecialParams(gamma=gamma, x0=x0, x1=x1),
+    return _flagged_scheme(
+        ens, _ready_states(ens), [img0, img1, img2], (e0s, e1s, e2s), analytic,
+        UnambiguousSpecialParams(gamma=gamma, x0=x0, x1=x1),
     )
 
 
@@ -554,9 +529,9 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     g20 = complex(g20)
     p = validate_priors(priors, 3)
     for name, g in (("g12", g12), ("g20", g20)):
-        if abs(g) >= 1.0:
+        if not abs(g) < 1.0:
             raise OverlapConstraintViolatedError(f"|{name}| = {abs(g)!r} must be < 1")
-    if abs(np.conj(g12 * g20) - g01) > 1e-10:
+    if not abs(np.conj(g12 * g20) - g01) <= 1e-10:
         raise OverlapConstraintViolatedError(
             f"conj(g12*g20) = {np.conj(g12 * g20)!r} differs from g01 = {g01!r}"
         )
@@ -716,10 +691,8 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
         raise HypothesisViolatedError("p2 = 1 leaves an empty ancilla part")
 
     b2 = max(0.0, 1.0 + alpha - 2.0 * gamma**2)
-    # Mirror the coupling's degenerate-branch condition exactly: when the
-    # unitary snapped its +/- amplitude to zero, the decomposition must too.
-    c2 = (alpha - gamma**2) / (1.0 - gamma**2)
-    if 1.0 - abs(c2) <= 1e-12:
+    # Where the coupling snapped its +/- amplitude to zero, so does this.
+    if _mixed_amplitudes((alpha - gamma**2) / (1.0 - gamma**2))[1] == 0.0:
         b2 = 0.0
     weight = q * mu2
     plus, minus = _plus_minus(3)

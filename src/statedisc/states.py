@@ -149,10 +149,10 @@ class Ensemble:
             raise DimensionMismatchError(
                 f"{len(states)} states but {p.shape[0]} priors"
             )
-        if p.min() < 0.0:
-            raise InvariantViolationError(f"negative prior {p.min()!r}")
-        if abs(p.sum() - 1.0) > TOL_PRIORS:
-            raise InvariantViolationError(f"priors sum to {p.sum()!r}, not 1")
+        if not priors_ok(p):
+            raise InvariantViolationError(
+                f"priors {p.tolist()!r} are not non-negative summing to 1"
+            )
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", _freeze(p))
 
@@ -191,7 +191,7 @@ class GramSpec:
         p = np.array(priors, dtype=float).reshape(-1)
         if p.shape[0] != n:
             raise DimensionMismatchError(f"{n} states but {p.shape[0]} priors")
-        if p.min() < 0.0 or abs(p.sum() - 1.0) > TOL_PRIORS:
+        if not priors_ok(p):
             raise InvariantViolationError("priors must be non-negative and sum to 1")
         object.__setattr__(self, "overlaps", _freeze(g))
         object.__setattr__(self, "priors", _freeze(p))

@@ -89,9 +89,11 @@ def test_domain_error_exit_2(capsys):
          "--prior-step", "0.6"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
          "--prior-step", "5e-324"],
+        ["simulate"] + MIXED + ["--n", "10", "--seed", str(2**64)],
+        ["simulate"] + MIXED + ["--n", "10", "--seed", "-1"],
     ],
     ids=["negative-prior", "nan-prior", "rra-overlap-2", "prior-step-0",
-         "prior-step-0.6", "prior-step-denormal"],
+         "prior-step-0.6", "prior-step-denormal", "seed-2^64", "seed-negative"],
 )
 def test_out_of_domain_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -282,6 +284,48 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
     no_command.write_text("{}")
     code, _, err = run_cli(capsys, ["--config", str(no_command)])
     assert code == 1 and "names no command" in err
+
+    # Each value is read with its flag's converter or choices, and a value
+    # that does not convert is a usage error naming its key.
+    simulate = {"command": "simulate", "scheme": "mixed-special",
+                "params": {"gamma": 0.5}, "priors": [0.3, 0.3, 0.4], "n": 100}
+    compare = {"command": "compare", "theorem": "2.1",
+               "grid": {"gamma": {"min": 0.1, "max": 0.2, "step": 0.1}}}
+    for base, edit, key in (
+        (compare, {"prior_step": "abc"}, "prior_step"),
+        (compare, {"p2_min": [1]}, "p2_min"),
+        (compare, {"theorem": 2.1}, "theorem"),
+        (compare, {"grid": [1]}, "grid"),
+        (simulate, {"n": "x"}, "n"),
+        (simulate, {"seed": 1.5e400}, "seed"),  # JSON Infinity
+        (simulate, {"params": {"gamma": "x"}}, "gamma"),
+        (simulate, {"params": [1]}, "params"),
+        (simulate, {"priors": "abc"}, "priors"),
+        (simulate, {"priors": 5}, "priors"),
+        (simulate, {"format": "xml"}, "format"),
+        (simulate, {"output": 5}, "output"),
+        (simulate, {"scheme": ["rra"]}, "scheme"),
+    ):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps({**base, **edit}))
+        code, out, err = run_cli(capsys, ["--config", str(path)])
+        assert code == 1 and out == "", edit
+        assert err.startswith("usage error: ") and key in err, (edit, err)
+
+
+def test_config_values_convert_like_their_flags(capsys, tmp_path):
+    # A float trial count and numeric strings convert as the flags' own
+    # converters read them; a null reads as absent, and a value for a flag
+    # simulate lacks is not read.
+    job = {"command": "simulate", "scheme": "mixed-special",
+           "params": {"gamma": "0.5"}, "priors": [0.3, 0.3, 0.4],
+           "n": 1e3, "seed": "7", "shards": None, "prior_step": "abc"}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, ["--config", str(path)])
+    assert code == 0, err
+    flags = ["simulate"] + MIXED + ["--n", "1000", "--seed", "7"]
+    assert out == run_cli(capsys, flags)[1]
 
 
 def test_readme_lists_each_schemes_flags():

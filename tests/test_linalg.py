@@ -101,6 +101,15 @@ def test_psd_cholesky_rank_deficient_is_exact():
     assert abs(ell[2, 2]) < 1e-12
 
 
+def test_psd_cholesky_subnormal_pivot_stays_finite():
+    # A subnormal pivot is roundoff; rephasing by it used to overflow to NaN.
+    g, a = 5e-324, -0.9999999999999
+    gram = np.array([[1.0, a, g], [a, 1.0, g], [g, g, 1.0]])
+    ell = linalg.psd_cholesky(gram)
+    assert np.isfinite(ell).all()
+    assert np.abs(ell @ ell.conj().T - gram).max() < 1e-12
+
+
 def test_psd_cholesky_rejects_indefinite():
     with pytest.raises(NotPsdError):
         linalg.psd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -147,6 +156,23 @@ def test_isometry_completion_rejects_one_sided_dependence():
     # domain pair is dependent, images differ in norm: Gram gate must fire
     with pytest.raises((GramMismatchError, InvariantViolationError)):
         linalg.isometry_completion(dom, img, 2)
+
+
+def test_isometry_completion_rejects_nearly_dependent_pairs():
+    # Gram entries agree within TOL_EIG, but near dependence leaves the
+    # residual norms 5e-5 apart, so no unitary maps one pair onto the other.
+    t, t_img = 1e-6, 1e-6 + 5e-5
+    dom = [np.array([1.0, 0.0]), np.array([np.cos(t), np.sin(t)])]
+    img = [np.array([1.0, 0.0]), np.array([np.cos(t_img), np.sin(t_img)])]
+    with pytest.raises(GramMismatchError):
+        linalg.isometry_completion(dom, img, 2)
+    # Equal Gram matrices, but both residuals (5e-9) sit between TOL_EIG and
+    # RANK_TOL: skipping the pair as dependent would miss its image by 7e-9.
+    s = 5e-9
+    dom = [np.array([1.0, 0.0, 0.0]), np.array([np.sqrt(1 - s * s), s, 0.0])]
+    img = [np.array([1.0, 0.0, 0.0]), np.array([np.sqrt(1 - s * s), 0.0, s])]
+    with pytest.raises(GramMismatchError):
+        linalg.isometry_completion(dom, img, 3)
 
 
 def test_isometry_completion_length_mismatch():

@@ -93,6 +93,15 @@ def test_simulate_seed_changes_stream():
     assert r1 != r2
 
 
+def test_simulate_rejects_seeds_outside_64_bits():
+    # Seeds used to wrap mod 2^64: 2^64 drew seed 0's tallies under its own name.
+    s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
+    for seed in (2**64, -1, 2**64 + 5):
+        with pytest.raises(ParamOutOfRangeError):
+            simulate(s, 100, seed=seed)
+    assert simulate(s, 100, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_simulate_sharding_changes_partition_not_law():
     s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
     r1 = simulate(s, 100_000, seed=9, shards=1)

@@ -14,7 +14,9 @@ from statedisc.analysis import (
     theorem21_check,
     theorem31_check,
 )
-from statedisc.errors import DiscriminationError
+from statedisc.errors import DiscriminationError, InvariantViolationError
+from statedisc.measurement import TOL_UNAMBIGUOUS, unambiguity_check
+from statedisc.schemes import SCHEME_KINDS, coupled_ensemble
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -104,3 +106,125 @@ def test_compare_prior_step_never_tracebacks(theorem, step):
                           "--gamma-grid", "0.1:0.2:0.1", "--prior-step", repr(step)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# ------------------------------------------------ flagged-ancilla builders
+
+HALF_SQRT2 = 2**-0.5
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+scheme_priors = st.one_of(
+    normalized(),
+    st.sampled_from(simplex_grid(0.25)),
+    st.tuples(any_float, any_float, any_float),
+)
+
+
+def _edges(lo, hi, *points):
+    """Floats in [lo, hi], the named boundary points and their neighbours,
+    and the non-finite values."""
+    near = [q + d for q in points for d in (0.0, -1e-13, 1e-13)]
+    return st.one_of(
+        st.floats(lo, hi), st.sampled_from(near), st.sampled_from(NON_FINITE)
+    )
+
+
+@st.composite
+def rra_inputs(draw):
+    overlap = draw(_edges(-1.0, 1.0, -1.0, 0.0, 1.0))
+    c_plus = draw(st.one_of(
+        st.complex_numbers(max_magnitude=1.0),
+        st.sampled_from([1.0, -1.0, 1j, 0.0, 1.0 + 1e-13, *NON_FINITE]),
+    ))
+    if abs(c_plus) >= abs(overlap) > 0.0 and draw(st.booleans()):
+        # Satisfy the overlap constraint with |c_minus| <= 1.
+        c_minus = overlap / np.conj(c_plus)
+    else:
+        c_minus = draw(st.one_of(
+            st.complex_numbers(max_magnitude=1.5), st.sampled_from(NON_FINITE)
+        ))
+    values = {"overlap": overlap, "c_plus": c_plus, "c_minus": c_minus}
+    p = draw(st.one_of(
+        st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)]),
+        st.floats(0.0, 1.0).map(lambda a: (a, 1.0 - a)),
+    ))
+    return values, p
+
+
+@st.composite
+def mixed_special_inputs(draw):
+    gamma = draw(_edges(-0.75, 0.75, -HALF_SQRT2, 0.0, HALF_SQRT2))
+    return {"gamma": gamma}, draw(scheme_priors)
+
+
+@st.composite
+def mixed_general_inputs(draw):
+    gamma = draw(_edges(-1.0, 1.0, -1.0, 0.0, 1.0, 0.8))
+    g2 = gamma * gamma
+    # Free, the PSD boundary 1 + alpha = 2 gamma^2 (|c| = 1), and alpha = gamma^2.
+    alpha = draw(st.one_of(
+        _edges(-1.0, 1.0, -1.0, 0.0, 1.0),
+        st.sampled_from([2.0 * g2 - 1.0, g2, g2 + 1e-13, 2.0 * g2 - 1.0 + 1e-13]),
+    ))
+    return {"gamma": gamma, "alpha": alpha}, draw(scheme_priors)
+
+
+@st.composite
+def unambiguous_special_inputs(draw):
+    gamma = draw(_edges(-0.75, 0.75, -HALF_SQRT2, 0.0, 1e-7, HALF_SQRT2))
+    g2 = gamma * gamma
+    x0 = draw(st.one_of(_edges(0.0, 1.0, 0.0, 1.0), st.sampled_from([g2, 2.0 * g2])))
+    # Free, or on the boundary gamma^2 (1/x0 + 1/x1) = 1 when it exists.
+    x1 = draw(st.one_of(_edges(0.0, 1.0, 0.0, 1.0), st.sampled_from([g2, 1.0])))
+    if x0 > g2 and draw(st.booleans()):
+        x1 = g2 * x0 / (x0 - g2)
+    return {"gamma": gamma, "x0": x0, "x1": x1}, draw(scheme_priors)
+
+
+FLAGGED = {
+    "rra": rra_inputs(),
+    "mixed-special": mixed_special_inputs(),
+    "mixed-general": mixed_general_inputs(),
+    "unambiguous-special": unambiguous_special_inputs(),
+}
+UNAMBIGUOUS = ("rra", "unambiguous-special")
+flagged_inputs = st.one_of(
+    *(st.tuples(st.just(kind), inputs) for kind, inputs in FLAGGED.items())
+)
+
+
+# Each example raised InvariantViolation before the fix named beside it.
+@SETTINGS
+@given(flagged_inputs, st.booleans())
+# Near dependence: the residual norms of the second pair differed, and the
+# map missed its image (linalg.isometry_completion).
+@example(("rra", ({"overlap": -0.9999999999999, "c_plus": -0.9999999999999999j,
+                   "c_minus": 0.9999999999999002j}, (0.0, 1.0))), False)
+@example(("rra", ({"overlap": -0.9999999999999, "c_plus": 1.0000000000001,
+                   "c_minus": -0.9999999999998}, (0.0, 1.0))), False)
+# A subnormal Cholesky pivot overflowed its phase (linalg.psd_cholesky).
+@example(("mixed-general", ({"gamma": 5e-324, "alpha": -0.9999999999999},
+                            (0.25, 0.75, 0.0))), False)
+# A negative failure probability inside the boundary slack took a square
+# root of a negative number (build_unambiguous_special).
+@example(("unambiguous-special", ({"gamma": 0.0, "x0": -1e-13, "x1": 1.0},
+                                  (1.0, 0.0, 0.0))), False)
+# A pair skipped as dependent with residual norms near 1e-8 (linalg).
+@example(("unambiguous-special", ({"gamma": 0.7071067811866476,
+                                   "x0": 1.0000000000001,
+                                   "x1": 1.0000000000004663},
+                                  (0.25, 0.0, 0.75))), False)
+# NaN passed every bound written as ``value > bound`` (the builders).
+@example(("mixed-special", ({"gamma": float("nan")}, (0.0, 0.0, 1.0))), False)
+def test_flagged_builders_succeed_or_raise_a_domain_error(case, trivial):
+    kind, (values, p) = case
+    try:
+        scheme = SCHEME_KINDS[kind].build(values, p, trivial)
+    except InvariantViolationError as exc:
+        raise AssertionError(f"{kind} {values} {p}: {exc}") from exc
+    except DiscriminationError:
+        return
+    if kind in UNAMBIGUOUS:
+        # An outcome that never fires (a failure amplitude of modulus 1)
+        # fails the check's diagonal test, so the cross terms are asserted.
+        _, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
+        assert worst <= TOL_UNAMBIGUOUS, (kind, values, p, worst)

@@ -4,11 +4,13 @@ import pytest
 from statedisc import linalg
 from statedisc.errors import (
     AmplitudeOutOfRangeError,
+    DiscriminationError,
     DimensionMismatchError,
     GammaOutOfRangeError,
     GramNotPsdError,
     HypothesisViolatedError,
     InfeasibleAmplitudesError,
+    InvariantViolationError,
     InvalidGammaError,
     OverlapConstraintViolatedError,
     ParamOutOfRangeError,
@@ -17,6 +19,8 @@ from statedisc.errors import (
 from statedisc.analysis import theorem21_check, theorem31_check
 from statedisc.measurement import bayes_posterior, success_unambiguous, unambiguity_check
 from statedisc.schemes import (
+    SCHEME_KINDS,
+    Scheme,
     build_mixed_general,
     build_mixed_special,
     build_rra,
@@ -29,7 +33,7 @@ from statedisc.schemes import (
     xu_max_unambiguous,
     zero_aux_posterior,
 )
-from statedisc.states import Ket, inner
+from statedisc.states import Ensemble, Ket, inner
 
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -494,3 +498,33 @@ def test_coupled_states_and_ensemble_agree():
     for w, k in zip(ws, e.states):
         assert np.linalg.norm(w - k.amplitudes) < 1e-12
     assert tuple(e.priors) == pytest.approx((0.3, 0.3, 0.4))
+
+
+def test_pipeline_check_rejects_a_nan_total():
+    # Ensemble rejects NaN priors, so plant them past it: the pipeline
+    # total is then NaN, and the check must fail rather than compare false.
+    s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
+    ens = Ensemble(s.ensemble.states, s.ensemble.priors)
+    object.__setattr__(ens, "priors", np.full(3, np.nan))
+    with pytest.raises(InvariantViolationError, match="pipeline success nan"):
+        Scheme(ens, s.ancilla_dim, s.coupling, s.povm, s.analytic_success, s.params)
+
+
+VALID_INPUTS = {
+    "rra": ({"overlap": 0.28, "c_plus": 0.7, "c_minus": 0.4}, (0.6, 0.4)),
+    "mixed-special": ({"gamma": 0.5}, (0.3, 0.3, 0.4)),
+    "mixed-general": ({"gamma": 0.5, "alpha": 0.2}, (0.3, 0.3, 0.4)),
+    "unambiguous-special": ({"gamma": 0.5, "x0": 0.6, "x1": 0.6}, (0.3, 0.3, 0.4)),
+    "zero-aux": ({"g01": 0.09, "g12": 0.3, "g20": 0.3}, (0.3, 0.3, 0.4)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+def test_non_finite_parameters_are_domain_errors(kind, bad):
+    values, p = VALID_INPUTS[kind]
+    SCHEME_KINDS[kind].build(values, p, False)
+    for key in values:
+        with pytest.raises(DiscriminationError) as info:
+            SCHEME_KINDS[kind].build({**values, key: bad}, p, False)
+        assert not isinstance(info.value, InvariantViolationError), (key, info.value)

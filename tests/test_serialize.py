@@ -131,6 +131,14 @@ def test_scheme_loader_rejects_tampering():
         serialize.scheme_from_json(data)
 
 
+def test_scheme_loader_rejects_nan_priors():
+    # NaN passed both the priors test and the pipeline-vs-analytic test.
+    data = serialize.scheme_to_json(build_mixed_special(0.5, (0.3, 0.3, 0.4)))
+    data["ensemble"]["priors"] = [float("nan")] * 3
+    with pytest.raises(InvariantViolationError):
+        serialize.scheme_from_json(json.loads(json.dumps(data)))
+
+
 def test_params_unknown_kind_rejected():
     with pytest.raises(ParamOutOfRangeError):
         serialize.params_from_json({"kind": "telepathy"})

@@ -66,6 +66,17 @@ def test_ensemble_checks_priors_and_dims():
     assert len(e) == 2
 
 
+@pytest.mark.parametrize(
+    "priors", [(np.nan, np.nan), (np.nan, 0.5), (np.inf, -np.inf), (0.5, np.nan)]
+)
+def test_ensemble_and_gram_spec_reject_non_finite_priors(priors):
+    k0, k1 = basis_ket(2, 0), basis_ket(2, 1)
+    with pytest.raises(InvariantViolationError):
+        Ensemble(states=(k0, k1), priors=priors)
+    with pytest.raises(InvariantViolationError):
+        GramSpec(np.eye(2), priors)
+
+
 def test_states_from_gram_reproduces_overlaps():
     rng = np.random.default_rng(21)
     for _ in range(20):
