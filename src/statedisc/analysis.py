@@ -416,8 +416,8 @@ def optimize_unambiguous_special(
 
     ``grid_step`` enables a brute-force cross-check: a grid at that
     resolution must not beat the returned value by more than 1e-5.
-    Pass ``None`` to skip (used by high-volume sweeps); the default
-    keeps the operation self-validating.
+    Pass ``None`` to skip the guard and keep only the closed form; the
+    default keeps the operation self-validating.
     """
     cols = _reference_point("2.1", gamma, priors)
     if grid_step is not None:

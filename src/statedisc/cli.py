@@ -135,9 +135,7 @@ def _read_config(path: str, flags) -> dict:
         if key in flags and where.get(key) is not None:
             where[key] = _config_value(key, where[key], convert, choices)
     if "priors" in cfg:
-        cfg["priors"] = _config_value(
-            "priors", cfg["priors"], lambda ps: [float(p) for p in ps]
-        )
+        cfg["priors"] = _config_value("priors", cfg["priors"], _parse_priors)
     if not isinstance(cfg.get("grid", {}), dict):
         raise UsageError("config grid must be a JSON object")
     return cfg
@@ -155,7 +153,7 @@ def _merge_config(args) -> dict:
         if val is not None:
             (params if key in _INPUT_KEYS else cfg)[key] = val
     if getattr(args, "priors", None) is not None:
-        cfg["priors"] = _parse_priors_text(args.priors)
+        cfg["priors"] = _parse_priors(args.priors)
     if getattr(args, "allow_trivial", False):
         cfg["allow_trivial"] = True
     if getattr(args, "grid", None) is not None:
@@ -165,11 +163,14 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-def _parse_priors_text(text: str) -> list[float]:
+def _parse_priors(value) -> list[float]:
+    """Priors from ``--priors`` text, or a config file's text or list."""
+    if not isinstance(value, str):
+        return [float(p) for p in value]
     try:
-        return [float(tok) for tok in text.split(",")]
+        return [float(tok) for tok in value.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad priors {text!r}: comma-separated numbers") from exc
+        raise UsageError(f"bad priors {value!r}: comma-separated numbers") from exc
 
 
 def _parse_range_text(text: str) -> dict:
@@ -294,11 +295,11 @@ def _cmd_run(cfg: dict) -> int:
     scheme = _build_scheme(cfg)
     payload = _run_payload(cfg, scheme)
     if cfg.get("format", "json") == "csv":
-        header = "state," + ",".join(payload["outcome_labels"])
-        lines = [header]
-        for i, row in enumerate(payload["confusion_matrix"]):
-            cells = [str(i)] + [serialize.format_float(x) for x in row]
-            lines.append(",".join(cells))
+        lines = ["state," + ",".join(payload["outcome_labels"])]
+        lines += [
+            ",".join([str(i), *map(serialize.format_float, row)])
+            for i, row in enumerate(payload["confusion_matrix"])
+        ]
         _write_output("\n".join(lines) + "\n", cfg.get("output"))
     else:
         _write_output(_json_text(payload), cfg.get("output"))
@@ -319,9 +320,7 @@ def _cmd_simulate(cfg: dict) -> int:
     result = simulate(scheme, n, cfg.get("seed", 0), shards=cfg.get("shards", 1))
     if cfg.get("format", "json") == "csv":
         lines = ["state,outcome,count"]
-        for i, row in enumerate(result.counts):
-            for x, count in enumerate(row):
-                lines.append(f"{i},{x},{int(count)}")
+        lines += [f"{i},{x},{c}" for (i, x), c in np.ndenumerate(result.counts)]
         _write_output("\n".join(lines) + "\n", cfg.get("output"))
     else:
         _write_output(_json_text(serialize.sim_result_to_json(result)), cfg.get("output"))
@@ -357,26 +356,24 @@ def _cmd_sweep(cfg: dict) -> int:
             continue
         rows.append((v, scheme))
     priors = _need_priors(cfg, SCHEME_KINDS[scheme_id].n_priors, scheme_id)
+    payload = [
+        {
+            "param": param,
+            "value": v,
+            "priors": priors,
+            "analytic_success": s.analytic_success,
+            "brute_force_success": brute_force_success(s),
+        }
+        for v, s in rows
+    ]
     if cfg.get("format", "csv") == "json":
-        payload = [
-            {
-                "param": param,
-                "value": v,
-                "priors": priors,
-                "analytic_success": s.analytic_success,
-                "brute_force_success": brute_force_success(s),
-            }
-            for v, s in rows
-        ]
         _write_output(_json_text(payload), cfg.get("output"))
     else:
         lines = [f"{param},p0,p1,p2,analytic_success,brute_force_success"]
-        for v, s in rows:
-            cells = [serialize.format_float(v)]
-            cells += [serialize.format_float(p) for p in priors]
-            cells.append(serialize.format_float(s.analytic_success))
-            cells.append(serialize.format_float(brute_force_success(s)))
-            lines.append(",".join(cells))
+        for r in payload:
+            cells = [r["value"], *priors, r["analytic_success"]]
+            cells.append(r["brute_force_success"])
+            lines.append(",".join(map(serialize.format_float, cells)))
         _write_output("\n".join(lines) + "\n", cfg.get("output"))
     print(f"points: {len(rows)}  skipped: {skipped}", file=sys.stderr)
     return 0

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
     LabelMismatchError,
+    NotHermitianError,
     NotPsdError,
     NotUnambiguousError,
     ZeroProbabilityOutcomeError,
@@ -75,15 +76,21 @@ class Povm:
                 f"{len(elements)} elements but {len(labels)} labels"
             )
         dim = elements[0].shape[0]
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for m in elements:
-            if m.shape != (dim, dim):
-                raise DimensionMismatchError("POVM elements differ in dimension")
-            w, _ = linalg.hermitian_eig(m)
-            if w.min() < -linalg.TOL_PSD:
-                raise NotPsdError(f"POVM element eigenvalue {w.min():.3e}")
-            total += m
-        res = linalg.frobenius(total - np.eye(dim))
+        square = [m.shape == (dim, dim) for m in elements] + [False]
+        stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
+        adjoint = stack.conj().transpose(0, 2, 1)
+        herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
+        low = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=1)
+        # The first failing element raises; shape, Hermiticity, then positivity.
+        for k in np.flatnonzero((herm > linalg.TOL_HERM) | (low < -linalg.TOL_PSD))[:1]:
+            if herm[k] > linalg.TOL_HERM:
+                raise NotHermitianError(
+                    f"Hermiticity residual {herm[k]:.3e} exceeds {linalg.TOL_HERM}"
+                )
+            raise NotPsdError(f"POVM element eigenvalue {low[k]:.3e}")
+        if len(stack) < len(elements):
+            raise DimensionMismatchError("POVM elements differ in dimension")
+        res = linalg.frobenius(stack.sum(axis=0) - np.eye(dim))
         if res > TOL_COMPLETE:
             raise InvariantViolationError(
                 f"POVM completeness residual {res:.3e} > {TOL_COMPLETE}"
@@ -103,12 +110,7 @@ class Povm:
 
     def identify_outcome(self, state_index: int) -> int:
         """Index of the unique outcome labeled Identify(state_index)."""
-        hits = [x for x, lab in enumerate(self.labels) if lab.index == state_index]
-        if len(hits) != 1:
-            raise LabelMismatchError(
-                f"{len(hits)} outcomes identify state {state_index}, expected 1"
-            )
-        return hits[0]
+        return int(_identify_outcomes(self, [state_index])[0])
 
 
 def clamp_probability(value: float, what: str, tol: float) -> float:
@@ -124,13 +126,9 @@ def outcome_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     """Probability vector ``p_x = Tr(M_x rho)``, clamped to [0, 1]."""
     if povm.dim != rho.dim:
         raise DimensionMismatchError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
+    traces = np.trace(np.array(povm.elements) @ rho.matrix, axis1=1, axis2=2)
     probs = np.array(
-        [
-            clamp_probability(
-                float(np.trace(m @ rho.matrix).real), "probability", TOL_PROB
-            )
-            for m in povm.elements
-        ]
+        [clamp_probability(float(t), "probability", TOL_PROB) for t in traces.real]
     )
     if abs(probs.sum() - 1.0) > TOL_COMPLETE:
         raise InvariantViolationError(f"outcome probabilities sum to {probs.sum()!r}")
@@ -155,23 +153,38 @@ def post_measurement_state(povm: Povm, outcome: int, rho: DensityMatrix) -> Dens
     return DensityMatrix(a @ rho.matrix @ linalg.dag(a) / p)
 
 
-def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> dict[int, int]:
-    """Map state index -> outcome index over the Identify labels."""
-    mapping: dict[int, int] = {}
-    for x, lab in enumerate(povm.labels):
-        if not lab.is_identify:
-            continue
-        if lab.index >= len(ensemble):
+def _identify_outcomes(povm: Povm, states) -> np.ndarray:
+    """``x[k]``, the one outcome labeled Identify(states[k]); raises at the
+    first state without exactly one."""
+    states = np.asarray(states)
+    index = [-1 if lab.index is None else lab.index for lab in povm.labels]
+    hits = np.array(index) == states[:, None]
+    count = hits.sum(axis=1)
+    for k in np.flatnonzero(count != 1)[:1]:
+        raise LabelMismatchError(
+            f"{count[k]} outcomes identify state {states[k]}, expected 1"
+        )
+    return hits.argmax(axis=1)
+
+
+def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> np.ndarray:
+    """Outcome ``x[i]`` identifying state i, checked to be a bijection."""
+    n = len(ensemble)
+    for lab in povm.labels:
+        if lab.is_identify and lab.index >= n:
             raise LabelMismatchError(
-                f"label identifies state {lab.index}, ensemble has {len(ensemble)}"
+                f"label identifies state {lab.index}, ensemble has {n}"
             )
-        if lab.index in mapping:
-            raise LabelMismatchError(f"state {lab.index} identified by two outcomes")
-        mapping[lab.index] = x
-    if len(mapping) != len(ensemble):
-        missing = sorted(set(range(len(ensemble))) - set(mapping))
-        raise LabelMismatchError(f"no identifying outcome for states {missing}")
-    return mapping
+    return _identify_outcomes(povm, range(n))
+
+
+def _identified_success(priors, conf: np.ndarray, identify) -> float:
+    """``sum_i p_i conf[i, x(i)]``, ``x = identify``, added in state order.
+
+    Every success probability read off a confusion matrix is this sum.
+    """
+    terms = np.asarray(priors) * conf[np.arange(len(identify)), identify]
+    return float(np.cumsum(terms)[-1])  # cumsum adds left to right
 
 
 def pure_confusion(vectors, povm: Povm) -> np.ndarray:
@@ -215,12 +228,18 @@ def success_ambiguous(ensemble: Ensemble, povm: Povm) -> float:
     """
     if any(not lab.is_identify for lab in povm.labels):
         raise LabelMismatchError("ambiguous-form success requires all-Identify labels")
-    mapping = _check_identify_bijection(ensemble, povm)
+    identify = _check_identify_bijection(ensemble, povm)
     conf = confusion_matrix(ensemble, povm)
-    total = sum(
-        ensemble.priors[i] * conf[i, mapping[i]] for i in range(len(ensemble))
-    )
-    return clamp_probability(float(total), "success probability", TOL_PROB)
+    total = _identified_success(ensemble.priors, conf, identify)
+    return clamp_probability(total, "success probability", TOL_PROB)
+
+
+def _unambiguity(identify: np.ndarray, conf: np.ndarray) -> tuple[bool, float]:
+    """:func:`unambiguity_check` on a bijection and its confusion matrix."""
+    cols = conf[:, identify]
+    worst = float(np.abs(cols[~np.eye(len(identify), dtype=bool)]).max(initial=0.0))
+    ok = worst <= TOL_UNAMBIGUOUS and bool((np.diag(cols) > TOL_UNAMBIGUOUS).all())
+    return ok, worst
 
 
 def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
@@ -230,21 +249,9 @@ def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
     ``Tr(M_{x(j)} rho_i)`` for i != j.  ``ok`` also requires every
     diagonal term ``Tr(M_{x(i)} rho_i)`` to exceed ``TOL_UNAMBIGUOUS``.
     """
-    mapping = _check_identify_bijection(ensemble, povm)
-    conf = confusion_matrix(ensemble, povm)
-    worst = 0.0
-    ok = True
-    for i in range(len(ensemble)):
-        for j, x in mapping.items():
-            if j == i:
-                continue
-            worst = max(worst, abs(float(conf[i, x])))
-    if worst > TOL_UNAMBIGUOUS:
-        ok = False
-    for i, x in mapping.items():
-        if float(conf[i, x]) <= TOL_UNAMBIGUOUS:
-            ok = False
-    return ok, worst
+    return _unambiguity(
+        _check_identify_bijection(ensemble, povm), confusion_matrix(ensemble, povm)
+    )
 
 
 def success_unambiguous(ensemble: Ensemble, povm: Povm) -> float:
@@ -260,22 +267,20 @@ def success_unambiguous(ensemble: Ensemble, povm: Povm) -> float:
         raise LabelMismatchError(
             f"expected exactly one inconclusive outcome, found {len(fails)}"
         )
-    ok, worst = unambiguity_check(ensemble, povm)
+    identify = _check_identify_bijection(ensemble, povm)
+    conf = confusion_matrix(ensemble, povm)
+    ok, worst = _unambiguity(identify, conf)
     if not ok:
         raise NotUnambiguousError(f"max cross term {worst:.3e}")
-    mapping = _check_identify_bijection(ensemble, povm)
-    conf = confusion_matrix(ensemble, povm)
-    direct = sum(
-        ensemble.priors[i] * conf[i, mapping[i]] for i in range(len(ensemble))
-    )
-    complement = 1.0 - sum(
-        ensemble.priors[i] * conf[i, fails[0]] for i in range(len(ensemble))
+    direct = _identified_success(ensemble.priors, conf, identify)
+    complement = 1.0 - _identified_success(
+        ensemble.priors, conf, np.full_like(identify, fails[0])
     )
     if abs(direct - complement) > 1e-10:
         raise InvariantViolationError(
             f"direct and complement success forms differ by {abs(direct - complement):.3e}"
         )
-    return clamp_probability(float(direct), "success probability", TOL_PROB)
+    return clamp_probability(direct, "success probability", TOL_PROB)
 
 
 def bayes_posterior(

@@ -4,8 +4,9 @@ Sampling uses the Philox counter-based generator (numpy's implementation)
 with a fixed stream discipline, so results are reproducible bit-for-bit
 across runs, platforms, and shard splits: shard k of a run seeded with s
 (``0 <= s < 2^64``) uses the 128-bit Philox key ``(k << 64) | s`` and
-draws an (n_k, 2) uniform block, column 0 selecting the prepared state
-and column 1 the measurement outcome, both by inverse CDF.
+draws an (n_k, 2) uniform block in chunks of ``_CHUNK`` rows, column 0
+selecting the prepared state and column 1 the measurement outcome, both by
+inverse CDF.  The chunk bounds memory; the tallies do not depend on it.
 
 Comparison sweeps run on :func:`analysis.compare_columns`, the one
 implementation of both theorem comparisons: :func:`sweep` makes a single
@@ -23,7 +24,11 @@ import numpy as np
 
 from .analysis import ComparisonColumns, compare_columns
 from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
-from .schemes import Scheme, scheme_confusion
+from .measurement import _identify_outcomes
+from .schemes import Scheme, _pipeline_success, scheme_confusion
+
+#: Rows of the uniform block drawn at a time.
+_CHUNK = 1 << 16
 
 
 def brute_force_success(scheme: Scheme) -> float:
@@ -33,11 +38,7 @@ def brute_force_success(scheme: Scheme) -> float:
     the probability of the outcome that identifies each state by its
     prior.  ``analytic_success`` is never consulted.
     """
-    conf = scheme_confusion(scheme)
-    total = 0.0
-    for i, prior in enumerate(scheme.ensemble.priors):
-        total += float(prior) * float(conf[i, scheme.povm.identify_outcome(i)])
-    return float(min(1.0, max(0.0, total)))
+    return float(min(1.0, max(0.0, _pipeline_success(scheme))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,36 +115,25 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     n_states, n_out = conf.shape
     cum_priors = np.cumsum(scheme.ensemble.priors)
     cum_priors[-1] = 1.0
-    rows = conf / conf.sum(axis=1, keepdims=True)
-    cum_rows = np.cumsum(rows, axis=1)
+    cum_rows = np.cumsum(conf / conf.sum(axis=1, keepdims=True), axis=1)
     cum_rows[:, -1] = 1.0
 
-    counts = np.zeros((n_states, n_out), dtype=np.int64)
+    counts = np.zeros(n_states * n_out, dtype=np.int64)
     base, rem = divmod(n, shards)
     for k in range(shards):
-        n_k = base + (1 if k < rem else 0)
-        if n_k == 0:
-            continue
-        key = (k << 64) | seed
-        rng = np.random.Generator(np.random.Philox(key=key))
-        u = rng.random((n_k, 2))
-        states = np.searchsorted(cum_priors, u[:, 0], side="right")
-        outcomes = np.empty(n_k, dtype=np.int64)
-        for i in range(n_states):
-            mask = states == i
-            if mask.any():
-                outcomes[mask] = np.searchsorted(
-                    cum_rows[i], u[mask, 1], side="right"
-                )
-        flat = np.bincount(
-            states * n_out + outcomes, minlength=n_states * n_out
-        )
-        counts += flat.reshape(n_states, n_out)
+        rng = np.random.Generator(np.random.Philox(key=(k << 64) | seed))
+        n_k = base + (k < rem)
+        for start in range(0, n_k, _CHUNK):
+            # Rows of consecutive chunks are consecutive rows of one block.
+            u = rng.random((min(_CHUNK, n_k - start), 2))
+            states = np.searchsorted(cum_priors, u[:, 0], side="right")
+            # Entries <= u: the index searchsorted(side="right") would give.
+            outcomes = (cum_rows[states] <= u[:, 1:]).sum(axis=1)
+            counts += np.bincount(states * n_out + outcomes, minlength=counts.size)
+    counts = counts.reshape(n_states, n_out)
 
-    hits = sum(
-        int(counts[i, scheme.povm.identify_outcome(i)]) for i in range(n_states)
-    )
-    p_hat = hits / n
+    identify = _identify_outcomes(scheme.povm, range(n_states))
+    p_hat = int(counts[np.arange(n_states), identify].sum()) / n
     return SimResult(
         n=n,
         counts=counts,

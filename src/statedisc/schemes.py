@@ -153,13 +153,7 @@ class Scheme:
         u.setflags(write=False)
 
         # Closed form must match the measurement pipeline on the spot.
-        conf = measurement.pure_confusion(_coupled_vectors(self), self.povm)
-        total = float(
-            sum(
-                p * conf[i, self.povm.identify_outcome(i)]
-                for i, p in enumerate(self.ensemble.priors)
-            )
-        )
+        total = _pipeline_success(self)
         if not abs(total - self.analytic_success) <= TOL_PIPELINE:  # NaN fails
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
@@ -191,6 +185,13 @@ def coupled_ensemble(scheme: Scheme) -> Ensemble:
 def scheme_confusion(scheme: Scheme) -> np.ndarray:
     """Confusion matrix (state x outcome) of the scheme's pipeline."""
     return measurement.pure_confusion(_coupled_vectors(scheme), scheme.povm)
+
+
+def _pipeline_success(scheme: Scheme) -> float:
+    """Success read off the pipeline's confusion matrix, never the closed form."""
+    conf = scheme_confusion(scheme)
+    identify = measurement._identify_outcomes(scheme.povm, range(len(conf)))
+    return measurement._identified_success(scheme.ensemble.priors, conf, identify)
 
 
 def _proj(vec: np.ndarray) -> np.ndarray:
@@ -233,6 +234,12 @@ def _flagged_scheme(
     )
     u = linalg.isometry_completion(domain, images, 2 * dim)
     return Scheme(ensemble, 2, u, povm, analytic, params, branch_note)
+
+
+def _snapped_sqrt(r2: float) -> float:
+    """``sqrt(r2)`` for ``r2 = 1 - |c|^2``, but 0 when ``r2 <= 1e-12``: at
+    ``|c| = 1`` a rounding of 1e-16 would leave a 1e-8 component."""
+    return np.sqrt(r2) if r2 > 1e-12 else 0.0
 
 
 def _rra_kets(overlap: float) -> tuple[Ket, Ket]:
@@ -278,9 +285,9 @@ def build_rra(
     e0a, e1a = np.eye(2, dtype=np.complex128)
     fail = np.kron(e0a, e1a)  # system |0>, ancilla |1>
     plus, minus = _plus_minus(2)
-    img_plus = np.sqrt(max(0.0, 1.0 - abs(c_plus) ** 2)) * np.kron(plus, e0a)
+    img_plus = _snapped_sqrt(1.0 - abs(c_plus) ** 2) * np.kron(plus, e0a)
     img_plus = img_plus + c_plus * fail
-    img_minus = np.sqrt(max(0.0, 1.0 - abs(c_minus) ** 2)) * np.kron(minus, e0a)
+    img_minus = _snapped_sqrt(1.0 - abs(c_minus) ** 2) * np.kron(minus, e0a)
     img_minus = img_minus + c_minus * fail
     ens = Ensemble((psi_plus, psi_minus), p)
     analytic = 1.0 - p[0] * abs(c_plus) ** 2 - p[1] * abs(c_minus) ** 2
@@ -337,13 +344,12 @@ def _three_state_gram(gamma: float, alpha: float) -> np.ndarray:
 def _mixed_amplitudes(c2: complex) -> tuple[complex, float]:
     """Interference amplitude ``c = sqrt(c2)`` and +/- amplitude ``r``.
 
-    ``r = sqrt(1 - |c|^2)``, snapped to 0 when ``1 - |c|^2 <= 1e-12``.
-    The mixed coupling and :func:`separable_decomposition` both take the
-    degenerate branch from here, so they cannot disagree on it.
+    ``r = sqrt(1 - |c|^2)`` by :func:`_snapped_sqrt`.  The mixed coupling
+    and :func:`separable_decomposition` both take the degenerate branch
+    from here, so they cannot disagree on it.
     """
     c = np.sqrt(np.complex128(c2))
-    r2 = 1.0 - abs(c) ** 2
-    return c, (np.sqrt(r2) if r2 > 1e-12 else 0.0)
+    return c, _snapped_sqrt(1.0 - abs(c) ** 2)
 
 
 def _mixed_scheme(

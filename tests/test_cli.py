@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,62 @@ def test_usage_errors_exit_1(capsys):
         assert err.startswith("usage error: "), argv
 
 
+SWEEP_MIXED = ["sweep"] + MIXED
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--scheme", "mixed-special", "--gamma", "0.5", "--priors", "0.5,0.5"],
+         "scheme mixed-special takes 3 priors, got 2"),
+        (["run", "--gamma", "0.5", "--priors", "0.3,0.3,0.4"], "missing --scheme"),
+        (["sweep", "--scheme", "zero-aux", "--g01", "0.06", "--g12", "0.3",
+          "--g20", "0.2", "--priors", "0.3,0.3,0.4", "--grid", "g12=0.1:0.2:0.1"],
+         "sweep supports"),
+        (SWEEP_MIXED, "sweep requires exactly one --grid"),
+        (SWEEP_MIXED + ["--grid", "alpha=0.1:0.2:0.1"],
+         "scheme mixed-special sweeps over ('gamma',), not 'alpha'"),
+        (SWEEP_MIXED + ["--grid", "gamma=0.5:0.1:0.1"], "empty gamma grid"),
+        (["compare", "--theorem", "2.1"], "compare requires --gamma-grid"),
+        (["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
+          "--p2-min", "2"], "no prior triples with p2 >= 2.0"),
+    ],
+)
+def test_request_errors_are_one_usage_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: " + message), err
+
+
+def test_infinite_priors_print_only_the_error_line():
+    # inf + -inf used to print NumPy's RuntimeWarning before the error line.
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "statedisc", "run",
+         "--scheme", "mixed-special", "--gamma", "0.5", "--priors", "inf,-inf,1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: ParamOutOfRange: priors must be non-negative and sum to 1\n"
+    )
+
+
+def test_rra_at_overlap_minus_one_with_unit_amplitudes(capsys):
+    # |c_minus|^2 rounds to 1 - 4e-13; the +/- amplitude snaps to 0 instead
+    # of leaving a 6e-7 component that made the pair look independent.
+    argv = ["--scheme", "rra", "--overlap", "-1", "--c-plus", "1.0000000000002",
+            "--c-minus", "-0.9999999999998", "--priors", "0.5,0.5"]
+    code, _, err = run_cli(capsys, ["run"] + argv)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, ["dump"] + argv)
+    assert code == 0, err
+    scheme = serialize.scheme_from_json(json.loads(out))
+    assert scheme.params.kind == "rra"
+    assert scheme.analytic_success == pytest.approx(0.0, abs=1e-12)
+
+
 def test_simulate_json_is_deterministic(capsys):
     argv = ["simulate"] + MIXED + ["--n", "50000", "--seed", "42"]
     code1, out1, _ = run_cli(capsys, argv)
@@ -162,6 +221,24 @@ def test_sweep_csv_and_summary(capsys):
     first = lines[1].split(",")
     assert first[0] == "0.1" and first[4] == "0.988"
     assert err.strip() == "points: 7  skipped: 0"
+
+
+def test_sweep_json_rows_match_csv_rows(capsys):
+    argv = ["sweep", "--scheme", "mixed-general", "--gamma", "0.5",
+            "--priors", "0.3,0.3,0.4", "--grid", "alpha=0.0:0.6:0.05"]
+    code, csv_out, csv_err = run_cli(capsys, argv)
+    assert code == 0
+    code, json_out, json_err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0 and json_err == csv_err
+    rows = json.loads(json_out)
+    lines = csv_out.splitlines()
+    assert lines[0] == "alpha,p0,p1,p2,analytic_success,brute_force_success"
+    assert len(rows) == len(lines) - 1 > 0
+    for row, line in zip(rows, lines[1:]):
+        assert row["param"] == "alpha" and row["priors"] == [0.3, 0.3, 0.4]
+        values = [row["value"], *row["priors"], row["analytic_success"],
+                  row["brute_force_success"]]
+        assert ",".join(map(serialize.format_float, values)) == line
 
 
 def test_sweep_skips_out_of_domain_points(capsys):
@@ -326,6 +403,25 @@ def test_config_values_convert_like_their_flags(capsys, tmp_path):
     assert code == 0, err
     flags = ["simulate"] + MIXED + ["--n", "1000", "--seed", "7"]
     assert out == run_cli(capsys, flags)[1]
+
+
+def test_config_priors_text_reads_like_the_flag(capsys, tmp_path):
+    job = {"command": "run", "scheme": "mixed-special",
+           "params": {"gamma": 0.5}, "priors": "0.3,0.3,0.4"}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, ["--config", str(path)])
+    assert code == 0, err
+    assert out == run_cli(capsys, ["run"] + MIXED)[1]
+
+    # Text is split at commas, never read one character at a time.
+    job = {"command": "run", "scheme": "rra",
+           "params": {"overlap": 0.36, "c_plus": 0.6, "c_minus": 0.6},
+           "priors": "11"}
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, ["--config", str(path)])
+    assert code == 1 and out == ""
+    assert err == "usage error: scheme rra takes 2 priors, got 1\n"
 
 
 def test_readme_lists_each_schemes_flags():

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from statedisc.errors import (
+    DimensionMismatchError,
+    InvariantViolationError,
     LabelMismatchError,
+    NotHermitianError,
     NotPsdError,
     NotUnambiguousError,
     ZeroProbabilityOutcomeError,
@@ -59,11 +62,46 @@ def test_povm_validation():
         Povm(elements=(np.eye(2),), labels=())
 
 
+@pytest.mark.parametrize(
+    "elements, error, message",
+    [
+        # The first failing element raises, whatever a later one does.
+        ((np.diag([1.5, -0.5]), [[0.0, 1.0], [0.0, 0.0]], np.eye(3)),
+         NotPsdError, "POVM element eigenvalue -5.000e-01"),
+        ((np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.diag([-1.0, 1.0])),
+         NotHermitianError, "Hermiticity residual 1.414e+00 exceeds 1e-09"),
+        ((np.eye(2), np.eye(3), [[0.0, 1.0], [0.0, 0.0]]),
+         DimensionMismatchError, "POVM elements differ in dimension"),
+        ((np.diag([0.5, 0.5]), np.diag([0.25, 0.25]), np.diag([0.0, 0.0])),
+         InvariantViolationError, "POVM completeness residual 3.536e-01 > 1e-09"),
+    ],
+)
+def test_povm_reports_the_first_failing_element(elements, error, message):
+    labels = tuple(OutcomeLabel.identify(k) for k in range(len(elements)))
+    with pytest.raises(error) as info:
+        Povm(elements=elements, labels=labels)
+    assert str(info.value) == message
+
+
 def test_identify_outcome_lookup():
     p = projective_povm(3)
     assert p.identify_outcome(1) == 1
     with pytest.raises(LabelMismatchError):
         p.identify_outcome(7)
+
+
+def test_identify_lookups_name_the_first_bad_state():
+    twice = (OutcomeLabel.identify(0), OutcomeLabel.identify(0))
+    with pytest.raises(LabelMismatchError, match="2 outcomes identify state 0"):
+        projective_povm(2, labels=twice).identify_outcome(0)
+    with pytest.raises(LabelMismatchError, match="0 outcomes identify state 1"):
+        projective_povm(2, labels=twice).identify_outcome(1)
+    with pytest.raises(LabelMismatchError, match="ensemble has 2"):
+        success_ambiguous(
+            two_state_ensemble(0.3),
+            projective_povm(2, labels=(OutcomeLabel.identify(0),
+                                       OutcomeLabel.identify(2))),
+        )
 
 
 def test_outcome_probabilities_match_quadratic_forms():

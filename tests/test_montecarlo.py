@@ -14,6 +14,7 @@ from statedisc.montecarlo import (
     sweep,
 )
 from statedisc.schemes import (
+    scheme_confusion,
     build_mixed_general,
     build_mixed_special,
     build_unambiguous_special,
@@ -36,6 +37,21 @@ def test_brute_force_agrees_with_analytic_everywhere():
             assert brute_force_success(s) == pytest.approx(
                 s.analytic_success, abs=1e-10
             )
+
+
+def test_brute_force_adds_in_state_order():
+    # The sum runs left to right, as the loops it replaced did, so every
+    # value keeps its bits; pairwise summation differs in the last place.
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        gamma = float(rng.uniform(0.1, 0.65))
+        p = tuple(float(x) for x in rng.dirichlet([1, 1, 1]))
+        s = build_mixed_general(gamma, float(rng.uniform(0.01, 0.2)), p)
+        conf = scheme_confusion(s)
+        total = 0.0
+        for i, prior in enumerate(s.ensemble.priors):
+            total += float(prior) * float(conf[i, s.povm.identify_outcome(i)])
+        assert brute_force_success(s) == min(1.0, max(0.0, total))
 
 
 def test_brute_force_zero_aux():

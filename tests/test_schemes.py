@@ -239,6 +239,25 @@ def test_rra_rejects_inconsistent_amplitudes():
         build_rra(plus, minus, (0.5, 0.5), 1.2, 0.3)
 
 
+def test_rra_builds_amplitudes_of_modulus_one_to_rounding():
+    # 1 - |c_minus|^2 rounds to 2e-16; its square root, 1.5e-8, used to pass
+    # RANK_TOL and split the dependent pair.  The amplitude now snaps to 0.
+    import json
+
+    from statedisc import serialize
+
+    plus, minus = rra_pair(-1.0)
+    c_plus = -0.9460456088348339 + 0.32403349518889013j
+    c_minus = 0.9460456088348338 - 0.3240334951888901j
+    s = build_rra(plus, minus, (0.5, 0.5), c_plus, c_minus)
+    assert s.analytic_success == pytest.approx(0.0, abs=1e-12)
+    reloaded = serialize.scheme_from_json(
+        json.loads(json.dumps(serialize.scheme_to_json(s)))
+    )
+    assert reloaded.params == s.params
+    assert np.array_equal(reloaded.coupling, s.coupling)
+
+
 def test_rra_requires_qubits():
     from statedisc.states import basis_ket
 
