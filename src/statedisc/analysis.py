@@ -36,8 +36,6 @@ from .states import _HALF_SQRT2, DensityMatrix, priors_ok, validate_priors
 VERDICT_TOL = 1e-12
 #: Largest gap between a record's margin and its clamped operands.
 TOL_MARGIN = 1e-12
-#: Commutator norm gate for the projector-commutation test.
-TOL_LEFT_CLASSICAL = 1e-10
 #: Commutator norm gate for the block-commutation test.
 TOL_RIGHT_CLASSICAL = 1e-9
 
@@ -459,18 +457,6 @@ def theorem31_check(gamma: float, priors) -> ComparisonRecord:
     the same priors (a one-row :func:`compare_columns` call).
     """
     return compare_columns("3.1", [float(gamma)], [priors]).record(0)
-
-
-def left_classicality_check(rho_part, projector) -> tuple[bool, float]:
-    """Commutation of a state with a projector: ``||[rho, P]||_F <= 1e-10``.
-
-    A block of a joint state commuting with the projector that selects it
-    certifies that the correlations are classical on that side.
-    """
-    rho = linalg.as_cmatrix(rho_part)
-    proj = linalg.as_cmatrix(projector)
-    residual = linalg.frobenius(linalg.commutator(rho, proj))
-    return residual <= TOL_LEFT_CLASSICAL, float(residual)
 
 
 def right_classicality_check(

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -34,15 +34,25 @@ from .schemes import SCHEME_KINDS, Scheme, scheme_confusion
 #: 2.8 KB per point.
 MAX_COMPARE_POINTS = 2**24
 
-# Every --<param> flag: the union of the kinds' inputs, first use first.
-_INPUT_KEYS = tuple(
-    dict.fromkeys(key for kind in SCHEME_KINDS.values() for key in kind.inputs)
-)
+
+def _input_types() -> dict:
+    """Every --<param> flag, first use first, with the type of the params
+    field it fills, which is its converter; rra's overlap fills none and
+    is a float."""
+    types = {}
+    for kind in SCHEME_KINDS.values():
+        hints = get_type_hints(kind.params)
+        for key in kind.inputs:
+            types.setdefault(key, hints.get(key, float))
+    return types
+
+
+_INPUT_TYPES = _input_types()
 
 #: Every one-value flag with its converter and choices; a builder input is
 #: kept under ``params``, and a config value for a ``str`` flag must be text.
 _SCALAR_FLAGS = {
-    **{key: (float, None) for key in _INPUT_KEYS},
+    **{key: (convert, None) for key, convert in _INPUT_TYPES.items()},
     "scheme": (str, tuple(SCHEME_KINDS)),
     "output": (str, None),
     "format": (str, ("csv", "json")),
@@ -73,7 +83,7 @@ def _add_scalar(parser: _Parser, key: str, **kwargs):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None)
-    for key in ("scheme", *_INPUT_KEYS):
+    for key in ("scheme", *_INPUT_TYPES):
         _add_scalar(common, key)
     common.add_argument("--priors", metavar="P0,P1[,P2]", default=None)
     common.add_argument("--allow-trivial", action="store_true", default=False)
@@ -113,10 +123,13 @@ def _load_config(path: str) -> dict:
 
 
 def _config_value(key: str, value, convert, choices=None):
-    """A config-file value read with its flag's converter and choices."""
+    """A config-file value read with its flag's converter and choices; a
+    complex value may also be the ``[re, im]`` pair that ``dump`` writes."""
     try:
         if convert is str and not isinstance(value, str):
             raise TypeError(f"{type(value).__name__} is not text")
+        if convert is complex and isinstance(value, list):
+            value = serialize.complex_from_json(value)
         value = convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"config {key}: bad value {value!r} ({exc})") from exc
@@ -131,7 +144,7 @@ def _read_config(path: str, flags) -> dict:
     cfg = {k: v for k, v in _load_config(path).items() if v is not None}
     params = cfg["params"] = _config_value("params", cfg.get("params") or {}, dict)
     for key, (convert, choices) in _SCALAR_FLAGS.items():
-        where = params if key in _INPUT_KEYS else cfg
+        where = params if key in _INPUT_TYPES else cfg
         if key in flags and where.get(key) is not None:
             where[key] = _config_value(key, where[key], convert, choices)
     if "priors" in cfg:
@@ -151,7 +164,7 @@ def _merge_config(args) -> dict:
     for key in _SCALAR_FLAGS:
         val = getattr(args, key, None)
         if val is not None:
-            (params if key in _INPUT_KEYS else cfg)[key] = val
+            (params if key in _INPUT_TYPES else cfg)[key] = val
     if getattr(args, "priors", None) is not None:
         cfg["priors"] = _parse_priors(args.priors)
     if getattr(args, "allow_trivial", False):

@@ -32,20 +32,12 @@ class GramMismatchError(DiscriminationError):
     """Domain and image vectors do not share a Gram matrix."""
 
 
-class IndexOutOfRangeError(DiscriminationError):
-    """Basis or outcome index outside the valid range."""
-
-
 class ZeroProbabilityOutcomeError(DiscriminationError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
 class LabelMismatchError(DiscriminationError):
     """Outcome labels do not match what the operation requires."""
-
-
-class NotUnambiguousError(DiscriminationError):
-    """Measurement misidentifies some state with non-negligible probability."""
 
 
 class OverlapConstraintViolatedError(DiscriminationError):

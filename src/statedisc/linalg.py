@@ -24,6 +24,8 @@ TOL_PSD = 1e-9
 TOL_EIG = 1e-10
 #: Residual norm below which a vector is treated as linearly dependent.
 RANK_TOL = 1e-8
+#: Eigenvalue, relative to max(1, largest), that psd_cholesky sets to zero.
+TOL_DROP = 1e-12
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -51,14 +53,6 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor major in the joint index.
-
-    Index convention for a product space: ``joint = i_left * dim_right + i_right``.
-    """
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -96,15 +90,6 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def principal_sqrt(m) -> np.ndarray:
-    """Principal (PSD) square root of a PSD Hermitian matrix."""
-    w, v = hermitian_eig(m)
-    if w.min(initial=0.0) < -TOL_PSD:
-        raise NotPsdError(f"eigenvalue {w.min():.3e} below -{TOL_PSD}")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ dag(v)
-    return (s + dag(s)) / 2.0
-
-
 def psd_cholesky(g) -> np.ndarray:
     """Lower-triangular factor L with ``L @ L^dag = g`` for PSD ``g``.
 
@@ -118,7 +103,7 @@ def psd_cholesky(g) -> np.ndarray:
         raise NotPsdError(f"eigenvalue {w.min():.3e} below -{TOL_PSD}")
     # Eigenvalues at roundoff scale are exact zeros of the intended input;
     # keeping them would inject sqrt(eps)-sized noise into the factor.
-    w = np.where(w < 1e-12 * max(1.0, float(w.max(initial=0.0))), 0.0, w)
+    w = np.where(w < TOL_DROP * max(1.0, float(w.max(initial=0.0))), 0.0, w)
     f = v * np.sqrt(np.clip(w, 0.0, None))
     # LQ factorization of f via QR of its adjoint: f = L q with L lower
     # triangular, so L L^dag = f f^dag = g regardless of q.

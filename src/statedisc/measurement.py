@@ -1,11 +1,11 @@
-"""POVMs, outcome statistics, and success functionals.
+"""POVMs, confusion matrices, and the unambiguity check.
 
 A measurement is a list of PSD elements summing to the identity, each
 tagged with an outcome label: either "this outcome identifies state i" or
-"this outcome is inconclusive".  Success probabilities come in two forms,
-a direct sum over identifying outcomes and, for unambiguous measurements,
-one minus the inconclusive weight; both are implemented and checked
-against each other.
+"this outcome is inconclusive".  A success probability is read off the
+confusion matrix as the sum over identifying outcomes; for an unambiguous
+measurement it also equals one minus the inconclusive weight, which the
+property tests check on every unambiguous builder.
 """
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ from .errors import (
     LabelMismatchError,
     NotHermitianError,
     NotPsdError,
-    NotUnambiguousError,
-    ZeroProbabilityOutcomeError,
 )
-from .states import TOL_NORM, DensityMatrix, Ensemble
+from .states import TOL_NORM, Ensemble
 
 #: Completeness tolerance: || sum(elements) - I ||_F.
 TOL_COMPLETE = 1e-9
@@ -31,8 +29,6 @@ TOL_COMPLETE = 1e-9
 TOL_PROB = 1e-10
 #: Cross-term threshold for the unambiguity test.
 TOL_UNAMBIGUOUS = 1e-9
-#: Probability below which an outcome cannot be conditioned on.
-TOL_ZERO_PROB = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,37 +118,6 @@ def clamp_probability(value: float, what: str, tol: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def outcome_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Probability vector ``p_x = Tr(M_x rho)``, clamped to [0, 1]."""
-    if povm.dim != rho.dim:
-        raise DimensionMismatchError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
-    traces = np.trace(np.array(povm.elements) @ rho.matrix, axis1=1, axis2=2)
-    probs = np.array(
-        [clamp_probability(float(t), "probability", TOL_PROB) for t in traces.real]
-    )
-    if abs(probs.sum() - 1.0) > TOL_COMPLETE:
-        raise InvariantViolationError(f"outcome probabilities sum to {probs.sum()!r}")
-    return probs
-
-
-def post_measurement_state(povm: Povm, outcome: int, rho: DensityMatrix) -> DensityMatrix:
-    """State after observing ``outcome``, using Kraus operator sqrt(M_x).
-
-    Raises :class:`ZeroProbabilityOutcomeError` when the outcome has
-    probability below ``TOL_ZERO_PROB``.
-    """
-    if not 0 <= outcome < povm.n_outcomes:
-        raise LabelMismatchError(f"outcome {outcome} not in [0, {povm.n_outcomes})")
-    if povm.dim != rho.dim:
-        raise DimensionMismatchError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
-    m = povm.elements[outcome]
-    p = float(np.trace(m @ rho.matrix).real)
-    if p <= TOL_ZERO_PROB:
-        raise ZeroProbabilityOutcomeError(f"outcome {outcome} has probability {p!r}")
-    a = linalg.principal_sqrt(m)
-    return DensityMatrix(a @ rho.matrix @ linalg.dag(a) / p)
-
-
 def _identify_outcomes(povm: Povm, states) -> np.ndarray:
     """``x[k]``, the one outcome labeled Identify(states[k]); raises at the
     first state without exactly one."""
@@ -219,29 +184,6 @@ def confusion_matrix(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return pure_confusion([s.amplitudes for s in ensemble.states], povm)
 
 
-def success_ambiguous(ensemble: Ensemble, povm: Povm) -> float:
-    """Success probability when every outcome names a state.
-
-    ``sum_i p_i Tr(M_{x(i)} rho_i)`` with x(i) the outcome identifying
-    state i.  All labels must be Identify and form a bijection with the
-    ensemble.
-    """
-    if any(not lab.is_identify for lab in povm.labels):
-        raise LabelMismatchError("ambiguous-form success requires all-Identify labels")
-    identify = _check_identify_bijection(ensemble, povm)
-    conf = confusion_matrix(ensemble, povm)
-    total = _identified_success(ensemble.priors, conf, identify)
-    return clamp_probability(total, "success probability", TOL_PROB)
-
-
-def _unambiguity(identify: np.ndarray, conf: np.ndarray) -> tuple[bool, float]:
-    """:func:`unambiguity_check` on a bijection and its confusion matrix."""
-    cols = conf[:, identify]
-    worst = float(np.abs(cols[~np.eye(len(identify), dtype=bool)]).max(initial=0.0))
-    ok = worst <= TOL_UNAMBIGUOUS and bool((np.diag(cols) > TOL_UNAMBIGUOUS).all())
-    return ok, worst
-
-
 def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
     """Verify that identifying outcomes never fire on the wrong state.
 
@@ -249,50 +191,8 @@ def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
     ``Tr(M_{x(j)} rho_i)`` for i != j.  ``ok`` also requires every
     diagonal term ``Tr(M_{x(i)} rho_i)`` to exceed ``TOL_UNAMBIGUOUS``.
     """
-    return _unambiguity(
-        _check_identify_bijection(ensemble, povm), confusion_matrix(ensemble, povm)
-    )
-
-
-def success_unambiguous(ensemble: Ensemble, povm: Povm) -> float:
-    """Success probability of an unambiguous measurement.
-
-    Requires exactly one inconclusive outcome and a passing
-    :func:`unambiguity_check`.  Computed directly as
-    ``sum_i p_i Tr(M_{x(i)} rho_i)`` and cross-checked against
-    ``1 - sum_i p_i Tr(M_fail rho_i)``.
-    """
-    fails = [x for x, lab in enumerate(povm.labels) if not lab.is_identify]
-    if len(fails) != 1:
-        raise LabelMismatchError(
-            f"expected exactly one inconclusive outcome, found {len(fails)}"
-        )
     identify = _check_identify_bijection(ensemble, povm)
-    conf = confusion_matrix(ensemble, povm)
-    ok, worst = _unambiguity(identify, conf)
-    if not ok:
-        raise NotUnambiguousError(f"max cross term {worst:.3e}")
-    direct = _identified_success(ensemble.priors, conf, identify)
-    complement = 1.0 - _identified_success(
-        ensemble.priors, conf, np.full_like(identify, fails[0])
-    )
-    if abs(direct - complement) > 1e-10:
-        raise InvariantViolationError(
-            f"direct and complement success forms differ by {abs(direct - complement):.3e}"
-        )
-    return clamp_probability(direct, "success probability", TOL_PROB)
-
-
-def bayes_posterior(
-    ensemble: Ensemble, povm: Povm, outcome: int, state_index: int
-) -> float:
-    """Posterior probability of ``state_index`` given ``outcome``."""
-    if not 0 <= outcome < povm.n_outcomes:
-        raise LabelMismatchError(f"outcome {outcome} not in [0, {povm.n_outcomes})")
-    if not 0 <= state_index < len(ensemble):
-        raise LabelMismatchError(f"state index {state_index} out of range")
-    conf = confusion_matrix(ensemble, povm)
-    marginal = float(ensemble.priors @ conf[:, outcome])
-    if marginal <= TOL_ZERO_PROB:
-        raise ZeroProbabilityOutcomeError(f"outcome {outcome} has probability {marginal!r}")
-    return float(ensemble.priors[state_index] * conf[state_index, outcome] / marginal)
+    cols = confusion_matrix(ensemble, povm)[:, identify]
+    worst = float(np.abs(cols[~np.eye(len(identify), dtype=bool)]).max(initial=0.0))
+    ok = worst <= TOL_UNAMBIGUOUS and bool((np.diag(cols) > TOL_UNAMBIGUOUS).all())
+    return ok, worst

@@ -170,15 +170,10 @@ def _coupled_vectors(scheme: Scheme) -> np.ndarray:
     return (scheme.coupling[:, :: scheme.ancilla_dim] @ states.T).T
 
 
-def coupled_states(scheme: Scheme) -> tuple[np.ndarray, ...]:
-    """Joint-space vectors: coupling applied to each state (x) ancilla |0>."""
-    return tuple(_coupled_vectors(scheme))
-
-
 def coupled_ensemble(scheme: Scheme) -> Ensemble:
     """The coupled states as an ensemble on the joint space."""
     return Ensemble(
-        tuple(Ket(w) for w in coupled_states(scheme)), scheme.ensemble.priors
+        tuple(Ket(w) for w in _coupled_vectors(scheme)), scheme.ensemble.priors
     )
 
 
@@ -422,7 +417,9 @@ def build_mixed_general(
 
     ``allow_trivial`` admits the boundary values ``gamma = 0``,
     ``alpha = 0`` and ``alpha = 1``; ``|gamma| = 1`` is always rejected
-    because the construction divides by ``1 - gamma^2``.
+    because the construction divides by ``1 - gamma^2``, and so is any
+    gamma close enough to 1 that this division loses the conditioning the
+    coupling needs (about ``|gamma| > 0.99997``).
     """
     gamma = float(gamma)
     alpha = float(alpha)
@@ -446,6 +443,22 @@ def build_mixed_general(
         )
     if 1.0 - gamma**2 - abs(alpha - gamma**2) < -TOL_BOUNDARY:
         raise ParamOutOfRangeError("identifying amplitude would be imaginary")
+    # The coupling's domain divides each state's part orthogonal to u2 by
+    # sqrt(1 - gamma^2), which magnifies the synthesized overlaps' error by
+    # 1/(1 - gamma^2).  That error is the roundoff of the synthesis, plus
+    # any eigenvalue of the overlap matrix that psd_cholesky drops although
+    # it is not zero: 1 - alpha, or (1 + alpha - 2 gamma^2)/w_max.  Over
+    # 13,000 draws near |gamma| = 1 the roundoff reached 4 eps w_max in the
+    # coupling's action; 8 eps w_max keeps a factor 2 in hand.
+    scale = float(w.max())  # >= 1
+    exact = (1.0 - alpha, (1.0 + alpha - 2.0 * gamma**2) / scale)
+    error = sum(e for e in exact if 0.0 < e < linalg.TOL_DROP * scale)
+    error += 8.0 * np.finfo(float).eps * scale
+    if error > linalg.TOL_EIG * (1.0 - gamma**2):
+        raise ParamOutOfRangeError(
+            f"conditioning lost: synthesis error {error:.3e} over "
+            f"1 - gamma^2 = {1.0 - gamma**2:.3e} exceeds {linalg.TOL_EIG}"
+        )
     if alpha >= gamma**2:
         analytic = 1.0 - alpha * (1.0 - p[2])
         note = "alpha >= gamma^2: success = 1 - alpha*(1 - p2)"
@@ -727,7 +740,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
             raise InvariantViolationError(f"{name} part trace {tr!r} differs from 1")
 
     rho_pipe = np.zeros((6, 6), dtype=np.complex128)
-    for prior, wvec in zip(p, coupled_states(scheme)):
+    for prior, wvec in zip(p, _coupled_vectors(scheme)):
         rho_pipe += prior * np.outer(wvec, np.conj(wvec))
     recon = (1.0 - weight) * np.kron(sys_part, _proj(e0a))
     recon = recon + weight * np.kron(_proj(e1s), anc_part)

@@ -20,7 +20,7 @@ from .errors import LabelMismatchError, ParamOutOfRangeError
 from .measurement import OutcomeLabel, Povm
 from .montecarlo import SimResult
 from .schemes import SCHEME_KINDS, Scheme, SchemeParams
-from .states import Ensemble, GramSpec, Ket
+from .states import Ensemble, Ket
 
 CSV_HEADER = (
     "gamma,alpha,p0,p1,p2,p_mixed,reference_kind,p_una_reference,margin,verdict"
@@ -60,14 +60,6 @@ def matrix_from_json(rows) -> np.ndarray:
     )
 
 
-def ket_to_json(ket: Ket) -> dict:
-    return {"amplitudes": vector_to_json(ket.amplitudes)}
-
-
-def ket_from_json(data) -> Ket:
-    return Ket(vector_from_json(data["amplitudes"]))
-
-
 def ensemble_to_json(ens: Ensemble) -> dict:
     return {
         "states": [vector_to_json(s.amplitudes) for s in ens.states],
@@ -78,19 +70,6 @@ def ensemble_to_json(ens: Ensemble) -> dict:
 def ensemble_from_json(data) -> Ensemble:
     states = tuple(Ket(vector_from_json(v)) for v in data["states"])
     return Ensemble(states, np.array(data["priors"], dtype=float))
-
-
-def gram_spec_to_json(spec: GramSpec) -> dict:
-    return {
-        "overlaps": matrix_to_json(spec.overlaps),
-        "priors": [float(p) for p in spec.priors],
-    }
-
-
-def gram_spec_from_json(data) -> GramSpec:
-    return GramSpec(
-        matrix_from_json(data["overlaps"]), np.array(data["priors"], dtype=float)
-    )
 
 
 def label_to_json(label: OutcomeLabel) -> str:

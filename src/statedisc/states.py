@@ -12,7 +12,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvariantViolationError,
     NotPsdError,
     ParamOutOfRangeError,
@@ -86,15 +85,6 @@ class Ket:
     def density(self) -> np.ndarray:
         """Outer product |k><k| as a bare matrix."""
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
-
-def basis_ket(dim: int, index: int) -> Ket:
-    """Canonical basis vector |index> in C^dim."""
-    if not 0 <= index < dim:
-        raise IndexOutOfRangeError(f"basis index {index} not in [0, {dim})")
-    a = np.zeros(dim, dtype=np.complex128)
-    a[index] = 1.0
-    return Ket(a)
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -221,19 +211,3 @@ def ensemble_density(ensemble: Ensemble) -> DensityMatrix:
     for p, s in zip(ensemble.priors, ensemble.states):
         rho += p * s.density()
     return DensityMatrix(rho)
-
-
-def extend_with_ancilla(ket: Ket, ancilla_dim: int, ancilla_index: int = 0) -> Ket:
-    """Tensor a ket with an ancilla basis state, system index major.
-
-    The joint index is ``i_system * ancilla_dim + i_ancilla``.
-    """
-    if ancilla_dim < 1:
-        raise DimensionMismatchError(f"ancilla dimension {ancilla_dim} < 1")
-    if not 0 <= ancilla_index < ancilla_dim:
-        raise IndexOutOfRangeError(
-            f"ancilla index {ancilla_index} not in [0, {ancilla_dim})"
-        )
-    anc = np.zeros(ancilla_dim, dtype=np.complex128)
-    anc[ancilla_index] = 1.0
-    return Ket(np.kron(ket.amplitudes, anc))

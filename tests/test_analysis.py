@@ -6,7 +6,6 @@ import pytest
 from statedisc.analysis import (
     ComparisonRecord,
     compare_columns,
-    left_classicality_check,
     max_unambiguous_symmetric_grid,
     optimize_unambiguous_special,
     right_classicality_check,
@@ -229,14 +228,6 @@ def test_theorem31_check_domain():
 
 
 # ------------------------------------------------------------- classicality
-
-
-def test_left_classicality_known_cases():
-    ok, v = left_classicality_check(np.diag([0.2, 0.3, 0.5]), np.diag([0, 1, 0]))
-    assert ok and v < 1e-14
-    x = np.array([[0.5, 0.5], [0.5, 0.5]])
-    ok, v = left_classicality_check(x, np.diag([1.0, 0.0]))
-    assert not ok and v > 0.1
 
 
 def test_right_classicality_block_diagonal_product():

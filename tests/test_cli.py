@@ -188,6 +188,67 @@ def test_rra_at_overlap_minus_one_with_unit_amplitudes(capsys):
     assert scheme.analytic_success == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mixed_general_near_gamma_one_names_the_lost_conditioning(capsys):
+    # The cancellation in (v0 - gamma v2)/sqrt(1 - gamma^2) after the
+    # Cholesky cutoff dropped 1 - alpha = 4e-13 used to surface as a Gram
+    # gap of 1.0 inside the coupling's completion.
+    argv = ["validate", "--scheme", "mixed-general", "--gamma", "0.9999999999999",
+            "--alpha", "0.9999999999995999", "--priors", "0.3,0.3,0.4"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ParamOutOfRange: conditioning lost: "), err
+
+
+GOLDEN_FLAGS = {
+    kind: ref["flags"]
+    for kind, ref in json.loads(
+        (Path(__file__).parent / "golden.json").read_text()
+    ).items()
+}
+COMPLEX_FLAGS = {
+    "rra complex": ["--overlap", "-1", "--c-plus=-0.9460456088348339+0.32403349518889013j",
+                    "--c-minus=0.9460456088348338-0.3240334951888901j",
+                    "--priors", "0.5,0.5"],
+    "zero-aux complex": ["--g01=-0.06j", "--g12", "0.3j", "--g20", "(0.2+0j)",
+                         "--priors", "0.3,0.3,0.4"],
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(GOLDEN_FLAGS), *COMPLEX_FLAGS])
+def test_dumped_params_reload_as_a_config(capsys, tmp_path, case):
+    kind = case.split()[0]
+    flags = GOLDEN_FLAGS.get(case) or COMPLEX_FLAGS[case]
+    code, dumped, err = run_cli(capsys, ["dump", "--scheme", kind, *flags])
+    assert code == 0, err
+    data = json.loads(dumped)
+    params = data["params"]  # complex values are the [re, im] pairs
+    if kind == "rra":  # the overlap is an input, not a params field
+        params["overlap"] = float(flags[flags.index("--overlap") + 1])
+    job = {"command": "dump", "scheme": kind, "params": params,
+           "priors": data["ensemble"]["priors"]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, ["--config", str(path)])
+    assert code == 0, err
+    assert out == dumped
+
+
+def test_complex_inputs_read_like_dump_writes_them(capsys):
+    code, out, _ = run_cli(capsys, ["dump", "--scheme", "zero-aux",
+                                    *COMPLEX_FLAGS["zero-aux complex"]])
+    assert code == 0
+    assert json.loads(out)["params"] == {
+        "kind": "zero-aux", "g01": [0.0, -0.06], "g12": [0.0, 0.3], "g20": [0.2, 0.0],
+    }
+    # The overlap and the real parameters stay floats.
+    for argv in (["--scheme", "rra", "--overlap", "0.36+0j", "--c-plus", "0.6",
+                  "--c-minus", "0.6", "--priors", "0.5,0.5"],
+                 ["--scheme", "mixed-special", "--gamma", "0.5+0j",
+                  "--priors", "0.3,0.3,0.4"]):
+        code, _, err = run_cli(capsys, ["run", *argv])
+        assert code == 1 and "invalid float value" in err
+
+
 def test_simulate_json_is_deterministic(capsys):
     argv = ["simulate"] + MIXED + ["--n", "50000", "--seed", "42"]
     code1, out1, _ = run_cli(capsys, argv)
@@ -366,6 +427,8 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
     # that does not convert is a usage error naming its key.
     simulate = {"command": "simulate", "scheme": "mixed-special",
                 "params": {"gamma": 0.5}, "priors": [0.3, 0.3, 0.4], "n": 100}
+    zero_aux = {"command": "run", "scheme": "zero-aux", "priors": [0.3, 0.3, 0.4],
+                "params": {"g01": 0.06, "g12": [0.3, 0.0], "g20": "0.2"}}
     compare = {"command": "compare", "theorem": "2.1",
                "grid": {"gamma": {"min": 0.1, "max": 0.2, "step": 0.1}}}
     for base, edit, key in (
@@ -382,6 +445,9 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
         (simulate, {"format": "xml"}, "format"),
         (simulate, {"output": 5}, "output"),
         (simulate, {"scheme": ["rra"]}, "scheme"),
+        (zero_aux, {"params": {**zero_aux["params"], "g01": [0.06]}}, "g01"),
+        (zero_aux, {"params": {**zero_aux["params"], "g12": ["a", 0]}}, "g12"),
+        (zero_aux, {"params": {**zero_aux["params"], "g20": {"re": 0.2}}}, "g20"),
     ):
         path = tmp_path / "edited.json"
         path.write_text(json.dumps({**base, **edit}))

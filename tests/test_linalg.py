@@ -62,21 +62,6 @@ def test_hermitian_eig_rejects_nonhermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_principal_sqrt_squares_back():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        m = random_psd(rng, 3)
-        s = linalg.principal_sqrt(m)
-        assert linalg.frobenius(s @ s - m) < 1e-9 * max(1.0, linalg.frobenius(m))
-        # principal root is itself PSD
-        assert np.linalg.eigvalsh(s).min() > -1e-10
-
-
-def test_principal_sqrt_rejects_negative():
-    with pytest.raises(NotPsdError):
-        linalg.principal_sqrt(np.diag([1.0, -0.5]))
-
-
 def test_psd_cholesky_full_rank():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -193,9 +178,3 @@ def test_isometry_completion_random_partial_maps():
         assert linalg.frobenius(linalg.dag(u) @ u - np.eye(n)) < 1e-11
         for d, i in zip(dom, img):
             assert np.linalg.norm(u @ d - i) < 1e-10
-
-
-def test_kron_shape():
-    a = np.eye(3)
-    b = np.eye(2)
-    assert linalg.kron(a, b).shape == (6, 6)

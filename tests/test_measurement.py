@@ -7,21 +7,14 @@ from statedisc.errors import (
     LabelMismatchError,
     NotHermitianError,
     NotPsdError,
-    NotUnambiguousError,
-    ZeroProbabilityOutcomeError,
 )
 from statedisc.measurement import (
     OutcomeLabel,
     Povm,
-    bayes_posterior,
     confusion_matrix,
-    outcome_probabilities,
-    post_measurement_state,
-    success_ambiguous,
-    success_unambiguous,
     unambiguity_check,
 )
-from statedisc.states import DensityMatrix, Ensemble, Ket, basis_ket
+from statedisc.states import Ensemble, Ket
 
 
 def projective_povm(dim, labels=None):
@@ -97,61 +90,17 @@ def test_identify_lookups_name_the_first_bad_state():
     with pytest.raises(LabelMismatchError, match="0 outcomes identify state 1"):
         projective_povm(2, labels=twice).identify_outcome(1)
     with pytest.raises(LabelMismatchError, match="ensemble has 2"):
-        success_ambiguous(
+        unambiguity_check(
             two_state_ensemble(0.3),
             projective_povm(2, labels=(OutcomeLabel.identify(0),
                                        OutcomeLabel.identify(2))),
         )
 
 
-def test_outcome_probabilities_match_quadratic_forms():
-    rng = np.random.default_rng(31)
-    p = projective_povm(3)
-    for _ in range(10):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        k = Ket(z / np.linalg.norm(z))
-        probs = outcome_probabilities(p, DensityMatrix.pure(k))
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(probs, np.abs(k.amplitudes) ** 2, atol=1e-12)
-
-
-def test_post_measurement_state_projects():
-    p = projective_povm(2)
-    plus = Ket(np.array([1.0, 1.0]) / np.sqrt(2))
-    after = post_measurement_state(p, 0, DensityMatrix.pure(plus))
-    assert np.allclose(after.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    with pytest.raises(ZeroProbabilityOutcomeError):
-        post_measurement_state(p, 1, DensityMatrix.pure(basis_ket(2, 0)))
-
-
 def test_confusion_matrix_rows_sum_to_one():
     e = two_state_ensemble(0.4)
     conf = confusion_matrix(e, projective_povm(2))
     assert np.allclose(conf.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_success_ambiguous_orthonormal_states_is_one():
-    e = Ensemble(states=(basis_ket(2, 0), basis_ket(2, 1)), priors=(0.3, 0.7))
-    assert success_ambiguous(e, projective_povm(2)) == pytest.approx(1.0)
-
-
-def test_success_ambiguous_projective_on_tilted_pair():
-    # measuring the computational basis on the symmetric pair:
-    # state a hits outcome 0 with cos^2, state b with sin^2 crossing over
-    theta = 0.3
-    e = two_state_ensemble(theta)
-    got = success_ambiguous(e, projective_povm(2))
-    want = 0.5 * np.cos(theta) ** 2 + 0.5 * np.sin(theta) ** 2
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_success_ambiguous_rejects_inconclusive_labels():
-    e = two_state_ensemble(0.3)
-    p = projective_povm(
-        2, labels=(OutcomeLabel.identify(0), OutcomeLabel.inconclusive())
-    )
-    with pytest.raises(LabelMismatchError):
-        success_ambiguous(e, p)
 
 
 def unambiguous_two_state_povm(overlap):
@@ -184,22 +133,24 @@ def test_unambiguous_two_state_discrimination():
     p = unambiguous_two_state_povm(s)
     ok, worst = unambiguity_check(e, p)
     assert ok and worst < 1e-10
-    got = success_unambiguous(e, p)
+    conf = confusion_matrix(e, p)
+    got = 0.5 * conf[0, 0] + 0.5 * conf[1, 1]
     assert got == pytest.approx(1.0 - s, abs=1e-10)  # IDP value for equal priors
+    assert 1.0 - 0.5 * conf[:, 2].sum() == pytest.approx(got, abs=1e-12)
 
 
-def test_success_unambiguous_rejects_ambiguous_povm():
+def test_unambiguity_check_needs_one_identifying_outcome_per_state():
     theta = 0.3
     e = two_state_ensemble(theta)
     p = projective_povm(
         2, labels=(OutcomeLabel.identify(0), OutcomeLabel.inconclusive())
     )
-    # outcome 0 fires on both states, so no identifying outcome for state 1
-    with pytest.raises(LabelMismatchError):
-        success_unambiguous(e, p)
+    # no outcome identifies state 1
+    with pytest.raises(LabelMismatchError, match="0 outcomes identify state 1"):
+        unambiguity_check(e, p)
 
 
-def test_success_unambiguous_detects_cross_terms():
+def test_unambiguity_check_detects_cross_terms():
     theta = 0.3
     e = two_state_ensemble(theta)
     m0 = np.diag([0.6, 0.0])
@@ -215,23 +166,3 @@ def test_success_unambiguous_detects_cross_terms():
     )
     ok, worst = unambiguity_check(e, p)
     assert not ok and worst > 0.01
-    with pytest.raises(NotUnambiguousError):
-        success_unambiguous(e, p)
-
-
-def test_bayes_posterior_matches_hand_computation():
-    e = Ensemble(
-        states=(basis_ket(2, 0), Ket(np.array([1.0, 1.0]) / np.sqrt(2))),
-        priors=(0.4, 0.6),
-    )
-    p = projective_povm(2)
-    # P(outcome 0) = 0.4 * 1 + 0.6 * 0.5 = 0.7
-    post = bayes_posterior(e, p, outcome=0, state_index=0)
-    assert post == pytest.approx(0.4 / 0.7, abs=1e-12)
-    with pytest.raises(ZeroProbabilityOutcomeError):
-        bayes_posterior(
-            Ensemble(states=(basis_ket(2, 0), basis_ket(2, 0)), priors=(0.5, 0.5)),
-            p,
-            outcome=1,
-            state_index=0,
-        )

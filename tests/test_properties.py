@@ -16,7 +16,7 @@ from statedisc.analysis import (
 )
 from statedisc.errors import DiscriminationError, InvariantViolationError
 from statedisc.measurement import TOL_UNAMBIGUOUS, unambiguity_check
-from statedisc.schemes import SCHEME_KINDS, coupled_ensemble
+from statedisc.schemes import SCHEME_KINDS, coupled_ensemble, scheme_confusion
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -135,7 +135,8 @@ def rra_inputs(draw):
         st.complex_numbers(max_magnitude=1.0),
         st.sampled_from([1.0, -1.0, 1j, 0.0, 1.0 + 1e-13, *NON_FINITE]),
     ))
-    if abs(c_plus) >= abs(overlap) > 0.0 and draw(st.booleans()):
+    finite = np.isfinite(c_plus)  # dividing by an infinite amplitude warns
+    if finite and abs(c_plus) >= abs(overlap) > 0.0 and draw(st.booleans()):
         # Satisfy the overlap constraint with |c_minus| <= 1.
         c_minus = overlap / np.conj(c_plus)
     else:
@@ -156,14 +157,23 @@ def mixed_special_inputs(draw):
     return {"gamma": gamma}, draw(scheme_priors)
 
 
+# |gamma| = 1 - 10^-k: the construction divides by 1 - gamma^2.
+near_one = st.tuples(st.floats(2.0, 16.0), st.sampled_from([-1.0, 1.0])).map(
+    lambda t: t[1] * (1.0 - 10.0 ** -t[0])
+)
+
+
 @st.composite
 def mixed_general_inputs(draw):
-    gamma = draw(_edges(-1.0, 1.0, -1.0, 0.0, 1.0, 0.8))
+    gamma = draw(st.one_of(_edges(-1.0, 1.0, -1.0, 0.0, 1.0, 0.8), near_one))
     g2 = gamma * gamma
-    # Free, the PSD boundary 1 + alpha = 2 gamma^2 (|c| = 1), and alpha = gamma^2.
+    lo = 2.0 * g2 - 1.0
+    # Free, the PSD boundary 1 + alpha = 2 gamma^2 (|c| = 1), alpha = gamma^2,
+    # and anywhere in the realizable window [2 gamma^2 - 1, 1].
     alpha = draw(st.one_of(
         _edges(-1.0, 1.0, -1.0, 0.0, 1.0),
-        st.sampled_from([2.0 * g2 - 1.0, g2, g2 + 1e-13, 2.0 * g2 - 1.0 + 1e-13]),
+        st.sampled_from([lo, g2, g2 + 1e-13, lo + 1e-13]),
+        st.floats(0.0, 1.0).map(lambda u: lo + (1.0 - lo) * u),
     ))
     return {"gamma": gamma, "alpha": alpha}, draw(scheme_priors)
 
@@ -215,6 +225,11 @@ flagged_inputs = st.one_of(
                                   (0.25, 0.0, 0.75))), False)
 # NaN passed every bound written as ``value > bound`` (the builders).
 @example(("mixed-special", ({"gamma": float("nan")}, (0.0, 0.0, 1.0))), False)
+# 1 - gamma^2 magnified the synthesis roundoff past the coupling's action
+# gate (build_mixed_general).
+@example(("mixed-general", ({"gamma": 0.9999981757030961,
+                             "alpha": 0.9999999396159988},
+                            (0.3, 0.3, 0.4))), False)
 def test_flagged_builders_succeed_or_raise_a_domain_error(case, trivial):
     kind, (values, p) = case
     try:
@@ -228,3 +243,47 @@ def test_flagged_builders_succeed_or_raise_a_domain_error(case, trivial):
         # fails the check's diagonal test, so the cross terms are asserted.
         _, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
         assert worst <= TOL_UNAMBIGUOUS, (kind, values, p, worst)
+
+
+# About one draw in eight builds, so this property draws more.
+@settings(SETTINGS, max_examples=400)
+@given(st.one_of(*(st.tuples(st.just(k), FLAGGED[k]) for k in UNAMBIGUOUS)))
+def test_unambiguous_success_is_one_minus_the_inconclusive_weight(case):
+    kind, (values, p) = case
+    try:
+        scheme = SCHEME_KINDS[kind].build(values, p, False)
+    except DiscriminationError:
+        return
+    conf = scheme_confusion(scheme)
+    priors = scheme.ensemble.priors
+    n = len(priors)
+    identify = [scheme.povm.identify_outcome(i) for i in range(n)]
+    (fail,) = [x for x, lab in enumerate(scheme.povm.labels) if not lab.is_identify]
+    direct = sum(priors[i] * conf[i, identify[i]] for i in range(n))
+    complement = 1.0 - sum(priors[i] * conf[i, fail] for i in range(n))
+    assert abs(direct - complement) <= 1e-10, (kind, values, p)
+    # The check fails only on a state its outcome never identifies.
+    ok, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
+    fires = all(conf[i, identify[i]] > TOL_UNAMBIGUOUS for i in range(n))
+    assert worst <= TOL_UNAMBIGUOUS and ok == fires, (kind, values, p, worst)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["run", "validate", "dump"]),
+    st.sampled_from(sorted(SCHEME_KINDS)),
+    st.data(),
+)
+def test_builder_flags_never_traceback(command, kind, data):
+    # The text of a float or of a complex number, as ``repr`` writes it.
+    real = st.one_of(any_float, st.floats(-1.0, 1.0))
+    text = st.one_of(real.map(repr), st.builds(complex, real, real).map(repr))
+    argv = [command, "--scheme", kind]
+    for key in SCHEME_KINDS[kind].inputs:
+        argv.append(f"--{key.replace('_', '-')}={data.draw(text, label=key)}")
+    argv += ["--priors", "0.5,0.5" if kind == "rra" else "0.3,0.3,0.4"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

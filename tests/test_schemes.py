@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from statedisc import linalg
+from statedisc import linalg, schemes
 from statedisc.errors import (
     AmplitudeOutOfRangeError,
     DiscriminationError,
@@ -17,7 +19,7 @@ from statedisc.errors import (
     ZeroProbabilityOutcomeError,
 )
 from statedisc.analysis import theorem21_check, theorem31_check
-from statedisc.measurement import bayes_posterior, success_unambiguous, unambiguity_check
+from statedisc.measurement import unambiguity_check
 from statedisc.schemes import (
     SCHEME_KINDS,
     Scheme,
@@ -27,7 +29,6 @@ from statedisc.schemes import (
     build_unambiguous_special,
     build_zero_aux,
     coupled_ensemble,
-    coupled_states,
     scheme_confusion,
     separable_decomposition,
     xu_max_unambiguous,
@@ -97,7 +98,7 @@ def test_mixed_special_inconclusive_never_fires_on_third_state():
 def test_mixed_special_coupled_state_structure():
     gamma = 0.5
     s = build_mixed_special(gamma, (0.3, 0.3, 0.4))
-    w0, w1, w2 = coupled_states(s)
+    w0, w1, w2 = (k.amplitudes for k in coupled_ensemble(s).states)
     b = np.sqrt(1.0 - 2.0 * gamma**2)
     # third coupled state is |2>|0a> exactly
     want2 = np.zeros(6, dtype=complex)
@@ -213,6 +214,26 @@ def test_mixed_general_rejects_unrealizable_overlaps():
     assert s.analytic_success == pytest.approx(special.analytic_success, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", range(2, 16))
+def test_mixed_general_near_gamma_one_builds_or_rejects_before_synthesis(k):
+    # 1 - gamma^2 magnifies the synthesized overlaps' error; past the
+    # coupling's gate the input is rejected before any state is made.
+    for gamma in (1.0 - 10.0**-k, -(1.0 - 10.0**-k)):
+        lo = 2.0 * gamma**2 - 1.0
+        for u in (0.1, 0.5, 0.9):
+            with mock.patch.object(
+                schemes, "states_from_gram", wraps=schemes.states_from_gram
+            ) as synthesis:
+                try:
+                    s = build_mixed_general(gamma, lo + (1.0 - lo) * u, (0.3, 0.3, 0.4))
+                except ParamOutOfRangeError as exc:
+                    assert str(exc).startswith("conditioning lost: "), exc
+                    assert synthesis.call_count == 0
+                    assert k > 4, (gamma, u)
+                    continue
+            assert k <= 4 and s.params.gamma == gamma
+
+
 # ---------------------------------------------------------------------- rra
 
 
@@ -259,10 +280,8 @@ def test_rra_builds_amplitudes_of_modulus_one_to_rounding():
 
 
 def test_rra_requires_qubits():
-    from statedisc.states import basis_ket
-
     with pytest.raises(DimensionMismatchError):
-        build_rra(basis_ket(3, 0), basis_ket(3, 1), (0.5, 0.5), 0.0, 0.0)
+        build_rra(Ket(np.eye(3)[0]), Ket(np.eye(3)[1]), (0.5, 0.5), 0.0, 0.0)
 
 
 def test_rra_complex_amplitudes():
@@ -359,8 +378,10 @@ def test_unambiguous_special_formula_and_check():
     assert s.analytic_success == pytest.approx(want, abs=1e-12)
     ok, worst = unambiguity_check(coupled_ensemble(s), s.povm)
     assert ok and worst < 1e-10
-    direct = success_unambiguous(coupled_ensemble(s), s.povm)
-    assert direct == pytest.approx(s.analytic_success, abs=1e-10)
+    conf = scheme_confusion(s)
+    p = s.ensemble.priors
+    assert p @ np.diag(conf) == pytest.approx(s.analytic_success, abs=1e-10)
+    assert 1.0 - p @ conf[:, 3] == pytest.approx(s.analytic_success, abs=1e-10)
 
 
 def test_unambiguous_special_random_draws():
@@ -412,15 +433,6 @@ def test_zero_aux_scheme():
     # third outcome is ambiguous by design
     assert conf[0, 2] > 0.01 and conf[1, 2] > 0.01
     assert "posterior" in s.branch_note
-
-
-def test_zero_aux_posterior_via_bayes_rule():
-    third = (1 / 3, 1 / 3, 1 / 3)
-    s = build_zero_aux(0.09, 0.3, 0.3, third)
-    post = bayes_posterior(coupled_ensemble(s), s.povm, outcome=2, state_index=2)
-    # the catch-all third element contains the bare u2 projector plus the
-    # orthogonal remainder, and here both yield the same posterior
-    assert post == pytest.approx(1 / 1.18, abs=1e-10)
 
 
 def test_zero_aux_orthogonality_requirement():
@@ -512,9 +524,9 @@ def test_scheme_invariants_across_builders():
 
 def test_coupled_states_and_ensemble_agree():
     s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
-    ws = coupled_states(s)
     e = coupled_ensemble(s)
-    for w, k in zip(ws, e.states):
+    for u, k in zip(s.ensemble.states, e.states):
+        w = s.coupling @ np.kron(u.amplitudes, [1.0, 0.0])  # U (u_i (x) |0>)
         assert np.linalg.norm(w - k.amplitudes) < 1e-12
     assert tuple(e.priors) == pytest.approx((0.3, 0.3, 0.4))
 

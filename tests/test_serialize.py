@@ -19,7 +19,7 @@ from statedisc.schemes import (
     build_unambiguous_special,
     build_zero_aux,
 )
-from statedisc.states import Ensemble, GramSpec, Ket
+from statedisc.states import Ensemble, Ket
 
 
 def through_json(obj):
@@ -47,10 +47,6 @@ def test_scalar_and_array_round_trips():
 
 
 def test_ket_and_ensemble_round_trip():
-    ket = Ket(np.array([0.6, 0.8j, 0.0]))
-    back = serialize.ket_from_json(through_json(serialize.ket_to_json(ket)))
-    assert np.array_equal(back.amplitudes, ket.amplitudes)
-
     ens = Ensemble(
         (Ket(np.array([1.0, 0.0])), Ket(np.array([0.6, 0.8]))),
         np.array([0.25, 0.75]),
@@ -65,17 +61,6 @@ def test_ensemble_loader_revalidates():
     data = {"states": [[[2.0, 0.0]]], "priors": [1.0]}
     with pytest.raises(InvariantViolationError):
         serialize.ensemble_from_json(data)
-
-
-def test_gram_spec_round_trip():
-    spec = GramSpec(
-        np.array([[1.0, 0.2j], [-0.2j, 1.0]]), np.array([0.5, 0.5])
-    )
-    back = serialize.gram_spec_from_json(
-        through_json(serialize.gram_spec_to_json(spec))
-    )
-    assert np.array_equal(back.overlaps, spec.overlaps)
-    assert np.array_equal(back.priors, spec.priors)
 
 
 def test_label_round_trip_and_rejection():

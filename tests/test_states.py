@@ -3,7 +3,6 @@ import pytest
 
 from statedisc.errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvariantViolationError,
     NotPsdError,
 )
@@ -12,21 +11,10 @@ from statedisc.states import (
     Ensemble,
     GramSpec,
     Ket,
-    basis_ket,
     ensemble_density,
-    extend_with_ancilla,
     inner,
     states_from_gram,
 )
-
-
-def test_basis_ket():
-    k = basis_ket(4, 2)
-    assert k.dim == 4
-    assert k.amplitudes[2] == 1.0
-    assert np.linalg.norm(k.amplitudes) == 1.0
-    with pytest.raises(IndexOutOfRangeError):
-        basis_ket(2, 5)
 
 
 def test_ket_requires_unit_norm():
@@ -36,7 +24,7 @@ def test_ket_requires_unit_norm():
 
 def test_inner_is_antilinear_in_first_argument():
     a = Ket(np.array([1.0, 1j]) / np.sqrt(2))
-    b = basis_ket(2, 1)
+    b = Ket(np.eye(2)[1])
     # <a|b> picks up the conjugate of a's amplitude
     assert inner(a, b) == pytest.approx(-1j / np.sqrt(2))
 
@@ -56,11 +44,11 @@ def test_density_matrix_pure():
 
 
 def test_ensemble_checks_priors_and_dims():
-    k0, k1 = basis_ket(2, 0), basis_ket(2, 1)
+    k0, k1 = Ket(np.eye(2)[0]), Ket(np.eye(2)[1])
     with pytest.raises(InvariantViolationError):
         Ensemble(states=(k0, k1), priors=(0.7, 0.7))
     with pytest.raises(DimensionMismatchError):
-        Ensemble(states=(k0, basis_ket(3, 0)), priors=(0.5, 0.5))
+        Ensemble(states=(k0, Ket(np.eye(3)[0])), priors=(0.5, 0.5))
     e = Ensemble(states=(k0, k1), priors=(0.25, 0.75))
     assert e.dim == 2
     assert len(e) == 2
@@ -70,7 +58,7 @@ def test_ensemble_checks_priors_and_dims():
     "priors", [(np.nan, np.nan), (np.nan, 0.5), (np.inf, -np.inf), (0.5, np.nan)]
 )
 def test_ensemble_and_gram_spec_reject_non_finite_priors(priors):
-    k0, k1 = basis_ket(2, 0), basis_ket(2, 1)
+    k0, k1 = Ket(np.eye(2)[0]), Ket(np.eye(2)[1])
     with pytest.raises(InvariantViolationError):
         Ensemble(states=(k0, k1), priors=priors)
     with pytest.raises(InvariantViolationError):
@@ -123,14 +111,6 @@ def test_gram_spec_default_priors_uniform():
 
 
 def test_ensemble_density_mixes_projectors():
-    e = Ensemble(states=(basis_ket(2, 0), basis_ket(2, 1)), priors=(0.25, 0.75))
+    e = Ensemble(states=(Ket(np.eye(2)[0]), Ket(np.eye(2)[1])), priors=(0.25, 0.75))
     rho = ensemble_density(e)
     assert np.allclose(rho.matrix, np.diag([0.25, 0.75]))
-
-
-def test_extend_with_ancilla_is_system_major():
-    k = basis_ket(3, 1)
-    ext = extend_with_ancilla(k, 2)
-    # joint index = system * dim_ancilla + ancilla
-    assert ext.dim == 6
-    assert ext.amplitudes[2] == 1.0
