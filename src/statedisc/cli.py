@@ -24,9 +24,8 @@ import numpy as np
 from . import serialize
 from .analysis import simplex_grid, simplex_size
 from .errors import DiscriminationError
-from .linalg import dag, frobenius
 from .montecarlo import brute_force_success, simulate, sweep
-from .schemes import SCHEME_KINDS, Scheme, scheme_confusion
+from .schemes import SCHEME_KINDS, Scheme
 
 #: Most (gamma, priors) points, and prior triples, one ``compare`` run may
 #: hold.  The run costs about 0.46 KB (CSV) or 1.1 KB (JSON) per point, so
@@ -271,16 +270,11 @@ def _json_text(obj) -> str:
 
 def _cmd_validate(cfg: dict) -> int:
     scheme = _build_scheme(cfg)
-    dim = scheme.joint_dim
-    unitarity = frobenius(dag(scheme.coupling) @ scheme.coupling - np.eye(dim))
-    completeness = frobenius(
-        sum(scheme.povm.elements) - np.eye(dim, dtype=np.complex128)
-    )
     delta = abs(brute_force_success(scheme) - scheme.analytic_success)
     lines = [
         f"scheme: {cfg['scheme']}",
-        f"unitarity_residual: {unitarity:.3e}",
-        f"povm_completeness_residual: {completeness:.3e}",
+        f"unitarity_residual: {scheme.unitarity_residual:.3e}",
+        f"povm_completeness_residual: {scheme.povm.completeness_residual:.3e}",
         f"pipeline_vs_analytic: {delta:.3e}",
         f"analytic_success: {serialize.format_float(scheme.analytic_success)}",
         "ok",
@@ -289,33 +283,30 @@ def _cmd_validate(cfg: dict) -> int:
     return 0
 
 
-def _run_payload(cfg: dict, scheme: Scheme) -> dict:
-    conf = scheme_confusion(scheme)
-    return {
-        "scheme": cfg["scheme"],
-        "params": serialize.params_to_json(scheme.params),
-        "priors": [float(p) for p in scheme.ensemble.priors],
-        "ancilla_dim": scheme.ancilla_dim,
-        "analytic_success": scheme.analytic_success,
-        "brute_force_success": brute_force_success(scheme),
-        "branch_note": scheme.branch_note,
-        "outcome_labels": [str(lab) for lab in scheme.povm.labels],
-        "confusion_matrix": [[float(x) for x in row] for row in conf],
-    }
-
-
 def _cmd_run(cfg: dict) -> int:
     scheme = _build_scheme(cfg)
-    payload = _run_payload(cfg, scheme)
+    labels = [str(lab) for lab in scheme.povm.labels]
+    conf = scheme.confusion.tolist()
     if cfg.get("format", "json") == "csv":
-        lines = ["state," + ",".join(payload["outcome_labels"])]
+        lines = ["state," + ",".join(labels)]
         lines += [
             ",".join([str(i), *map(serialize.format_float, row)])
-            for i, row in enumerate(payload["confusion_matrix"])
+            for i, row in enumerate(conf)
         ]
-        _write_output("\n".join(lines) + "\n", cfg.get("output"))
+        text = "\n".join(lines) + "\n"
     else:
-        _write_output(_json_text(payload), cfg.get("output"))
+        text = _json_text({
+            "scheme": cfg["scheme"],
+            "params": serialize.params_to_json(scheme.params),
+            "priors": [float(p) for p in scheme.ensemble.priors],
+            "ancilla_dim": scheme.ancilla_dim,
+            "analytic_success": scheme.analytic_success,
+            "brute_force_success": brute_force_success(scheme),
+            "branch_note": scheme.branch_note,
+            "outcome_labels": labels,
+            "confusion_matrix": conf,
+        })
+    _write_output(text, cfg.get("output"))
     return 0
 
 

@@ -9,7 +9,7 @@ property tests check on every unambiguous builder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class Povm:
 
     elements: tuple[np.ndarray, ...]
     labels: tuple[OutcomeLabel, ...]
+    completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         elements = tuple(linalg.as_cmatrix(m) for m in self.elements)
@@ -95,6 +96,7 @@ class Povm:
             m.setflags(write=False)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "completeness_residual", res)
 
     @property
     def dim(self) -> int:
@@ -141,15 +143,6 @@ def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> np.ndarray:
                 f"label identifies state {lab.index}, ensemble has {n}"
             )
     return _identify_outcomes(povm, range(n))
-
-
-def _identified_success(priors, conf: np.ndarray, identify) -> float:
-    """``sum_i p_i conf[i, x(i)]``, ``x = identify``, added in state order.
-
-    Every success probability read off a confusion matrix is this sum.
-    """
-    terms = np.asarray(priors) * conf[np.arange(len(identify)), identify]
-    return float(np.cumsum(terms)[-1])  # cumsum adds left to right
 
 
 def pure_confusion(vectors, povm: Povm) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Seeded simulation of schemes and the independent brute-force oracle.
+"""Seeded simulation of schemes and the brute-force success readout.
+
+Both read the operator pipeline that a scheme's constructor ran once, from
+its coupling and POVM: :func:`brute_force_success` clamps
+``Scheme.pipeline_success`` and :func:`simulate` samples from
+``Scheme.confusion``.  Neither reads ``analytic_success``.
 
 Sampling uses the Philox counter-based generator (numpy's implementation)
 with a fixed stream discipline, so results are reproducible bit-for-bit
@@ -25,20 +30,21 @@ import numpy as np
 from .analysis import ComparisonColumns, compare_columns
 from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
 from .measurement import _identify_outcomes
-from .schemes import Scheme, _pipeline_success, scheme_confusion
+from .schemes import Scheme
 
 #: Rows of the uniform block drawn at a time.
 _CHUNK = 1 << 16
 
 
 def brute_force_success(scheme: Scheme) -> float:
-    """Success probability recomputed end to end, ignoring the closed form.
+    """Success probability of the operator pipeline, ignoring the closed form.
 
-    Couples each state with the ancilla, applies the unitary, and weighs
-    the probability of the outcome that identifies each state by its
-    prior.  ``analytic_success`` is never consulted.
+    The scheme's constructor coupled each state with the ancilla, applied
+    the unitary and measured the POVM, weighing the probability of the
+    outcome that identifies each state by its prior; this clamps that
+    ``pipeline_success`` into [0, 1].  ``analytic_success`` is never read.
     """
-    return float(min(1.0, max(0.0, _pipeline_success(scheme))))
+    return float(min(1.0, max(0.0, scheme.pipeline_success)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +100,8 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     """Sample n preparation/measurement trials of the scheme.
 
     Per trial: draw the prepared state from the priors, then the outcome
-    from that state's exact outcome distribution (computed once from the
-    coupled states, clamped and renormalized so the inverse CDF is
+    from that state's exact outcome distribution (its row of the scheme's
+    stored confusion matrix, renormalized so the inverse CDF is
     unbiased).  Deterministic given (scheme, n, seed, shards); the default
     single shard is the reference stream, and sharded runs remain
     reproducible but produce a different (merged) tally.
@@ -111,7 +117,7 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     if not 0 <= seed < 1 << 64:
         raise ParamOutOfRangeError(f"seed {seed} outside [0, 2^64)")
 
-    conf = scheme_confusion(scheme)
+    conf = scheme.confusion
     n_states, n_out = conf.shape
     cum_priors = np.cumsum(scheme.ensemble.priors)
     cum_priors[-1] = 1.0

@@ -34,7 +34,7 @@ JSON codec derive everything they know about a kind from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -119,7 +119,11 @@ SchemeParams = Union[
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """Validated discrimination scheme on ``system (x) ancilla``."""
+    """Validated discrimination scheme on ``system (x) ancilla``.
+
+    Construction runs the measurement pipeline once, on the coupling and
+    the POVM, and keeps its read-only readout and residual.
+    """
 
     ensemble: Ensemble
     ancilla_dim: int
@@ -128,6 +132,9 @@ class Scheme:
     analytic_success: float
     params: SchemeParams
     branch_note: str = ""
+    confusion: np.ndarray = field(init=False, repr=False)
+    pipeline_success: float = field(init=False, repr=False)
+    unitarity_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ancilla_dim < 1:
@@ -150,18 +157,21 @@ class Scheme:
                 f"analytic success {self.analytic_success!r} outside [0, 1]"
             )
         object.__setattr__(self, "coupling", u)
+        object.__setattr__(self, "unitarity_residual", res)
         u.setflags(write=False)
 
         # Closed form must match the measurement pipeline on the spot.
-        total = _pipeline_success(self)
+        conf = measurement.pure_confusion(_coupled_vectors(self), self.povm)
+        identify = measurement._identify_outcomes(self.povm, range(len(conf)))
+        terms = self.ensemble.priors * conf[np.arange(len(conf)), identify]
+        total = float(np.cumsum(terms)[-1])  # added in state order
         if not abs(total - self.analytic_success) <= TOL_PIPELINE:  # NaN fails
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
             )
-
-    @property
-    def joint_dim(self) -> int:
-        return self.ensemble.dim * self.ancilla_dim
+        conf.setflags(write=False)
+        object.__setattr__(self, "confusion", conf)
+        object.__setattr__(self, "pipeline_success", total)
 
 
 def _coupled_vectors(scheme: Scheme) -> np.ndarray:
@@ -178,15 +188,9 @@ def coupled_ensemble(scheme: Scheme) -> Ensemble:
 
 
 def scheme_confusion(scheme: Scheme) -> np.ndarray:
-    """Confusion matrix (state x outcome) of the scheme's pipeline."""
-    return measurement.pure_confusion(_coupled_vectors(scheme), scheme.povm)
-
-
-def _pipeline_success(scheme: Scheme) -> float:
-    """Success read off the pipeline's confusion matrix, never the closed form."""
-    conf = scheme_confusion(scheme)
-    identify = measurement._identify_outcomes(scheme.povm, range(len(conf)))
-    return measurement._identified_success(scheme.ensemble.priors, conf, identify)
+    """Confusion matrix (state x outcome) that the constructor computed
+    from the coupling and the POVM; ``analytic_success`` is never read."""
+    return scheme.confusion
 
 
 def _proj(vec: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from statedisc import serialize
+from statedisc import measurement, serialize
 from statedisc.cli import main
 from statedisc.schemes import SCHEME_KINDS
 
@@ -18,6 +18,15 @@ MIXED = [
     "--priors",
     "0.3,0.3,0.4",
 ]
+
+
+#: The flags of each kind's input in ``golden.json``.
+GOLDEN_FLAGS = {
+    kind: ref["flags"]
+    for kind, ref in json.loads(
+        (Path(__file__).parent / "golden.json").read_text()
+    ).items()
+}
 
 
 def run_cli(capsys, argv):
@@ -308,6 +317,41 @@ def test_sweep_skips_out_of_domain_points(capsys):
     assert code == 0
     assert err.strip() == "points: 3  skipped: 2"
     assert len(out.splitlines()) == 4
+
+
+#: Extra flags of each command whose pipeline evaluations are counted.
+COUNTED_COMMANDS = {
+    "run": [], "run csv": ["--format", "csv"], "validate": [], "dump": [],
+    "simulate": ["--n", "1000"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(c, k) for c in COUNTED_COMMANDS for k in sorted(SCHEME_KINDS)]
+    + [("sweep", k) for k, kind in sorted(SCHEME_KINDS.items()) if kind.sweepable],
+)
+def test_each_built_scheme_evaluates_the_pipeline_once(capsys, monkeypatch,
+                                                       command, kind):
+    calls = []
+    kernel = measurement.pure_confusion
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "pure_confusion", counted)
+    argv = [command.split()[0], "--scheme", kind, *GOLDEN_FLAGS[kind]]
+    if command == "sweep":
+        # Points outside the domain are rejected before any state exists.
+        param = SCHEME_KINDS[kind].sweepable[0]
+        argv += ["--grid", f"{param}=0.05:0.95:0.1"]
+    else:
+        argv += COUNTED_COMMANDS[command]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0, err
+    built = int(err.split()[1]) if command == "sweep" else 1
+    assert built > 0 and len(calls) == built
 
 
 def test_compare_theorem21_grid(capsys):

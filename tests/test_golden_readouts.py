@@ -7,14 +7,21 @@ every input of ``golden.json`` and ``golden_branches.json`` it holds the
 sha256 of the stdout of ``run`` (JSON and ``--format csv``) and
 ``validate``; for one sweep per sweepable kind, the sha256 of its CSV and
 JSON stdout and its stderr summary line.  Each entry keeps its argv.
+
+The same inputs check the stored readout of each built scheme against a
+fresh, independent run of the pipeline on its operators.
 """
 import hashlib
 import json
 from pathlib import Path
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from statedisc import cli
+from statedisc import cli, linalg, measurement, schemes
+from statedisc.montecarlo import brute_force_success
 from statedisc.schemes import SCHEME_KINDS
 
 HERE = Path(__file__).parent
@@ -74,3 +81,35 @@ def test_sweep_stdout_bytes_and_summary(capsys, case):
         captured = _cli(capsys, [*ref["argv"], "--format", fmt])
         assert _sha(captured.out) == ref[f"{fmt}_sha256"]
         assert captured.err == ref["stderr"]
+
+
+def _scheme(flags) -> schemes.Scheme:
+    args = cli._build_parser().parse_args(["run", *flags])
+    return cli._build_scheme(cli._merge_config(args))
+
+
+@pytest.mark.parametrize("case", sorted(golden_inputs()))
+def test_stored_readout_is_a_fresh_pipeline_run_bit_for_bit(case):
+    s = _scheme(golden_inputs()[case])
+    fresh = measurement.pure_confusion(schemes._coupled_vectors(s), s.povm)
+    assert s.confusion.shape == fresh.shape
+    assert s.confusion.tobytes() == fresh.tobytes()
+    assert schemes.scheme_confusion(s) is s.confusion
+    assert not s.confusion.flags.writeable
+    with pytest.raises(ValueError):
+        s.confusion[0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.confusion = fresh
+
+    total = 0.0
+    for i, prior in enumerate(s.ensemble.priors):
+        total += float(prior) * float(fresh[i, s.povm.identify_outcome(i)])
+    assert s.pipeline_success == total
+    assert brute_force_success(s) == min(1.0, max(0.0, s.pipeline_success))
+
+    # The residuals validate printed before the constructor kept them.
+    eye = np.eye(len(s.coupling))
+    unitarity = linalg.frobenius(linalg.dag(s.coupling) @ s.coupling - eye)
+    assert s.unitarity_residual == unitarity
+    completeness = linalg.frobenius(sum(s.povm.elements) - eye.astype(complex))
+    assert s.povm.completeness_residual == completeness
