@@ -546,6 +546,11 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     orthonormal vectors, and measuring in the basis they define
     identifies u0 and u1 without error.  The third outcome is ambiguous;
     its posterior for u2 is ``p2 / (p0 |g20|^2 + p1 |g12|^2 + p2)``.
+
+    The removal divides by ``1 - |g|^2``, so overlaps close enough to
+    modulus 1 that it loses the conditioning the measurement needs (about
+    ``|g| > 0.99997``) are rejected, and so is a constraint residual that
+    it would lift above 1e-10.
     """
     g01 = complex(g01)
     g12 = complex(g12)
@@ -569,10 +574,28 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     w = np.linalg.eigvalsh(gram)
     if w.min() < -linalg.TOL_PSD:
         raise GramNotPsdError(f"overlap matrix eigenvalue {w.min():.3e}")
+    # psi0 and psi1 divide the parts of u0 and u1 orthogonal to u2 by
+    # sqrt(1 - |g20|^2) and sqrt(1 - |g12|^2).  Their overlap is then the
+    # constraint's residual over both roots, and the synthesized overlaps'
+    # error lands in their overlap and norms over the smaller 1 - |g|^2.
+    # As in build_mixed_general, that error is any non-zero eigenvalue
+    # psd_cholesky drops plus 8 eps w_max; over 20,000 draws near |g| = 1
+    # the roundoff reached 4.3 eps w_max.
+    room = (1.0 - abs(g20) ** 2, 1.0 - abs(g12) ** 2)
+    scale = float(w.max())  # >= 1
+    synthesis = w[(w > 0.0) & (w < linalg.TOL_DROP * scale)].sum()
+    synthesis += 8.0 * np.finfo(float).eps * scale
+    residual = abs(np.conj(g12 * g20) - g01)
+    error = residual / np.sqrt(room[0] * room[1]) + synthesis / min(room)
+    if error > linalg.TOL_EIG:
+        raise ParamOutOfRangeError(
+            f"conditioning lost: overlap error {error:.3e} of the measurement "
+            f"vectors, at 1 - |g|^2 = {min(room):.3e}, exceeds {linalg.TOL_EIG}"
+        )
     ens = states_from_gram(GramSpec(gram, p))
     u0, u1, u2 = (s.amplitudes for s in ens.states)
-    psi0 = (u0 - g20 * u2) / np.sqrt(1.0 - abs(g20) ** 2)
-    psi1 = (u1 - np.conj(g12) * u2) / np.sqrt(1.0 - abs(g12) ** 2)
+    psi0 = (u0 - g20 * u2) / np.sqrt(room[0])
+    psi1 = (u1 - np.conj(g12) * u2) / np.sqrt(room[1])
     if abs(np.conj(psi0) @ psi1) > 1e-10:
         raise InvariantViolationError("measurement vectors failed to orthogonalize")
 

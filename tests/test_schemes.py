@@ -442,6 +442,34 @@ def test_zero_aux_orthogonality_requirement():
         build_zero_aux(1.0, 1.0, 1.0, (1 / 3, 1 / 3, 1 / 3))
 
 
+@pytest.mark.parametrize("k", range(1, 16))
+def test_zero_aux_near_modulus_one_builds_or_rejects_before_synthesis(k):
+    # Dividing by 1 - |g|^2 magnifies the synthesized overlaps' error; past
+    # the measurement vectors' gate the input is rejected before any state
+    # is made.  At the parent, k = 9 ended in NotPsd and k >= 12 in
+    # InvariantViolation.
+    for g12, g20 in ((1.0 - 10.0**-k, 0.3), (0.3j, -(1.0 - 10.0**-k) * 1j)):
+        with mock.patch.object(
+            schemes, "states_from_gram", wraps=schemes.states_from_gram
+        ) as synthesis:
+            try:
+                s = build_zero_aux(np.conj(g12 * g20), g12, g20, (0.3, 0.3, 0.4))
+            except ParamOutOfRangeError as exc:
+                assert str(exc).startswith("conditioning lost: "), exc
+                assert synthesis.call_count == 0
+                assert k > 4, (g12, g20)
+                continue
+        assert k <= 4 and s.params.g12 == g12
+
+
+def test_zero_aux_constraint_residual_is_weighed_against_the_conditioning():
+    # The residual of conj(g12 g20) = g01, within its 1e-10 tolerance, is
+    # the measurement vectors' overlap times sqrt(1 - |g12|^2)(1 - |g20|^2).
+    assert build_zero_aux(0.81 + 1e-11, 0.9, 0.9, (0.3, 0.3, 0.4))
+    with pytest.raises(ParamOutOfRangeError, match="conditioning lost"):
+        build_zero_aux(0.81 + 5e-11, 0.9, 0.9, (0.3, 0.3, 0.4))
+
+
 def test_zero_aux_complex_overlaps():
     g12 = 0.3 * np.exp(0.7j)
     g20 = 0.25 * np.exp(-0.2j)
