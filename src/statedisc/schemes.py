@@ -121,8 +121,9 @@ SchemeParams = Union[
 class Scheme:
     """Validated discrimination scheme on ``system (x) ancilla``.
 
-    Construction runs the measurement pipeline once, on the coupling and
-    the POVM, and keeps its read-only readout and residual.
+    Construction runs the measurement pipeline once, on the coupling and the
+    POVM, and keeps its read-only ``confusion`` matrix, the
+    ``pipeline_success`` read off it and the ``unitarity_residual``.
     """
 
     ensemble: Ensemble
@@ -576,17 +577,16 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
         raise GramNotPsdError(f"overlap matrix eigenvalue {w.min():.3e}")
     # psi0 and psi1 divide the parts of u0 and u1 orthogonal to u2 by
     # sqrt(1 - |g20|^2) and sqrt(1 - |g12|^2).  Their overlap is then the
-    # constraint's residual over both roots, and the synthesized overlaps'
-    # error lands in their overlap and norms over the smaller 1 - |g|^2.
-    # As in build_mixed_general, that error is any non-zero eigenvalue
-    # psd_cholesky drops plus 8 eps w_max; over 20,000 draws near |g| = 1
-    # the roundoff reached 4.3 eps w_max.
+    # constraint's residual over both roots, and the synthesis roundoff
+    # lands in their overlap and norms over the smaller 1 - |g|^2: over
+    # 20,000 draws near |g| = 1 it reached 4.3 eps w_max, so 8 eps w_max
+    # keeps a factor 2 in hand.  No eigenvalue psd_cholesky drops matters:
+    # the overlap matrix's determinant is (1 - |g20|^2)(1 - |g12|^2), so its
+    # least eigenvalue is below the cutoff only where this gate fails anyway.
     room = (1.0 - abs(g20) ** 2, 1.0 - abs(g12) ** 2)
-    scale = float(w.max())  # >= 1
-    synthesis = w[(w > 0.0) & (w < linalg.TOL_DROP * scale)].sum()
-    synthesis += 8.0 * np.finfo(float).eps * scale
+    roundoff = 8.0 * np.finfo(float).eps * float(w.max())
     residual = abs(np.conj(g12 * g20) - g01)
-    error = residual / np.sqrt(room[0] * room[1]) + synthesis / min(room)
+    error = residual / np.sqrt(room[0] * room[1]) + roundoff / min(room)
     if error > linalg.TOL_EIG:
         raise ParamOutOfRangeError(
             f"conditioning lost: overlap error {error:.3e} of the measurement "

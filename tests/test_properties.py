@@ -109,7 +109,7 @@ def test_compare_prior_step_never_tracebacks(theorem, step):
     assert "Traceback" not in err
 
 
-# ------------------------------------------------ flagged-ancilla builders
+# --------------------------------------------------------------- builders
 
 HALF_SQRT2 = 2**-0.5
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -117,8 +117,12 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 def _mostly(usual, rare):
     """``usual`` about seven draws in eight, ``rare`` the others: the
-    strategies below spend most draws on inputs a builder accepts."""
+    strategies below spend most draws on inputs a builder accepts.  The
+    rare branch takes the largest index, as Hypothesis favours the least."""
     return st.integers(0, 7).flatmap(lambda i: rare if i == 7 else usual)
+
+
+usually = _mostly(st.just(True), st.just(False))
 
 
 def _phase(draw, modulus):
@@ -141,15 +145,16 @@ def _edges(lo, hi, *points):
     """Floats in [lo, hi], or now and then the named boundary points and
     their neighbours or a non-finite value."""
     near = [q + d for q in points for d in (0.0, -1e-13, 1e-13)]
-    return _mostly(st.floats(lo, hi), st.sampled_from(near + NON_FINITE))
+    return _mostly(
+        st.floats(lo, hi),
+        st.one_of(st.sampled_from(near), st.sampled_from(NON_FINITE)),
+    )
 
 
 @st.composite
 def rra_inputs(draw):
     overlap = draw(_edges(-1.0, 1.0, -1.0, 0.0, 1.0))
-    if np.isfinite(overlap) and abs(overlap) <= 1.0 and draw(_mostly(
-        st.just(True), st.just(False)
-    )):
+    if abs(overlap) <= 1.0 and draw(usually):
         # |c_plus| in [|overlap|, 1] keeps c_minus, from the overlap
         # constraint, at modulus <= 1.
         c_plus = _phase(draw, draw(st.floats(abs(overlap), 1.0)))
@@ -180,9 +185,9 @@ def mixed_special_inputs(draw):
 
 
 # |gamma| = 1 - 10^-k: the construction divides by 1 - gamma^2.  Mostly
-# k <= 4.5, where the builders still keep their conditioning.
+# k <= 4, where the builders keep their conditioning (lost near k = 4.5).
 near_one = st.tuples(
-    _mostly(st.floats(1.0, 4.5), st.floats(4.5, 16.0)),
+    _mostly(st.floats(1.0, 4.0), st.floats(4.0, 16.0)),
     st.sampled_from([-1.0, 1.0]),
 ).map(lambda t: t[1] * (1.0 - 10.0 ** -t[0]))
 
@@ -209,7 +214,7 @@ def mixed_general_inputs(draw):
 def unambiguous_special_inputs(draw):
     gamma = draw(_edges(-0.75, 0.75, -HALF_SQRT2, 0.0, 1e-7, HALF_SQRT2))
     g2 = gamma * gamma
-    if abs(gamma) <= HALF_SQRT2 + 1e-12 and draw(_mostly(st.just(True), st.just(False))):
+    if abs(gamma) <= HALF_SQRT2 + 1e-12 and draw(usually):
         # Feasible: x0 in [gamma^2 / (1 - gamma^2), 1], and x1 from the
         # boundary gamma^2 (1/x0 + 1/x1) = 1 up to 1.
         x0 = draw(_within(g2 / (1.0 - g2), 1.0))
