@@ -11,11 +11,10 @@ JSON stdout and its stderr summary line.  Each entry keeps its argv.
 The same inputs check the stored readout of each built scheme against a
 fresh, independent run of the pipeline on its operators.
 """
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
-
-import dataclasses
 
 import numpy as np
 import pytest

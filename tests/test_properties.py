@@ -180,7 +180,8 @@ def rra_inputs(draw):
 
 @st.composite
 def mixed_special_inputs(draw):
-    gamma = draw(_edges(-0.75, 0.75, -HALF_SQRT2, 0.0, HALF_SQRT2))
+    gamma = draw(_edges(-HALF_SQRT2, HALF_SQRT2, -0.75, -HALF_SQRT2, 0.0,
+                        HALF_SQRT2, 0.75))
     return {"gamma": gamma}, draw(scheme_priors)
 
 
@@ -212,7 +213,8 @@ def mixed_general_inputs(draw):
 
 @st.composite
 def unambiguous_special_inputs(draw):
-    gamma = draw(_edges(-0.75, 0.75, -HALF_SQRT2, 0.0, 1e-7, HALF_SQRT2))
+    gamma = draw(_edges(-HALF_SQRT2, HALF_SQRT2, -0.75, -HALF_SQRT2, 0.0, 1e-7,
+                        HALF_SQRT2, 0.75))
     g2 = gamma * gamma
     if abs(gamma) <= HALF_SQRT2 + 1e-12 and draw(usually):
         # Feasible: x0 in [gamma^2 / (1 - gamma^2), 1], and x1 from the
