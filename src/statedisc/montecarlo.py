@@ -11,7 +11,11 @@ across runs, platforms, and shard splits: shard k of a run seeded with s
 (``0 <= s < 2^64``) uses the 128-bit Philox key ``(k << 64) | s`` and
 draws an (n_k, 2) uniform block in chunks of ``_CHUNK`` rows, column 0
 selecting the prepared state and column 1 the measurement outcome, both by
-inverse CDF.  The chunk bounds memory; the tallies do not depend on it.
+inverse CDF.  Each lookup is a threshold count: the index is the number of
+cumulative sums at or below the uniform, counted one threshold column at a
+time over contiguous columns, which is the index a binary search
+(``searchsorted(side="right")``) would give.  The chunk bounds memory; the
+tallies do not depend on it.
 
 Comparison sweeps run on :func:`analysis.compare_columns`, the one
 implementation of both theorem comparisons: :func:`sweep` makes a single
@@ -102,7 +106,10 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     Per trial: draw the prepared state from the priors, then the outcome
     from that state's exact outcome distribution (its row of the scheme's
     stored confusion matrix, renormalized so the inverse CDF is
-    unbiased).  Deterministic given (scheme, n, seed, shards); the default
+    unbiased).  Both inverse CDFs are threshold counts: the state is the
+    number of cumulative priors at or below its uniform, and the outcome
+    the number of that state's cumulative row entries at or below its
+    own.  Deterministic given (scheme, n, seed, shards); the default
     single shard is the reference stream, and sharded runs remain
     reproducible but produce a different (merged) tally.
     """
@@ -120,9 +127,11 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     conf = scheme.confusion
     n_states, n_out = conf.shape
     cum_priors = np.cumsum(scheme.ensemble.priors)
-    cum_priors[-1] = 1.0
     cum_rows = np.cumsum(conf / conf.sum(axis=1, keepdims=True), axis=1)
-    cum_rows[:, -1] = 1.0
+    # Each last cumulative sum is 1 in exact arithmetic and a uniform is
+    # below 1, so it never counts: dropping it is forcing it to 1.
+    state_cuts = cum_priors[:-1].tolist()
+    outcome_cuts = [np.ascontiguousarray(col) for col in cum_rows[:, :-1].T]
 
     counts = np.zeros(n_states * n_out, dtype=np.int64)
     base, rem = divmod(n, shards)
@@ -132,10 +141,16 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
         for start in range(0, n_k, _CHUNK):
             # Rows of consecutive chunks are consecutive rows of one block.
             u = rng.random((min(_CHUNK, n_k - start), 2))
-            states = np.searchsorted(cum_priors, u[:, 0], side="right")
-            # Entries <= u: the index searchsorted(side="right") would give.
-            outcomes = (cum_rows[states] <= u[:, 1:]).sum(axis=1)
-            counts += np.bincount(states * n_out + outcomes, minlength=counts.size)
+            u0, u1 = u[:, 0].copy(), u[:, 1].copy()
+            # Each index is its count of thresholds <= u, the index that
+            # searchsorted(side="right") gives on the cumulative sums.
+            states = np.zeros(u0.size, dtype=np.intp)
+            for cut in state_cuts:
+                states += cut <= u0
+            joint = states * n_out
+            for cuts in outcome_cuts:
+                joint += cuts.take(states) <= u1
+            counts += np.bincount(joint, minlength=counts.size)
     counts = counts.reshape(n_states, n_out)
 
     identify = _identify_outcomes(scheme.povm, range(n_states))

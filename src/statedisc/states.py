@@ -57,7 +57,8 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
     a vector gets the same answer alone or as a row of a batch.
     """
     total = p[..., 0]
-    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which fails below
+    # inf + -inf is NaN and an overflowing sum is inf; both fail below.
+    with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, p.shape[-1]):
             total = total + p[..., k]
     return (p >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= TOL_PRIORS)

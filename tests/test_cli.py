@@ -168,19 +168,36 @@ def test_request_errors_are_one_usage_line(capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith("usage error: " + message), err
 
 
-def test_infinite_priors_print_only_the_error_line():
-    # inf + -inf used to print NumPy's RuntimeWarning before the error line.
+PRIORS_ERROR = "error: ParamOutOfRange: priors must be non-negative and sum to 1\n"
+
+
+def _run_priors_subprocess(priors):
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "default", "-m", "statedisc", "run",
-         "--scheme", "mixed-special", "--gamma", "0.5", "--priors", "inf,-inf,1"],
+         "--scheme", "mixed-special", "--gamma", "0.5", "--priors", priors],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_infinite_priors_print_only_the_error_line():
+    # inf + -inf used to print NumPy's RuntimeWarning before the error line.
+    proc = _run_priors_subprocess("inf,-inf,1")
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (
-        "error: ParamOutOfRange: priors must be non-negative and sum to 1\n"
-    )
+    assert proc.stderr == PRIORS_ERROR
+
+
+def test_overflowing_priors_print_only_the_error_line(capsys):
+    # Finite priors whose sum overflows to inf used to print NumPy's
+    # overflow RuntimeWarning before the error line, and to raise it in
+    # process under an error filter.
+    priors = "0,8.988465674311579e+307,8.98846567431158e+307"
+    proc = _run_priors_subprocess(priors)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == PRIORS_ERROR
+    code, out, err = run_cli(capsys, ["run"] + MIXED[:4] + ["--priors", priors])
+    assert code == 2 and out == "" and err == PRIORS_ERROR
 
 
 def test_rra_at_overlap_minus_one_with_unit_amplitudes(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statedisc import cli
+from statedisc import cli, montecarlo
 from statedisc.analysis import (
     compare_columns,
     simplex_grid,
@@ -72,14 +72,18 @@ def test_batch_rows_equal_one_row_calls(check, gs, ps):
             assert type(batch.error(i)) is _scalar(check, g, p)
 
 
-def _compare(argv):
+def _main(argv):
     out, err = io.StringIO(), io.StringIO()
-    # A lower point bound keeps each drawn run small; grids above it take
-    # the same usage-error path as grids above the real bound.
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "MAX_COMPARE_POINTS", 20_000):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, err.getvalue()
+
+
+def _compare(argv):
+    # A lower point bound keeps each drawn run small; grids above it take
+    # the same usage-error path as grids above the real bound.
+    with mock.patch.object(cli, "MAX_COMPARE_POINTS", 20_000):
+        return _main(argv)
 
 
 @SETTINGS
@@ -331,6 +335,17 @@ def test_unambiguous_success_is_one_minus_the_inconclusive_weight(case):
     assert worst <= TOL_UNAMBIGUOUS and ok == fires, (kind, values, p, worst)
 
 
+def _builder_argv(command, kind, data):
+    """``command`` on ``kind`` with each builder flag the text of a float or
+    of a complex number, as ``repr`` writes it."""
+    real = st.one_of(any_float, st.floats(-1.0, 1.0))
+    text = st.one_of(real.map(repr), st.builds(complex, real, real).map(repr))
+    argv = [command, "--scheme", kind]
+    for key in SCHEME_KINDS[kind].inputs:
+        argv.append(f"--{key.replace('_', '-')}={data.draw(text, label=key)}")
+    return argv + ["--priors", "0.5,0.5" if kind == "rra" else "0.3,0.3,0.4"]
+
+
 @SETTINGS
 @given(
     st.sampled_from(["run", "validate", "dump"]),
@@ -338,15 +353,116 @@ def test_unambiguous_success_is_one_minus_the_inconclusive_weight(case):
     st.data(),
 )
 def test_builder_flags_never_traceback(command, kind, data):
-    # The text of a float or of a complex number, as ``repr`` writes it.
-    real = st.one_of(any_float, st.floats(-1.0, 1.0))
-    text = st.one_of(real.map(repr), st.builds(complex, real, real).map(repr))
-    argv = [command, "--scheme", kind]
-    for key in SCHEME_KINDS[kind].inputs:
-        argv.append(f"--{key.replace('_', '-')}={data.draw(text, label=key)}")
-    argv += ["--priors", "0.5,0.5" if kind == "rra" else "0.3,0.3,0.4"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, err = _main(_builder_argv(command, kind, data))
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+def _number_text(usual, lo=None, hi=None):
+    """Mostly the text of an integer in ``usual``, else of any integer in
+    [lo, hi] or of any float, ``nan`` and ``inf`` included."""
+    rare = st.one_of(st.integers(lo, hi).map(str), any_float.map(repr))
+    return _mostly(usual.map(str), rare)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(sorted(SCHEME_KINDS)),
+    st.data(),
+    # At most 10^5 trials keeps every example short.
+    _number_text(st.integers(1, 10**5), hi=10**5),
+    _number_text(st.integers(0, 2**64 - 1)),
+    _number_text(st.integers(1, 8)),
+)
+def test_simulate_flags_never_traceback(kind, data, n, seed, shards):
+    argv = _builder_argv("simulate", kind, data)
+    argv += [f"--n={n}", f"--seed={seed}", f"--shards={shards}"]
+    code, err = _main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- simulate
+
+def _reference_counts(scheme, n, seed, shards, chunk):
+    """The tally of the binary-search sampler that the threshold counts
+    replaced: ``searchsorted`` for the state, then a comparison sum over
+    the state's gathered cumulative row for the outcome."""
+    conf = scheme.confusion
+    n_states, n_out = conf.shape
+    cum_priors = np.cumsum(scheme.ensemble.priors)
+    cum_priors[-1] = 1.0
+    cum_rows = np.cumsum(conf / conf.sum(axis=1, keepdims=True), axis=1)
+    cum_rows[:, -1] = 1.0
+    counts = np.zeros(n_states * n_out, dtype=np.int64)
+    base, rem = divmod(n, shards)
+    for k in range(shards):
+        rng = np.random.Generator(np.random.Philox(key=(k << 64) | seed))
+        n_k = base + (k < rem)
+        for start in range(0, n_k, chunk):
+            u = rng.random((min(chunk, n_k - start), 2))
+            states = np.searchsorted(cum_priors, u[:, 0], side="right")
+            outcomes = (cum_rows[states] <= u[:, 1:]).sum(axis=1)
+            counts += np.bincount(states * n_out + outcomes, minlength=counts.size)
+    return counts.reshape(n_states, n_out)
+
+
+def _tie_generator(scheme, seed):
+    """A stand-in for ``np.random.Generator`` whose uniforms cycle through
+    the scheme's cumulative thresholds and their neighbours, shuffled by
+    ``seed``, so that the samplers meet uniforms equal to a threshold."""
+    conf = scheme.confusion
+    cuts = np.concatenate([
+        np.cumsum(scheme.ensemble.priors),
+        np.cumsum(conf / conf.sum(axis=1, keepdims=True), axis=1).ravel(),
+        [0.0, 0.5],
+    ])
+    cuts = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+    values = np.random.default_rng(seed).permutation(cuts[(cuts >= 0.0) & (cuts < 1.0)])
+
+    class Ties:
+        def __init__(self, bit_generator):
+            self._next = 0
+
+        def random(self, shape):
+            drawn = np.arange(self._next, self._next + 2 * shape[0]) % values.size
+            self._next += 2 * shape[0]
+            return values[drawn].reshape(shape)
+
+    return Ties
+
+
+@SETTINGS
+@given(
+    builder_inputs,
+    st.integers(1, 64),
+    st.integers(0, 4),
+    st.integers(-1, 1),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 7),
+    st.booleans(),
+)
+# Zero priors, and zero confusion entries in an unambiguous scheme.
+@example(("unambiguous-special", ({"gamma": 0.5, "x0": 0.5, "x1": 0.5},
+                                  (0.5, 0.0, 0.5))), 7, 3, 1, 2**64 - 1, 7, True)
+@example(("mixed-special", ({"gamma": 0.5}, (0.0, 0.0, 1.0))), 1, 4, 0, 0, 2, False)
+def test_threshold_counts_equal_the_binary_search_tally(
+    case, chunk, chunks, offset, seed, shards, ties
+):
+    # n lies within one trial of a multiple of the chunk, and the seed
+    # takes the whole key range; with ``ties`` the uniforms are the
+    # thresholds themselves instead of Philox draws.
+    kind, (values, p) = case
+    try:
+        scheme = SCHEME_KINDS[kind].build(values, p, False)
+    except DiscriminationError:
+        return
+    n = max(1, chunk * chunks + offset)
+    shards = min(shards, n)
+    with mock.patch.object(montecarlo, "_CHUNK", chunk), contextlib.ExitStack() as stack:
+        if ties:
+            stack.enter_context(mock.patch.object(
+                np.random, "Generator", _tie_generator(scheme, seed)))
+        expected = _reference_counts(scheme, n, seed, shards, chunk)
+        counts = montecarlo.simulate(scheme, n, seed, shards).counts
+    assert counts.tobytes() == expected.tobytes(), (kind, values, p, n, seed, shards)
