@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tol
 from .errors import (
     DimensionMismatchError,
     DiscriminationError,
@@ -31,13 +31,6 @@ from .errors import (
     ParamOutOfRangeError,
 )
 from .states import _HALF_SQRT2, DensityMatrix, priors_ok, validate_priors
-
-#: Margin below which a comparison verdict flips to false.
-VERDICT_TOL = 1e-12
-#: Largest gap between a record's margin and its clamped operands.
-TOL_MARGIN = 1e-12
-#: Commutator norm gate for the block-commutation test.
-TOL_RIGHT_CLASSICAL = 1e-9
 
 #: What each comparison measures the mixed scheme against, by theorem.
 REFERENCE_KINDS = {"2.1": "family_optimum", "3.1": "xu_max"}
@@ -55,12 +48,12 @@ _ROW_ERRORS = (
     (ParamOutOfRangeError, "priors must be non-negative and sum to 1"),
     (
         InvariantViolationError,
-        "p_mixed = {p_mixed!r} outside [0, 1] by more than " + repr(VERDICT_TOL),
+        "p_mixed = {p_mixed!r} outside [0, 1] by more than " + repr(tol.VERDICT),
     ),
     (
         InvariantViolationError,
         "p_una_reference = {reference!r} outside [0, 1] by more than "
-        + repr(VERDICT_TOL),
+        + repr(tol.VERDICT),
     ),
     (InvariantViolationError, "margin inconsistent with its operands"),
 )
@@ -71,7 +64,7 @@ class ComparisonRecord:
     """One mixed-versus-unambiguous comparison at a fixed parameter point.
 
     ``margin = p_mixed - p_una_reference``; the verdict is true when the
-    margin clears ``-1e-12``.  ``reference_kind`` names what the mixed
+    margin clears ``-tol.VERDICT``.  ``reference_kind`` names what the mixed
     value was compared against: ``"family_optimum"`` (coupled-failure
     family), ``"xu_max"`` (symmetric-overlap piecewise maximum), or
     ``"theorem21_bound"`` (the closed-form ceiling on that family).
@@ -97,11 +90,11 @@ class ComparisonRecord:
             ("p_mixed", self.p_mixed),
             ("p_una_reference", self.p_una_reference),
         ):
-            if not -VERDICT_TOL <= v <= 1.0 + VERDICT_TOL:
+            if not -tol.VERDICT <= v <= 1.0 + tol.VERDICT:
                 raise InvariantViolationError(f"{what} = {v!r} outside [0, 1]")
-        if abs(self.margin - (self.p_mixed - self.p_una_reference)) > TOL_MARGIN:
+        if abs(self.margin - (self.p_mixed - self.p_una_reference)) > tol.MARGIN:
             raise InvariantViolationError("margin inconsistent with its operands")
-        if self.verdict != (self.margin >= -VERDICT_TOL):
+        if self.verdict != (self.margin >= -tol.VERDICT):
             raise InvariantViolationError("verdict inconsistent with margin")
 
 
@@ -263,7 +256,7 @@ def _xu_max(gamma, p0, p1, p2):
     case[(g1 >= gamma) & (gamma >= g2)] = 3
     case[gamma >= g1] = 2
     case[g2 >= 1.0] = 1
-    case[spread < 1e-12] = 0
+    case[spread < tol.XU_TIE] = 0
     # float_power is libm pow, as Python's ** on floats; x**2 would be x*x.
     gamma_sq = np.float_power(gamma, 2.0)
     limit = 1.0 - gamma
@@ -291,7 +284,7 @@ def compare_columns(theorem: str, gammas, priors) -> ComparisonColumns:
     ``InvalidGamma`` for 3.1); a prior count other than 3
     (``DimensionMismatch``); priors that are not a probability vector, NaN
     and infinity included (``ParamOutOfRange``); ``p_mixed`` or the
-    reference outside [0, 1] by more than ``VERDICT_TOL``, or a margin
+    reference outside [0, 1] by more than ``tol.VERDICT``, or a margin
     inconsistent with the clamped values (``InvariantViolation``).
     """
     if theorem not in REFERENCE_KINDS:
@@ -308,7 +301,7 @@ def compare_columns(theorem: str, gammas, priors) -> ComparisonColumns:
     with np.errstate(all="ignore"):  # points outside the domain compute junk
         if theorem == "2.1":
             g = np.abs(gamma)
-            gamma_ok = (g > 0.0) & (g <= _HALF_SQRT2 + 1e-12)
+            gamma_ok = (g > 0.0) & (g <= _HALF_SQRT2 + tol.BOUNDARY)
             p_mixed = 1.0 - 2.0 * np.float_power(gamma, 2.0) * (1.0 - p2)
             x0, x1, reference = _family_optimum(g, p0, p1, p2)
             xu_case = np.full(n, -1, dtype=np.int8)
@@ -318,14 +311,14 @@ def compare_columns(theorem: str, gammas, priors) -> ComparisonColumns:
             xu_case, reference = _xu_max(gamma, p0, p1, p2)
             x0 = x1 = np.full(n, np.nan)
         margin = p_mixed - reference
-        mixed_out = ~((p_mixed >= -VERDICT_TOL) & (p_mixed <= 1.0 + VERDICT_TOL))
+        mixed_out = ~((p_mixed >= -tol.VERDICT) & (p_mixed <= 1.0 + tol.VERDICT))
         reference_out = ~(
-            (reference >= -VERDICT_TOL) & (reference <= 1.0 + VERDICT_TOL)
+            (reference >= -tol.VERDICT) & (reference <= 1.0 + tol.VERDICT)
         )
         mixed_clamped = np.minimum(1.0, np.maximum(0.0, p_mixed))
         reference_clamped = np.minimum(1.0, np.maximum(0.0, reference))
         margin_off = (
-            np.abs(margin - (mixed_clamped - reference_clamped)) > TOL_MARGIN
+            np.abs(margin - (mixed_clamped - reference_clamped)) > tol.MARGIN
         )
         mixed_clamped[mixed_out] = p_mixed[mixed_out]
     failed = (
@@ -347,7 +340,7 @@ def compare_columns(theorem: str, gammas, priors) -> ComparisonColumns:
         p_una_reference=reference_clamped,
         reference=reference,
         margin=margin,
-        verdict=margin >= -VERDICT_TOL,
+        verdict=margin >= -tol.VERDICT,
         x0=x0,
         x1=x1,
         xu_case=xu_case,
@@ -373,7 +366,7 @@ def _family_grid_guard(cols: ComparisonColumns, grid_step: float):
     """Brute-force cross-check of a one-row 2.1 kernel call's family optimum.
 
     No point of a grid at ``grid_step`` over the feasible failure
-    probabilities may beat the closed form by more than 1e-5.
+    probabilities may beat the closed form by more than ``tol.GUARD``.
     """
     value = float(cols.reference[0])
     g = abs(cols.gamma[0])
@@ -382,7 +375,7 @@ def _family_grid_guard(cols: ComparisonColumns, grid_step: float):
     axis = np.arange(g2, 1.0, grid_step)
     axis = np.append(axis, 1.0)
     xx0, xx1 = np.meshgrid(axis, axis, indexing="ij")
-    feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + 1e-12
+    feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + tol.BOUNDARY
     if feasible.any():
         vals = (
             1.0
@@ -391,7 +384,7 @@ def _family_grid_guard(cols: ComparisonColumns, grid_step: float):
             - p[2] * g2 * (1.0 / xx0 + 1.0 / xx1)
         )
         best_grid = float(vals[feasible].max())
-        if best_grid > value + 1e-5:
+        if best_grid > value + tol.GUARD:
             raise InvariantViolationError(
                 f"grid search found {best_grid!r} above optimizer {value!r}"
             )
@@ -413,7 +406,7 @@ def optimize_unambiguous_special(
     1`` (g = |gamma|), solved in closed form by :func:`compare_columns`.
 
     ``grid_step`` enables a brute-force cross-check: a grid at that
-    resolution must not beat the returned value by more than 1e-5.
+    resolution must not beat the returned value by more than ``tol.GUARD``.
     Pass ``None`` to skip the guard and keep only the closed form; the
     default keeps the operation self-validating.
     """
@@ -467,7 +460,7 @@ def right_classicality_check(
     Slices the joint state into blocks ``B_mn = (<m| (x) I) rho (|n> (x)
     I)`` over system indices m, n; the state is classical on the ancilla
     side iff every block is normal and all blocks pairwise commute.
-    Returns the worst Frobenius violation against the 1e-9 gate.
+    Returns the worst Frobenius violation against ``tol.CLASSICAL``.
     """
     if isinstance(rho, DensityMatrix):
         rho = rho.matrix
@@ -491,7 +484,7 @@ def right_classicality_check(
     for i, b in enumerate(blocks):
         for b2 in blocks[i + 1 :]:
             worst = max(worst, linalg.frobenius(linalg.commutator(b, b2)))
-    return worst <= TOL_RIGHT_CLASSICAL, float(worst)
+    return worst <= tol.CLASSICAL, float(worst)
 
 
 def max_unambiguous_symmetric_grid(
@@ -522,10 +515,10 @@ def max_unambiguous_symmetric_grid(
         a1 = np.minimum(a1, 1.0)
         xx0, xx1 = np.meshgrid(a0, a1, indexing="ij")
         prod = xx0 * xx1
-        open_mask = prod > gamma**2 + 1e-15
+        open_mask = prod > gamma**2 + tol.SCHUR
         denom = np.where(open_mask, prod - gamma**2, 1.0)
         x2 = gamma**2 * (xx0 + xx1 - 2.0 * gamma) / denom
-        feasible = open_mask & (x2 <= 1.0 + 1e-12)
+        feasible = open_mask & (x2 <= 1.0 + tol.BOUNDARY)
         if not feasible.any():
             return np.inf, 0.0, 0.0
         cost = p[0] * xx0 + p[1] * xx1 + p[2] * np.minimum(x2, 1.0)
@@ -554,7 +547,7 @@ def _simplex_divisions(step: float) -> int:
     if inverse == np.inf:
         raise ParamOutOfRangeError(f"simplex step {step!r}: 1/step overflows")
     n = int(round(inverse))
-    if abs(n * step - 1.0) > 1e-9:
+    if abs(n * step - 1.0) > tol.SIMPLEX_STEP:
         raise ParamOutOfRangeError(f"simplex step {step!r} does not divide 1")
     return n
 

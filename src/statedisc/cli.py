@@ -21,7 +21,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import serialize
+from . import serialize, tol
 from .analysis import simplex_grid, simplex_size
 from .errors import DiscriminationError
 from .montecarlo import brute_force_success, simulate, sweep
@@ -214,7 +214,7 @@ def _range_spec(rng: dict, what: str) -> tuple[float, float, int]:
     if step <= 0.0:
         raise UsageError(f"{what} grid step must be positive")
     # (hi - lo) / step can overflow to an infinity of either sign.
-    count = max(np.floor((hi - lo) / step + 1e-9) + 1, 0.0)
+    count = max(np.floor((hi - lo) / step + tol.GRID_STEPS) + 1, 0.0)
     if not count <= sys.maxsize:
         raise UsageError(f"{what} grid has too many values to list")
     return lo, step, int(count)
@@ -402,7 +402,7 @@ def _cmd_compare(cfg: dict) -> int:
     if theorem == "3.1":
         # The comparison sorts priors anyway; deduplicate up to ordering.
         triples = sorted(set(tuple(sorted(p)) for p in triples))
-    triples = [p for p in triples if p[2] >= p2_min - 1e-12]
+    triples = [p for p in triples if p[2] >= p2_min - tol.BOUNDARY]
     if not triples:
         raise UsageError(f"no prior triples with p2 >= {p2_min}")
 

@@ -1,13 +1,14 @@
 """Dense complex linear algebra on small spaces (dimension <= 8).
 
 Everything here is plain ``numpy.ndarray`` with ``complex128`` entries.
-Functions are pure; tolerances are module constants so the rest of the
-package agrees on what "Hermitian" or "PSD" means numerically.
+Functions are pure; their thresholds are rows of :mod:`statedisc.tol`,
+so the rest of the package agrees on what "Hermitian" or "PSD" means.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import tol
 from .errors import (
     DimensionMismatchError,
     GramMismatchError,
@@ -15,17 +16,6 @@ from .errors import (
     NotHermitianError,
     NotPsdError,
 )
-
-#: Frobenius-norm tolerance for Hermiticity checks.
-TOL_HERM = 1e-9
-#: Eigenvalue tolerance below which a matrix counts as not PSD.
-TOL_PSD = 1e-9
-#: Tolerance for eigendecomposition / isometry residuals.
-TOL_EIG = 1e-10
-#: Residual norm below which a vector is treated as linearly dependent.
-RANK_TOL = 1e-8
-#: Eigenvalue, relative to max(1, largest), that psd_cholesky sets to zero.
-TOL_DROP = 1e-12
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -72,7 +62,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     h : array_like
-        Square matrix with ``||h - h^dag||_F <= TOL_HERM``.
+        Square matrix with ``||h - h^dag||_F <= tol.HERMITIAN``.
 
     Returns
     -------
@@ -84,8 +74,8 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got {h.shape}")
     res = frobenius(h - dag(h))
-    if res > TOL_HERM:
-        raise NotHermitianError(f"Hermiticity residual {res:.3e} exceeds {TOL_HERM}")
+    if res > tol.HERMITIAN:
+        raise NotHermitianError(f"Hermiticity residual {res:.3e} exceeds {tol.HERMITIAN}")
     w, v = np.linalg.eigh((h + dag(h)) / 2.0)
     return w, v
 
@@ -96,14 +86,14 @@ def psd_cholesky(g) -> np.ndarray:
     Diagonal entries of L are real and non-negative.  Rank-deficient input
     is allowed; the factor then has zero columns in the deficient
     directions.  Raises :class:`NotPsdError` when ``g`` has an eigenvalue
-    below ``-TOL_PSD``.
+    below ``-tol.PSD``.
     """
     w, v = hermitian_eig(g)
-    if w.min() < -TOL_PSD:
-        raise NotPsdError(f"eigenvalue {w.min():.3e} below -{TOL_PSD}")
+    if w.min() < -tol.PSD:
+        raise NotPsdError(f"eigenvalue {w.min():.3e} below -{tol.PSD}")
     # Eigenvalues at roundoff scale are exact zeros of the intended input;
     # keeping them would inject sqrt(eps)-sized noise into the factor.
-    w = np.where(w < TOL_DROP * max(1.0, float(w.max(initial=0.0))), 0.0, w)
+    w = np.where(w < tol.DROP * max(1.0, float(w.max(initial=0.0))), 0.0, w)
     f = v * np.sqrt(np.clip(w, 0.0, None))
     # LQ factorization of f via QR of its adjoint: f = L q with L lower
     # triangular, so L L^dag = f f^dag = g regardless of q.
@@ -130,10 +120,10 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     """Unitary ``u`` on C^dim with ``u @ d_k = i_k`` for every pair.
 
     The two vector lists must have identical Gram matrices within
-    ``TOL_EIG``.  The partial map is extended deterministically: both
+    ``tol.GRAM``.  The partial map is extended deterministically: both
     orthonormalized families are completed with canonical basis vectors
     taken in index order, skipping any whose residual norm falls below
-    ``RANK_TOL``.
+    ``tol.RANK``.
     """
     dom = [as_cvector(v) for v in domain_vectors]
     img = [as_cvector(v) for v in image_vectors]
@@ -149,8 +139,8 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     gram_d = np.array([[np.conj(a) @ b for b in dom] for a in dom])
     gram_i = np.array([[np.conj(a) @ b for b in img] for a in img])
     gap = float(np.abs(gram_d - gram_i).max()) if m else 0.0
-    if gap > TOL_EIG:
-        raise GramMismatchError(f"Gram matrices differ by {gap:.3e} > {TOL_EIG}")
+    if gap > tol.GRAM:
+        raise GramMismatchError(f"Gram matrices differ by {gap:.3e} > {tol.GRAM}")
 
     dom_basis: list[np.ndarray] = []
     img_basis: list[np.ndarray] = []
@@ -159,16 +149,16 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
         ri = _orthonormal_residual(iv, img_basis)
         nd = np.linalg.norm(rd)
         ni = np.linalg.norm(ri)
-        if max(nd, ni) <= TOL_EIG:
+        if max(nd, ni) <= tol.ACTION:
             continue  # dependent pair; Gram equality keeps the map consistent
-        if (nd < RANK_TOL) != (ni < RANK_TOL):
+        if (nd < tol.RANK) != (ni < tol.RANK):
             raise GramMismatchError(
                 "one side of a vector pair is linearly dependent, the other is not"
             )
         # Near dependence magnifies a roundoff gap in the Gram entries into
         # one between these norms, and a pair skipped as dependent is so only
         # to within them: either way the map would miss its image.
-        if nd < RANK_TOL or abs(nd - ni) > TOL_EIG:
+        if nd < tol.RANK or abs(nd - ni) > tol.ACTION:
             raise GramMismatchError(f"nearly dependent pair, norms {nd:.3e}, {ni:.3e}")
         dom_basis.append(rd / nd)
         img_basis.append(ri / ni)
@@ -181,7 +171,7 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
             e[j] = 1.0
             r = _orthonormal_residual(e, basis)
             nr = np.linalg.norm(r)
-            if nr >= RANK_TOL:
+            if nr >= tol.RANK:
                 basis.append(r / nr)
         if len(basis) != dim:
             raise InvariantViolationError("orthonormal completion did not reach dim")
@@ -191,10 +181,10 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     u = i_mat @ dag(d_mat)
 
     uni = frobenius(dag(u) @ u - np.eye(dim))
-    if uni > TOL_EIG:
-        raise InvariantViolationError(f"unitarity residual {uni:.3e} > {TOL_EIG}")
+    if uni > tol.UNITARY:
+        raise InvariantViolationError(f"unitarity residual {uni:.3e} > {tol.UNITARY}")
     for dv, iv in zip(dom, img):
         act = float(np.linalg.norm(u @ dv - iv))
-        if act > TOL_EIG:
-            raise InvariantViolationError(f"action residual {act:.3e} > {TOL_EIG}")
+        if act > tol.ACTION:
+            raise InvariantViolationError(f"action residual {act:.3e} > {tol.ACTION}")
     return u

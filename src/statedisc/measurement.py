@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tol
 from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -21,14 +21,7 @@ from .errors import (
     NotHermitianError,
     NotPsdError,
 )
-from .states import TOL_NORM, Ensemble
-
-#: Completeness tolerance: || sum(elements) - I ||_F.
-TOL_COMPLETE = 1e-9
-#: Band outside [0, 1] that probabilities may occupy before clamping.
-TOL_PROB = 1e-10
-#: Cross-term threshold for the unambiguity test.
-TOL_UNAMBIGUOUS = 1e-9
+from .states import Ensemble
 
 
 @dataclass(frozen=True)
@@ -79,18 +72,18 @@ class Povm:
         herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
         low = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=1)
         # The first failing element raises; shape, Hermiticity, then positivity.
-        for k in np.flatnonzero((herm > linalg.TOL_HERM) | (low < -linalg.TOL_PSD))[:1]:
-            if herm[k] > linalg.TOL_HERM:
+        for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
+            if herm[k] > tol.HERMITIAN:
                 raise NotHermitianError(
-                    f"Hermiticity residual {herm[k]:.3e} exceeds {linalg.TOL_HERM}"
+                    f"Hermiticity residual {herm[k]:.3e} exceeds {tol.HERMITIAN}"
                 )
             raise NotPsdError(f"POVM element eigenvalue {low[k]:.3e}")
         if len(stack) < len(elements):
             raise DimensionMismatchError("POVM elements differ in dimension")
         res = linalg.frobenius(stack.sum(axis=0) - np.eye(dim))
-        if res > TOL_COMPLETE:
+        if res > tol.COMPLETE:
             raise InvariantViolationError(
-                f"POVM completeness residual {res:.3e} > {TOL_COMPLETE}"
+                f"POVM completeness residual {res:.3e} > {tol.COMPLETE}"
             )
         for m in elements:
             m.setflags(write=False)
@@ -111,11 +104,11 @@ class Povm:
         return int(_identify_outcomes(self, [state_index])[0])
 
 
-def clamp_probability(value: float, what: str, tol: float) -> float:
-    """``value`` clipped into [0, 1]; raises when it lies more than ``tol`` outside."""
-    if not -tol <= value <= 1.0 + tol:
+def clamp_probability(value: float, what: str, band: float) -> float:
+    """``value`` clipped into [0, 1]; raises when it lies more than ``band`` outside."""
+    if not -band <= value <= 1.0 + band:
         raise InvariantViolationError(
-            f"{what} = {value!r} outside [0, 1] by more than {tol}"
+            f"{what} = {value!r} outside [0, 1] by more than {band}"
         )
     return min(1.0, max(0.0, value))
 
@@ -149,9 +142,9 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
     """Confusion matrix ``conf[i, x] = <w_i|M_x|w_i>`` of pure states.
 
     ``vectors`` is an ``(n, dim)`` stack of state vectors.  Each norm must
-    be 1 within ``TOL_NORM``; each entry must lie in [0, 1] within
-    ``TOL_PROB`` and is then clamped; each row must sum to 1 within
-    ``TOL_COMPLETE``.
+    be 1 within ``tol.NORM``; each entry must lie in [0, 1] within
+    ``tol.PROB`` and is then clamped; each row must sum to 1 within
+    ``tol.COMPLETE``.
     """
     w = np.asarray(vectors, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] != povm.dim:
@@ -160,14 +153,14 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
         )
     # Each test is written so that NaN fails it.
     norms = np.linalg.norm(w, axis=1)
-    if not np.abs(norms - 1.0).max() <= TOL_NORM:
+    if not np.abs(norms - 1.0).max() <= tol.NORM:
         raise InvariantViolationError(f"state norms {norms!r} differ from 1")
     conf = np.einsum("id,xde,ie->ix", w.conj(), np.array(povm.elements), w).real
     for extreme in (conf.min(), conf.max()):
-        clamp_probability(float(extreme), "probability", TOL_PROB)
+        clamp_probability(float(extreme), "probability", tol.PROB)
     conf = np.clip(conf, 0.0, 1.0)
     sums = conf.sum(axis=1)
-    if not np.abs(sums - 1.0).max() <= TOL_COMPLETE:
+    if not np.abs(sums - 1.0).max() <= tol.COMPLETE:
         raise InvariantViolationError(f"outcome probabilities sum to {sums!r}")
     return conf
 
@@ -182,10 +175,10 @@ def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
 
     Returns ``(ok, max_cross_term)`` where the cross terms are
     ``Tr(M_{x(j)} rho_i)`` for i != j.  ``ok`` also requires every
-    diagonal term ``Tr(M_{x(i)} rho_i)`` to exceed ``TOL_UNAMBIGUOUS``.
+    diagonal term ``Tr(M_{x(i)} rho_i)`` to exceed ``tol.UNAMBIGUOUS``.
     """
     identify = _check_identify_bijection(ensemble, povm)
     cols = confusion_matrix(ensemble, povm)[:, identify]
     worst = float(np.abs(cols[~np.eye(len(identify), dtype=bool)]).max(initial=0.0))
-    ok = worst <= TOL_UNAMBIGUOUS and bool((np.diag(cols) > TOL_UNAMBIGUOUS).all())
+    ok = worst <= tol.UNAMBIGUOUS and bool((np.diag(cols) > tol.UNAMBIGUOUS).all())
     return ok, worst

@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import tol
 from .analysis import ComparisonColumns, compare_columns
 from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
 from .measurement import _identify_outcomes
@@ -82,7 +83,7 @@ class SimResult:
         expected = float(
             np.sqrt(self.empirical_success * (1.0 - self.empirical_success) / self.n)
         )
-        if abs(self.std_error - expected) > 1e-15:
+        if abs(self.std_error - expected) > tol.STD_ERROR:
             raise InvariantViolationError("std_error inconsistent with p-hat and n")
         counts.setflags(write=False)
 

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import linalg, measurement
+from . import linalg, measurement, tol
 from .analysis import XU_CASES, _reference_point
 from .errors import (
     AmplitudeOutOfRangeError,
@@ -62,14 +62,6 @@ from .states import (
     states_from_gram,
     validate_priors,
 )
-
-#: Unitarity tolerance for scheme couplings.
-TOL_UNITARY = 1e-10
-#: Allowed gap between the closed-form and pipeline success probabilities.
-TOL_PIPELINE = 1e-9
-#: Slack for closed-interval parameter boundaries.  Builders write each
-#: bound as ``not value <= bound``, so that NaN fails it.
-TOL_BOUNDARY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,9 +143,9 @@ class Scheme:
                 f"POVM dim {self.povm.dim}, joint space dim {joint}"
             )
         res = linalg.frobenius(linalg.dag(u) @ u - np.eye(joint))
-        if res > TOL_UNITARY:
+        if res > tol.UNITARY:
             raise InvariantViolationError(f"coupling unitarity residual {res:.3e}")
-        if not -TOL_BOUNDARY <= self.analytic_success <= 1.0 + TOL_BOUNDARY:
+        if not -tol.BOUNDARY <= self.analytic_success <= 1.0 + tol.BOUNDARY:
             raise InvariantViolationError(
                 f"analytic success {self.analytic_success!r} outside [0, 1]"
             )
@@ -166,7 +158,7 @@ class Scheme:
         identify = measurement._identify_outcomes(self.povm, range(len(conf)))
         terms = self.ensemble.priors * conf[np.arange(len(conf)), identify]
         total = float(np.cumsum(terms)[-1])  # added in state order
-        if not abs(total - self.analytic_success) <= TOL_PIPELINE:  # NaN fails
+        if not abs(total - self.analytic_success) <= tol.PIPELINE:  # NaN fails
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
             )
@@ -237,9 +229,9 @@ def _flagged_scheme(
 
 
 def _snapped_sqrt(r2: float) -> float:
-    """``sqrt(r2)`` for ``r2 = 1 - |c|^2``, but 0 when ``r2 <= 1e-12``: at
+    """``sqrt(r2)`` for ``r2 = 1 - |c|^2``, but 0 when ``r2 <= tol.SNAP``: at
     ``|c| = 1`` a rounding of 1e-16 would leave a 1e-8 component."""
-    return np.sqrt(r2) if r2 > 1e-12 else 0.0
+    return np.sqrt(r2) if r2 > tol.SNAP else 0.0
 
 
 def _rra_kets(overlap: float) -> tuple[Ket, Ket]:
@@ -273,10 +265,10 @@ def build_rra(
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
     for name, c in (("c_plus", c_plus), ("c_minus", c_minus)):
-        if not abs(c) <= 1.0 + TOL_BOUNDARY:
+        if not abs(c) <= 1.0 + tol.BOUNDARY:
             raise AmplitudeOutOfRangeError(f"|{name}| = {abs(c)!r} exceeds 1")
     overlap = complex(np.conj(psi_minus.amplitudes) @ psi_plus.amplitudes)
-    if not abs(np.conj(c_plus) * c_minus - overlap) <= 1e-10:
+    if not abs(np.conj(c_plus) * c_minus - overlap) <= tol.OVERLAP:
         raise OverlapConstraintViolatedError(
             f"conj(c_plus)*c_minus = {np.conj(c_plus) * c_minus!r} "
             f"but <psi_minus|psi_plus> = {overlap!r}"
@@ -401,7 +393,7 @@ def build_mixed_special(gamma: float, priors, allow_trivial: bool = False) -> Sc
     p = validate_priors(priors, 3)
     if gamma == 0.0 and not allow_trivial:
         raise GammaOutOfRangeError("gamma = 0 is degenerate (pass allow_trivial)")
-    if not abs(gamma) <= _HALF_SQRT2 + TOL_BOUNDARY:
+    if not abs(gamma) <= _HALF_SQRT2 + tol.BOUNDARY:
         raise GammaOutOfRangeError(
             f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2); overlaps not realizable"
         )
@@ -438,15 +430,15 @@ def build_mixed_general(
             raise ParamOutOfRangeError(
                 f"alpha = {alpha!r} is a boundary value (pass allow_trivial)"
             )
-    if not abs(alpha) <= 1.0 + TOL_BOUNDARY:
+    if not abs(alpha) <= 1.0 + tol.BOUNDARY:
         raise GramNotPsdError(f"|alpha| = {abs(alpha)!r} exceeds 1")
     gram = _three_state_gram(gamma, alpha)
     w = np.linalg.eigvalsh(gram)
-    if w.min() < -linalg.TOL_PSD:
+    if w.min() < -tol.PSD:
         raise GramNotPsdError(
             f"overlap matrix eigenvalue {w.min():.3e}; need 1 + alpha >= 2 gamma^2"
         )
-    if 1.0 - gamma**2 - abs(alpha - gamma**2) < -TOL_BOUNDARY:
+    if 1.0 - gamma**2 - abs(alpha - gamma**2) < -tol.BOUNDARY:
         raise ParamOutOfRangeError("identifying amplitude would be imaginary")
     # The coupling's domain divides each state's part orthogonal to u2 by
     # sqrt(1 - gamma^2), which magnifies the synthesized overlaps' error by
@@ -457,12 +449,12 @@ def build_mixed_general(
     # coupling's action; 8 eps w_max keeps a factor 2 in hand.
     scale = float(w.max())  # >= 1
     exact = (1.0 - alpha, (1.0 + alpha - 2.0 * gamma**2) / scale)
-    error = sum(e for e in exact if 0.0 < e < linalg.TOL_DROP * scale)
-    error += 8.0 * np.finfo(float).eps * scale
-    if error > linalg.TOL_EIG * (1.0 - gamma**2):
+    error = sum(e for e in exact if 0.0 < e < tol.DROP * scale)
+    error += tol.ROUNDOFF * scale
+    if error > tol.GRAM * (1.0 - gamma**2):
         raise ParamOutOfRangeError(
             f"conditioning lost: synthesis error {error:.3e} over "
-            f"1 - gamma^2 = {1.0 - gamma**2:.3e} exceeds {linalg.TOL_EIG}"
+            f"1 - gamma^2 = {1.0 - gamma**2:.3e} exceeds {tol.GRAM}"
         )
     if alpha >= gamma**2:
         analytic = 1.0 - alpha * (1.0 - p[2])
@@ -489,12 +481,12 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
     x0 = float(x0)
     x1 = float(x1)
     p = validate_priors(priors, 3)
-    if not abs(gamma) <= _HALF_SQRT2 + TOL_BOUNDARY:
+    if not abs(gamma) <= _HALF_SQRT2 + tol.BOUNDARY:
         raise GammaOutOfRangeError(f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2)")
     g2 = gamma**2
     for name, x in (("x0", x0), ("x1", x1)):
         # A failure probability is never negative, whatever the slack.
-        if not max(0.0, g2 - TOL_BOUNDARY) <= x <= 1.0 + TOL_BOUNDARY:
+        if not max(0.0, g2 - tol.BOUNDARY) <= x <= 1.0 + tol.BOUNDARY:
             raise InfeasibleAmplitudesError(
                 f"{name} = {x!r} outside [gamma^2, 1] = [{g2!r}, 1]"
             )
@@ -504,7 +496,7 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
             penalty += g2 / x
         elif g2 > 0.0:
             raise InfeasibleAmplitudesError("zero failure amplitude with gamma != 0")
-    if penalty > 1.0 + TOL_BOUNDARY:
+    if penalty > 1.0 + tol.BOUNDARY:
         raise InfeasibleAmplitudesError(
             f"gamma^2 (1/x0 + 1/x1) = {penalty!r} exceeds 1"
         )
@@ -533,7 +525,7 @@ def zero_aux_posterior(g12: complex, g20: complex, priors) -> float:
     """Posterior probability of state 2 given the outcome labeled 2."""
     p = validate_priors(priors, 3)
     denom = p[0] * abs(g20) ** 2 + p[1] * abs(g12) ** 2 + p[2]
-    if denom <= 1e-12:
+    if denom <= tol.ZERO_PROB:
         raise ZeroProbabilityOutcomeError("outcome 2 has zero probability")
     return float(p[2] / denom)
 
@@ -551,7 +543,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     The removal divides by ``1 - |g|^2``, so overlaps close enough to
     modulus 1 that it loses the conditioning the measurement needs (about
     ``|g| > 0.99997``) are rejected, and so is a constraint residual that
-    it would lift above 1e-10.
+    it would lift above ``tol.ORTHOGONAL``.
     """
     g01 = complex(g01)
     g12 = complex(g12)
@@ -560,7 +552,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     for name, g in (("g12", g12), ("g20", g20)):
         if not abs(g) < 1.0:
             raise OverlapConstraintViolatedError(f"|{name}| = {abs(g)!r} must be < 1")
-    if not abs(np.conj(g12 * g20) - g01) <= 1e-10:
+    if not abs(np.conj(g12 * g20) - g01) <= tol.OVERLAP:
         raise OverlapConstraintViolatedError(
             f"conj(g12*g20) = {np.conj(g12 * g20)!r} differs from g01 = {g01!r}"
         )
@@ -573,7 +565,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
         dtype=np.complex128,
     )
     w = np.linalg.eigvalsh(gram)
-    if w.min() < -linalg.TOL_PSD:
+    if w.min() < -tol.PSD:
         raise GramNotPsdError(f"overlap matrix eigenvalue {w.min():.3e}")
     # psi0 and psi1 divide the parts of u0 and u1 orthogonal to u2 by
     # sqrt(1 - |g20|^2) and sqrt(1 - |g12|^2).  Their overlap is then the
@@ -584,19 +576,19 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     # the overlap matrix's determinant is (1 - |g20|^2)(1 - |g12|^2), so its
     # least eigenvalue is below the cutoff only where this gate fails anyway.
     room = (1.0 - abs(g20) ** 2, 1.0 - abs(g12) ** 2)
-    roundoff = 8.0 * np.finfo(float).eps * float(w.max())
+    roundoff = tol.ROUNDOFF * float(w.max())
     residual = abs(np.conj(g12 * g20) - g01)
     error = residual / np.sqrt(room[0] * room[1]) + roundoff / min(room)
-    if error > linalg.TOL_EIG:
+    if error > tol.ORTHOGONAL:
         raise ParamOutOfRangeError(
             f"conditioning lost: overlap error {error:.3e} of the measurement "
-            f"vectors, at 1 - |g|^2 = {min(room):.3e}, exceeds {linalg.TOL_EIG}"
+            f"vectors, at 1 - |g|^2 = {min(room):.3e}, exceeds {tol.ORTHOGONAL}"
         )
     ens = states_from_gram(GramSpec(gram, p))
     u0, u1, u2 = (s.amplitudes for s in ens.states)
     psi0 = (u0 - g20 * u2) / np.sqrt(room[0])
     psi1 = (u1 - np.conj(g12) * u2) / np.sqrt(room[1])
-    if abs(np.conj(psi0) @ psi1) > 1e-10:
+    if abs(np.conj(psi0) @ psi1) > tol.ORTHOGONAL:
         raise InvariantViolationError("measurement vectors failed to orthogonalize")
 
     pi0 = _proj(psi0)
@@ -730,10 +722,10 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
             f"decomposition applies to mixed schemes, not {type(params).__name__}"
         )
     p = scheme.ensemble.priors
-    if abs(p[0] - p[1]) > 1e-12:
+    if abs(p[0] - p[1]) > tol.EQUAL_PRIORS:
         raise HypothesisViolatedError(f"requires p0 = p1, got {p[0]!r} and {p[1]!r}")
     q = 1.0 - float(p[2])
-    if q <= 1e-12:
+    if q <= tol.ZERO_PROB:
         raise HypothesisViolatedError("p2 = 1 leaves an empty ancilla part")
 
     b2 = max(0.0, 1.0 + alpha - 2.0 * gamma**2)
@@ -763,7 +755,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
 
     for name, part in (("system", sys_part), ("ancilla", anc_part)):
         tr = float(np.trace(part).real)
-        if abs(tr - 1.0) > 1e-12:
+        if abs(tr - 1.0) > tol.PART_TRACE:
             raise InvariantViolationError(f"{name} part trace {tr!r} differs from 1")
 
     rho_pipe = np.zeros((6, 6), dtype=np.complex128)
@@ -772,8 +764,10 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
     recon = (1.0 - weight) * np.kron(sys_part, _proj(e0a))
     recon = recon + weight * np.kron(_proj(e1s), anc_part)
     residual = linalg.frobenius(rho_pipe - recon)
-    if residual > 1e-10:
-        raise InvariantViolationError(f"decomposition residual {residual:.3e} > 1e-10")
+    if residual > tol.DECOMPOSITION:
+        raise InvariantViolationError(
+            f"decomposition residual {residual:.3e} > {tol.DECOMPOSITION}"
+        )
 
     spectrum = np.linalg.eigvalsh((anc_part + linalg.dag(anc_part)) / 2.0)
     sys_part.setflags(write=False)

@@ -9,20 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tol
 from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
     NotPsdError,
     ParamOutOfRangeError,
 )
-
-#: Norm tolerance for state vectors.
-TOL_NORM = 1e-10
-#: Trace / Hermiticity / positivity tolerance for density matrices.
-TOL_DENSITY = 1e-9
-#: Tolerance on the sum of ensemble priors.
-TOL_PRIORS = 1e-12
 
 # 1/sqrt(2): the |+>/|-> amplitude, and the largest two-orthogonal overlap.
 _HALF_SQRT2 = np.sqrt(0.5)
@@ -38,7 +31,7 @@ def validate_priors(priors, n: int) -> np.ndarray:
 
     Raises :class:`DimensionMismatchError` for a wrong count and
     :class:`ParamOutOfRangeError` unless every prior is non-negative and
-    they sum to 1 within ``TOL_PRIORS``; the test is written so that NaN
+    they sum to 1 within ``tol.PRIORS``; the test is written so that NaN
     and infinity fail it.
     """
     p = np.array(priors, dtype=float).reshape(-1)
@@ -53,7 +46,7 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
     """Which prior vectors along the last axis are probability vectors.
 
     True where every entry is non-negative and the entries sum to 1 within
-    ``TOL_PRIORS``; NaN and infinity fail.  The sum runs left to right, so
+    ``tol.PRIORS``; NaN and infinity fail.  The sum runs left to right, so
     a vector gets the same answer alone or as a row of a batch.
     """
     total = p[..., 0]
@@ -61,7 +54,7 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, p.shape[-1]):
             total = total + p[..., k]
-    return (p >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= TOL_PRIORS)
+    return (p >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= tol.PRIORS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +68,7 @@ class Ket:
         if a.shape[0] < 1:
             raise DimensionMismatchError("empty state vector")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > TOL_NORM:
+        if abs(norm - 1.0) > tol.NORM:
             raise InvariantViolationError(f"ket norm {norm!r} differs from 1")
         object.__setattr__(self, "amplitudes", _freeze(a))
 
@@ -105,11 +98,11 @@ class DensityMatrix:
         m = linalg.as_cmatrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
-        w, _ = linalg.hermitian_eig(m)  # raises NotHermitianError beyond TOL_HERM
-        if w.min() < -TOL_DENSITY:
+        w, _ = linalg.hermitian_eig(m)  # raises NotHermitianError beyond tol.HERMITIAN
+        if w.min() < -tol.DENSITY:
             raise NotPsdError(f"density matrix eigenvalue {w.min():.3e}")
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TOL_DENSITY:
+        if abs(tr - 1.0) > tol.DENSITY:
             raise InvariantViolationError(f"density matrix trace {tr!r} differs from 1")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -173,9 +166,9 @@ class GramSpec:
         n = g.shape[0]
         if g.shape[1] != n:
             raise DimensionMismatchError(f"overlap matrix must be square, got {g.shape}")
-        if linalg.frobenius(g - linalg.dag(g)) > linalg.TOL_HERM:
+        if linalg.frobenius(g - linalg.dag(g)) > tol.HERMITIAN:
             raise InvariantViolationError("overlap matrix is not Hermitian")
-        if np.abs(np.diag(g) - 1.0).max() > TOL_DENSITY:
+        if np.abs(np.diag(g) - 1.0).max() > tol.DENSITY:
             raise InvariantViolationError("overlap matrix diagonal must be 1")
         priors = self.priors
         if priors is None:

@@ -144,15 +144,15 @@ def test_isometry_completion_rejects_one_sided_dependence():
 
 
 def test_isometry_completion_rejects_nearly_dependent_pairs():
-    # Gram entries agree within TOL_EIG, but near dependence leaves the
+    # Gram entries agree within tol.GRAM, but near dependence leaves the
     # residual norms 5e-5 apart, so no unitary maps one pair onto the other.
     t, t_img = 1e-6, 1e-6 + 5e-5
     dom = [np.array([1.0, 0.0]), np.array([np.cos(t), np.sin(t)])]
     img = [np.array([1.0, 0.0]), np.array([np.cos(t_img), np.sin(t_img)])]
     with pytest.raises(GramMismatchError):
         linalg.isometry_completion(dom, img, 2)
-    # Equal Gram matrices, but both residuals (5e-9) sit between TOL_EIG and
-    # RANK_TOL: skipping the pair as dependent would miss its image by 7e-9.
+    # Equal Gram matrices, but both residuals (5e-9) sit between tol.ACTION and
+    # tol.RANK: skipping the pair as dependent would miss its image by 7e-9.
     s = 5e-9
     dom = [np.array([1.0, 0.0, 0.0]), np.array([np.sqrt(1 - s * s), s, 0.0])]
     img = [np.array([1.0, 0.0, 0.0]), np.array([np.sqrt(1 - s * s), 0.0, s])]

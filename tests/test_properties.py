@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statedisc import cli, montecarlo
+from statedisc import cli, montecarlo, tol
 from statedisc.analysis import (
     compare_columns,
     simplex_grid,
@@ -16,7 +16,7 @@ from statedisc.analysis import (
     theorem31_check,
 )
 from statedisc.errors import DiscriminationError, InvariantViolationError
-from statedisc.measurement import TOL_UNAMBIGUOUS, unambiguity_check
+from statedisc.measurement import unambiguity_check
 from statedisc.schemes import SCHEME_KINDS, coupled_ensemble, scheme_confusion
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -310,7 +310,7 @@ def test_flagged_builders_succeed_or_raise_a_domain_error(case, trivial):
         # An outcome that never fires (a failure amplitude of modulus 1)
         # fails the check's diagonal test, so the cross terms are asserted.
         _, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
-        assert worst <= TOL_UNAMBIGUOUS, (kind, values, p, worst)
+        assert worst <= tol.UNAMBIGUOUS, (kind, values, p, worst)
 
 
 @settings(SETTINGS, max_examples=400)
@@ -331,8 +331,8 @@ def test_unambiguous_success_is_one_minus_the_inconclusive_weight(case):
     assert abs(direct - complement) <= 1e-10, (kind, values, p)
     # The check fails only on a state its outcome never identifies.
     ok, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
-    fires = all(conf[i, identify[i]] > TOL_UNAMBIGUOUS for i in range(n))
-    assert worst <= TOL_UNAMBIGUOUS and ok == fires, (kind, values, p, worst)
+    fires = all(conf[i, identify[i]] > tol.UNAMBIGUOUS for i in range(n))
+    assert worst <= tol.UNAMBIGUOUS and ok == fires, (kind, values, p, worst)
 
 
 def _builder_argv(command, kind, data):

@@ -262,7 +262,7 @@ def test_rra_rejects_inconsistent_amplitudes():
 
 def test_rra_builds_amplitudes_of_modulus_one_to_rounding():
     # 1 - |c_minus|^2 rounds to 2e-16; its square root, 1.5e-8, used to pass
-    # RANK_TOL and split the dependent pair.  The amplitude now snaps to 0.
+    # tol.RANK and split the dependent pair.  The amplitude now snaps to 0.
     import json
 
     from statedisc import serialize
