@@ -220,9 +220,12 @@ def _range_spec(rng: dict, what: str) -> tuple[float, float, int]:
     return lo, step, int(count)
 
 
-def _range_values(rng: dict, what: str) -> list[float]:
+def _range_values(rng: dict, what: str):
+    """Grid values one at a time, at most ``MAX_COMPARE_POINTS`` of them."""
     lo, step, count = _range_spec(rng, what)
-    return [round(lo + k * step, 12) for k in range(count)]
+    if count > MAX_COMPARE_POINTS:
+        raise UsageError(f"{what} grid has more than {MAX_COMPARE_POINTS} values")
+    return (round(lo + k * step, 12) for k in range(count))
 
 
 def _need(cfg: dict, key: str, command: str):
@@ -344,40 +347,35 @@ def _cmd_sweep(cfg: dict) -> int:
         raise UsageError(
             f"scheme {scheme_id} sweeps over {sweepable[scheme_id]}, not {param!r}"
         )
-    values = _range_values(rng, param)
-    if not values:
-        raise UsageError(f"empty {param} grid")
-    rows = []
+    rows = []  # (value, analytic, brute force) of each built point
     skipped = 0
-    for v in values:
-        point = dict(cfg)
-        point["params"] = dict(cfg["params"])
-        point["params"][param] = v
+    for v in _range_values(rng, param):
+        point = {**cfg, "params": {**cfg["params"], param: v}}
         try:
             scheme = _build_scheme(point)
         except DiscriminationError:
             skipped += 1
             continue
-        rows.append((v, scheme))
+        rows.append((v, scheme.analytic_success, brute_force_success(scheme)))
+    if not rows and not skipped:
+        raise UsageError(f"empty {param} grid")
     priors = _need_priors(cfg, SCHEME_KINDS[scheme_id].n_priors, scheme_id)
-    payload = [
-        {
-            "param": param,
-            "value": v,
-            "priors": priors,
-            "analytic_success": s.analytic_success,
-            "brute_force_success": brute_force_success(s),
-        }
-        for v, s in rows
-    ]
     if cfg.get("format", "csv") == "json":
-        _write_output(_json_text(payload), cfg.get("output"))
+        # json.dumps(records, indent=2), holding one record's chunks at a time.
+        items = (
+            json.dumps([{"param": param, "value": v, "priors": priors,
+                         "analytic_success": a, "brute_force_success": b}],
+                       indent=2)[2:-2]
+            for v, a, b in rows
+        )
+        text = "[\n" + ",\n".join(items) + "\n]\n" if rows else "[]\n"
+        _write_output(text, cfg.get("output"))
     else:
         lines = [f"{param},p0,p1,p2,analytic_success,brute_force_success"]
-        for r in payload:
-            cells = [r["value"], *priors, r["analytic_success"]]
-            cells.append(r["brute_force_success"])
-            lines.append(",".join(map(serialize.format_float, cells)))
+        lines += [
+            ",".join(map(serialize.format_float, (v, *priors, a, b)))
+            for v, a, b in rows
+        ]
         _write_output("\n".join(lines) + "\n", cfg.get("output"))
     print(f"points: {len(rows)}  skipped: {skipped}", file=sys.stderr)
     return 0

@@ -39,6 +39,8 @@ from .schemes import Scheme
 
 #: Rows of the uniform block drawn at a time.
 _CHUNK = 1 << 16
+#: Most shards a run may take: each costs about 40 us, whatever its size.
+_MAX_SHARDS = 1 << 16
 
 
 def brute_force_success(scheme: Scheme) -> float:
@@ -118,8 +120,10 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     if n < 1:
         raise ParamOutOfRangeError(f"trial count {n} must be >= 1")
     shards = int(shards)
-    if shards < 1 or shards > n:
-        raise ParamOutOfRangeError(f"shards = {shards} outside [1, n]")
+    if not 1 <= shards <= min(n, _MAX_SHARDS):
+        raise ParamOutOfRangeError(
+            f"shards = {shards} outside [1, min(n, {_MAX_SHARDS})]"
+        )
     seed = int(seed)
     # The key holds the seed in 64 bits; a wider one would alias another.
     if not 0 <= seed < 1 << 64:

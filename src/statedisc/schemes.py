@@ -416,7 +416,9 @@ def build_mixed_general(
     ``alpha = 0`` and ``alpha = 1``; ``|gamma| = 1`` is always rejected
     because the construction divides by ``1 - gamma^2``, and so is any
     gamma close enough to 1 that this division loses the conditioning the
-    coupling needs (about ``|gamma| > 0.99997``).
+    coupling needs (about ``|gamma| > 0.99997``), or alpha close enough to
+    either end of ``[2 gamma^2 - 1, 1]`` that the first two states' near
+    dependence does (within about 1e-9, more as ``|gamma|`` grows).
     """
     gamma = float(gamma)
     alpha = float(alpha)
@@ -456,6 +458,16 @@ def build_mixed_general(
             f"conditioning lost: synthesis error {error:.3e} over "
             f"1 - gamma^2 = {1.0 - gamma**2:.3e} exceeds {tol.GRAM}"
         )
+    # Unless the +/- amplitude snaps to 0, psi1 is pinned after psi0, whose
+    # residual norm sqrt(1 - c^4) divides the error again; over 12,000 draws
+    # near the alpha edges the norm gap times both divisors hit 3.5 eps w_max.
+    c2 = (alpha - gamma**2) / (1.0 - gamma**2)
+    pair = np.sqrt(1.0 - c2**2) if _mixed_amplitudes(c2)[1] > 0.0 else 1.0
+    if error > tol.ACTION * (1.0 - gamma**2) * pair:
+        raise ParamOutOfRangeError(
+            f"conditioning lost: synthesis error {error:.3e} over (1 - gamma^2)"
+            f" sqrt(1 - c^4) = {(1.0 - gamma**2) * pair:.3e} exceeds {tol.ACTION}"
+        )
     if alpha >= gamma**2:
         analytic = 1.0 - alpha * (1.0 - p[2])
         note = "alpha >= gamma^2: success = 1 - alpha*(1 - p2)"
@@ -463,7 +475,6 @@ def build_mixed_general(
         analytic = 1.0 - (2.0 * gamma**2 - alpha) * (1.0 - p[2])
         note = "alpha < gamma^2: success = 1 - (2*gamma^2 - alpha)*(1 - p2)"
     ens = states_from_gram(GramSpec(gram, p))
-    c2 = (alpha - gamma**2) / (1.0 - gamma**2)
     params = MixedGeneralParams(gamma=gamma, alpha=alpha)
     return _mixed_scheme(ens, gamma, c2, analytic, params, note)
 

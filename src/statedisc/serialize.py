@@ -162,16 +162,6 @@ def sim_result_to_json(result: SimResult) -> dict:
     }
 
 
-def sim_result_from_json(data) -> SimResult:
-    return SimResult(
-        n=int(data["n"]),
-        counts=np.array(data["counts"], dtype=np.int64),
-        empirical_success=float(data["empirical_success"]),
-        std_error=float(data["std_error"]),
-        seed=int(data["seed"]),
-    )
-
-
 def comparison_record_to_json(record: ComparisonRecord) -> dict:
     return {
         "gamma": record.gamma,
@@ -183,19 +173,6 @@ def comparison_record_to_json(record: ComparisonRecord) -> dict:
         "margin": record.margin,
         "verdict": record.verdict,
     }
-
-
-def comparison_record_from_json(data) -> ComparisonRecord:
-    return ComparisonRecord(
-        gamma=float(data["gamma"]),
-        alpha=None if data.get("alpha") is None else float(data["alpha"]),
-        priors=tuple(float(x) for x in data["priors"]),
-        p_mixed=float(data["p_mixed"]),
-        p_una_reference=float(data["p_una_reference"]),
-        reference_kind=str(data["reference_kind"]),
-        margin=float(data["margin"]),
-        verdict=bool(data["verdict"]),
-    )
 
 
 def _csv_row_template(reference_kind: str, has_alpha: bool) -> str:

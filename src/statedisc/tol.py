@@ -25,7 +25,7 @@ STD_ERROR = 1e-15  # |std_error - sqrt(p (1 - p) / n)| of a simulation result
 
 # Builders.
 PIPELINE = 1e-9  # |pipeline success - closed form| of a scheme
-BOUNDARY = 1e-12  # slack of a closed-interval parameter or probability bound
+BOUNDARY = 1e-12  # slack of a closed-interval bound, each written so that NaN fails it
 SNAP = 1e-12  # 1 - |c|^2 at or below which sqrt(1 - |c|^2) is taken as 0
 OVERLAP = 1e-10  # residual of the rra and zero-aux overlap constraints
 ORTHOGONAL = 1e-10  # |<psi0|psi1>| of zero-aux's two identifying vectors

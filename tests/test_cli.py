@@ -160,6 +160,9 @@ SWEEP_MIXED = ["sweep"] + MIXED
         (["compare", "--theorem", "2.1"], "compare requires --gamma-grid"),
         (["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
           "--p2-min", "2"], "no prior triples with p2 >= 2.0"),
+        # Counted against the compare bound before any value is made.
+        (SWEEP_MIXED + ["--grid", "gamma=0:1e12:1"],
+         "gamma grid has more than 16777216 values"),
     ],
 )
 def test_request_errors_are_one_usage_line(capsys, argv, message):
@@ -223,6 +226,17 @@ def test_mixed_general_near_gamma_one_names_the_lost_conditioning(capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ParamOutOfRange: conditioning lost: "), err
+
+
+def test_mixed_general_near_an_alpha_edge_names_the_lost_conditioning(capsys):
+    # psi0 and psi1 are nearly dependent here, and their residual norm
+    # magnified the synthesis error into a GramMismatch that named no cause.
+    argv = ["run", "--scheme", "mixed-general", "--gamma", "0.5",
+            "--alpha", "0.99999999999", "--priors", "0.3,0.3,0.4"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ParamOutOfRange: conditioning lost: "), err
+    assert "sqrt(1 - c^4)" in err, err
 
 
 GOLDEN_FLAGS = {

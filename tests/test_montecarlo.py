@@ -151,6 +151,9 @@ def test_simulate_argument_validation():
         simulate(s, 10, seed=1, shards=0)
     with pytest.raises(ParamOutOfRangeError):
         simulate(s, 10, seed=1, shards=11)
+    # Each shard costs about 40 us whatever its size.
+    with pytest.raises(ParamOutOfRangeError, match="65536"):
+        simulate(s, 10**7, seed=1, shards=2**16 + 1)
 
 
 def test_sweep_produces_records_in_grid_order():
