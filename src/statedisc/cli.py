@@ -361,7 +361,11 @@ def _cmd_sweep(cfg: dict) -> int:
         raise UsageError(f"empty {param} grid")
     priors = _need_priors(cfg, SCHEME_KINDS[scheme_id].n_priors, scheme_id)
     if cfg.get("format", "csv") == "json":
-        # json.dumps(records, indent=2), holding one record's chunks at a time.
+        # The bytes of json.dumps(records, indent=2).  Its indented encoder
+        # keeps every key and value of every record as a separate string
+        # until the join: 1.8 KB per point against 0.77 KB for one string
+        # per record (peak RSS, 350 vs 7,000 mixed-special gammas), above
+        # compare's 1.06 KB at the same grid bound.
         items = (
             json.dumps([{"param": param, "value": v, "priors": priors,
                          "analytic_success": a, "brute_force_success": b}],

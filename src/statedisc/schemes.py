@@ -444,29 +444,25 @@ def build_mixed_general(
         raise ParamOutOfRangeError("identifying amplitude would be imaginary")
     # The coupling's domain divides each state's part orthogonal to u2 by
     # sqrt(1 - gamma^2), which magnifies the synthesized overlaps' error by
-    # 1/(1 - gamma^2).  That error is the roundoff of the synthesis, plus
-    # any eigenvalue of the overlap matrix that psd_cholesky drops although
-    # it is not zero: 1 - alpha, or (1 + alpha - 2 gamma^2)/w_max.  Over
-    # 13,000 draws near |gamma| = 1 the roundoff reached 4 eps w_max in the
-    # coupling's action; 8 eps w_max keeps a factor 2 in hand.
+    # 1/(1 - gamma^2).  Unless the +/- amplitude snaps to 0, psi1 is also
+    # pinned after psi0, whose residual norm sqrt(1 - c^4) divides it again.
+    # That error is the roundoff of the synthesis, plus any eigenvalue of
+    # the overlap matrix that psd_cholesky drops although it is not zero:
+    # 1 - alpha, or (1 + alpha - 2 gamma^2)/w_max.  The roundoff in the
+    # coupling's action reached 4 eps w_max over 13,000 draws near
+    # |gamma| = 1, and 3.5 eps w_max over 12,000 near the alpha edges;
+    # 8 eps w_max keeps a factor 2 in hand.
     scale = float(w.max())  # >= 1
     exact = (1.0 - alpha, (1.0 + alpha - 2.0 * gamma**2) / scale)
     error = sum(e for e in exact if 0.0 < e < tol.DROP * scale)
     error += tol.ROUNDOFF * scale
-    if error > tol.GRAM * (1.0 - gamma**2):
-        raise ParamOutOfRangeError(
-            f"conditioning lost: synthesis error {error:.3e} over "
-            f"1 - gamma^2 = {1.0 - gamma**2:.3e} exceeds {tol.GRAM}"
-        )
-    # Unless the +/- amplitude snaps to 0, psi1 is pinned after psi0, whose
-    # residual norm sqrt(1 - c^4) divides the error again; over 12,000 draws
-    # near the alpha edges the norm gap times both divisors hit 3.5 eps w_max.
     c2 = (alpha - gamma**2) / (1.0 - gamma**2)
     pair = np.sqrt(1.0 - c2**2) if _mixed_amplitudes(c2)[1] > 0.0 else 1.0
     if error > tol.ACTION * (1.0 - gamma**2) * pair:
+        over = "(1 - gamma^2) sqrt(1 - c^4)" if pair < 1.0 else "1 - gamma^2"
         raise ParamOutOfRangeError(
-            f"conditioning lost: synthesis error {error:.3e} over (1 - gamma^2)"
-            f" sqrt(1 - c^4) = {(1.0 - gamma**2) * pair:.3e} exceeds {tol.ACTION}"
+            f"conditioning lost: synthesis error {error:.3e} over "
+            f"{over} = {(1.0 - gamma**2) * pair:.3e} exceeds {tol.ACTION}"
         )
     if alpha >= gamma**2:
         analytic = 1.0 - alpha * (1.0 - p[2])

@@ -226,6 +226,7 @@ def test_mixed_general_near_gamma_one_names_the_lost_conditioning(capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ParamOutOfRange: conditioning lost: "), err
+    assert " over 1 - gamma^2 = " in err, err  # the +/- amplitude snaps to 0
 
 
 def test_mixed_general_near_an_alpha_edge_names_the_lost_conditioning(capsys):
