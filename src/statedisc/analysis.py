@@ -362,32 +362,73 @@ def _reference_point(theorem: str, gamma, priors) -> ComparisonColumns:
     return cols
 
 
-def _family_grid_guard(cols: ComparisonColumns, grid_step: float):
+def _check_grid_step(step) -> float:
+    """A grid step in ``[2^-24, inf)``: at most 2^24 values per unit axis."""
+    if not 2.0**-24 <= float(step) < np.inf:
+        raise ParamOutOfRangeError(f"grid step {step!r} outside [2^-24, inf)")
+    return float(step)
+
+
+def _row_minimum(a0, a1, cost, transpose) -> tuple[float, float, float]:
+    """Value and point of ``np.argmin`` of ``cost`` on the grid ``a0 x a1``.
+
+    ``cost(x0, x1)`` is ``inf`` where infeasible.  Rows run along ``x1``,
+    or ``x0`` if ``transpose`` (callers take the larger prior's axis, so
+    that no row is flat up to rounding); each must be feasible on a suffix
+    and convex there.  For all rows at once, bisection finds the feasible
+    start, then the first non-negative forward difference; only a fixed
+    window of +-3 points around it, for rounding near a flat minimum, is read.
+    """
+    rows, cols = (a1, a0) if transpose else (a0, a1)
+    n, x = cols.shape[0], rows[:, None]
+    if x.shape[0] == 0 or n == 0:
+        return np.inf, 0.0, 0.0
+
+    def at(j):
+        y = cols[np.minimum(j, n - 1)]
+        return cost(y, x) if transpose else cost(x, y)
+
+    def first(lo, hi, hit):  # per row, first j in [lo, hi) that hits, else hi
+        for _ in range(n.bit_length()):
+            mid = np.minimum((lo + hi) // 2, n - 1)
+            ok, go = hit(mid), lo < hi
+            lo, hi = np.where(go & ~ok, mid + 1, lo), np.where(go & ok, mid, hi)
+        return lo
+
+    row = np.arange(x.shape[0])[:, None]
+    start = first(0 * row, 0 * row + n, lambda j: at(j) < np.inf)
+    turn = first(start, 0 * row + n - 1, lambda j: at(j + 1) >= at(j))
+    window = np.clip(turn + np.arange(-3, 4), start, n - 1)
+    i, j = (window, row + 0 * window) if transpose else (row + 0 * window, window)
+    v = at(window)
+    t = np.lexsort((j.ravel(), i.ravel(), v.ravel()))[0]  # np.argmin's order
+    return float(v.flat[t]), float(a0[i.flat[t]]), float(a1[j.flat[t]])
+
+
+def _family_grid_guard(cols: ComparisonColumns, grid_step: float) -> float:
     """Brute-force cross-check of a one-row 2.1 kernel call's family optimum.
 
-    No point of a grid at ``grid_step`` over the feasible failure
-    probabilities may beat the closed form by more than ``tol.GUARD``.
+    No feasible point of the grid ``np.arange(g^2, 1, grid_step)`` plus 1,
+    squared, may beat the closed form by more than ``tol.GUARD``.  Rows are
+    feasible on a suffix (``g^2 (1/x0 + 1/x1)`` falls) and concave, so
+    :func:`_row_minimum` finds the mesh's maximum, returned (-inf if none).
     """
     value = float(cols.reference[0])
-    g = abs(cols.gamma[0])
-    g2 = g * g
+    g2 = cols.gamma[0] * cols.gamma[0]
     p = cols.priors[0]
-    axis = np.arange(g2, 1.0, grid_step)
-    axis = np.append(axis, 1.0)
-    xx0, xx1 = np.meshgrid(axis, axis, indexing="ij")
-    feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + tol.BOUNDARY
-    if feasible.any():
-        vals = (
-            1.0
-            - p[0] * xx0
-            - p[1] * xx1
-            - p[2] * g2 * (1.0 / xx0 + 1.0 / xx1)
+    axis = np.append(np.arange(g2, 1.0, grid_step), 1.0)
+
+    def loss(xx0, xx1):
+        t = 1.0 / xx0 + 1.0 / xx1
+        vals = 1.0 - p[0] * xx0 - p[1] * xx1 - p[2] * g2 * t
+        return np.where(g2 * t <= 1.0 + tol.BOUNDARY, -vals, np.inf)
+
+    best_grid = -_row_minimum(axis, axis, loss, p[1] < p[0])[0]
+    if best_grid > value + tol.GUARD:
+        raise InvariantViolationError(
+            f"grid search found {best_grid!r} above optimizer {value!r}"
         )
-        best_grid = float(vals[feasible].max())
-        if best_grid > value + tol.GUARD:
-            raise InvariantViolationError(
-                f"grid search found {best_grid!r} above optimizer {value!r}"
-            )
+    return best_grid
 
 
 class OptimizeResult(NamedTuple):
@@ -412,15 +453,17 @@ def optimize_unambiguous_special(
     """
     cols = _reference_point("2.1", gamma, priors)
     if grid_step is not None:
-        _family_grid_guard(cols, grid_step)
+        _family_grid_guard(cols, _check_grid_step(grid_step))
     x0, x1, value = (float(c[0]) for c in (cols.x0, cols.x1, cols.reference))
     return OptimizeResult(x0=x0, x1=x1, value=value)
 
 
 def theorem21_bound(gamma: float, p2: float) -> float:
-    """Closed-form ceiling on the coupled-failure family: 1 - g^2 (1 + p2)."""
+    """Ceiling 1 - g^2 (1 + p2) on the coupled-failure family, 2.1 gammas only."""
     gamma = float(gamma)
     p2 = float(p2)
+    if not 0.0 < abs(gamma) <= _HALF_SQRT2 + tol.BOUNDARY:
+        raise GammaOutOfRangeError(_ROW_ERRORS[1][1].format(abs_gamma=abs(gamma)))
     if not 0.0 <= p2 <= 1.0:
         raise ParamOutOfRangeError(f"p2 = {p2!r} outside [0, 1]")
     return 1.0 - gamma**2 * (1.0 + p2)
@@ -494,38 +537,35 @@ def max_unambiguous_symmetric_grid(
 
     Minimizes ``p0 x0 + p1 x1 + p2 x2`` over failure probabilities whose
     matrix ``[[x0, g, g], [g, x1, g], [g, g, x2]]`` stays PSD, using the
-    Schur-complement floor ``x2 >= g^2 (x0 + x1 - 2g) / (x0 x1 - g^2)``
-    on a 2-d grid over (x0, x1), optionally refined near the coarse
-    argmin at 1/100 of the step.  Independent of the piecewise formula;
-    used to cross-check it.
+    Schur-complement floor ``x2 >= g^2 (x0 + x1 - 2g) / (x0 x1 - g^2)`` on
+    the grid ``np.arange(step, 1, step)`` (up to 1) squared, refined if
+    asked near the coarse argmin at 1/100 of the step.  Along a row the
+    floor, ``(g^2/x0) (1 + (x0 - g)^2 / (x0 x1 - g^2))``, falls and ``x0
+    x1`` rises, so feasibility holds on a suffix, where the cost is convex:
+    :func:`_row_minimum` finds the mesh's argmin.  Independent of the
+    piecewise formula.
     """
     gamma = float(gamma)
     if not 0.0 <= gamma < 1.0:
         raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
-    if step <= 0.0:
-        raise ParamOutOfRangeError(f"grid step {step!r} must be positive")
+    step = _check_grid_step(step)
     p = tuple(validate_priors(priors, 3).tolist())
     if gamma == 0.0:
         return 1.0
 
-    def best_cost(lo0, hi0, lo1, hi1, h) -> tuple[float, float, float]:
-        a0 = np.arange(max(lo0, h), min(hi0, 1.0) + h / 2.0, h)
-        a1 = np.arange(max(lo1, h), min(hi1, 1.0) + h / 2.0, h)
-        a0 = np.minimum(a0, 1.0)
-        a1 = np.minimum(a1, 1.0)
-        xx0, xx1 = np.meshgrid(a0, a1, indexing="ij")
+    def cost_at(xx0, xx1):
         prod = xx0 * xx1
         open_mask = prod > gamma**2 + tol.SCHUR
         denom = np.where(open_mask, prod - gamma**2, 1.0)
         x2 = gamma**2 * (xx0 + xx1 - 2.0 * gamma) / denom
         feasible = open_mask & (x2 <= 1.0 + tol.BOUNDARY)
-        if not feasible.any():
-            return np.inf, 0.0, 0.0
         cost = p[0] * xx0 + p[1] * xx1 + p[2] * np.minimum(x2, 1.0)
-        cost = np.where(feasible, cost, np.inf)
-        k = int(np.argmin(cost))
-        i, j = np.unravel_index(k, cost.shape)
-        return float(cost[i, j]), float(xx0[i, j]), float(xx1[i, j])
+        return np.where(feasible, cost, np.inf)
+
+    def best_cost(lo0, hi0, lo1, hi1, h) -> tuple[float, float, float]:
+        a0 = np.minimum(np.arange(max(lo0, h), min(hi0, 1.0) + h / 2.0, h), 1.0)
+        a1 = np.minimum(np.arange(max(lo1, h), min(hi1, 1.0) + h / 2.0, h), 1.0)
+        return _row_minimum(a0, a1, cost_at, p[1] < p[0])
 
     cost, bx0, bx1 = best_cost(0.0, 1.0, 0.0, 1.0, step)
     if not np.isfinite(cost):

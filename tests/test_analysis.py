@@ -2,9 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_oracles import dense_family_grid_guard, dense_symmetric_grid
 
+from statedisc import tol
 from statedisc.analysis import (
     ComparisonRecord,
+    _family_grid_guard,
+    _reference_point,
     compare_columns,
     max_unambiguous_symmetric_grid,
     optimize_unambiguous_special,
@@ -174,8 +178,14 @@ def test_optimizer_beats_random_feasible_points():
 
 def test_bound_formula():
     assert theorem21_bound(0.5, 0.4) == pytest.approx(1 - 0.25 * 1.4, abs=1e-15)
+    assert theorem21_bound(-0.5, 0.4) == theorem21_bound(0.5, 0.4)
+    assert theorem21_bound(SQRT2_INV, 1.0) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ParamOutOfRangeError):
         theorem21_bound(0.5, 1.5)
+    # Theorem 2.1's gamma domain, as theorem21_check applies it.
+    for gamma in (float("nan"), 5.0, float("inf"), -float("inf"), 0.0, 0.8):
+        with pytest.raises(GammaOutOfRangeError):
+            theorem21_bound(gamma, 0.5)
 
 
 def test_theorem21_check_oracle_point():
@@ -282,6 +292,96 @@ def test_symmetric_grid_domain():
         max_unambiguous_symmetric_grid(1.0, (0.3, 0.3, 0.4))
     with pytest.raises(ParamOutOfRangeError):
         max_unambiguous_symmetric_grid(0.3, (0.3, 0.3, 0.4), step=-1.0)
+    # A step too coarse for any feasible point is an empty grid.
+    with pytest.raises(EmptyGridError):
+        max_unambiguous_symmetric_grid(0.3, (0.3, 0.3, 0.4), step=5.0)
+
+
+# Non-finite, non-positive, or finer than 2^24 values per unit axis.
+BAD_STEPS = (0.0, -0.0, -1e-3, -np.inf, np.inf, np.nan, 1e-300, 5e-324, 2.0**-25)
+
+
+@pytest.mark.parametrize("step", BAD_STEPS)
+def test_grid_steps_are_checked_before_any_grid(step):
+    with pytest.raises(ParamOutOfRangeError):
+        max_unambiguous_symmetric_grid(0.3, (0.3, 0.3, 0.4), step=step)
+    with pytest.raises(ParamOutOfRangeError):
+        optimize_unambiguous_special(0.3, (0.3, 0.3, 0.4), grid_step=step)
+
+
+def test_grid_step_none_skips_the_guard_and_the_finest_step_is_kept():
+    r = optimize_unambiguous_special(0.3, (0.3, 0.3, 0.4), grid_step=None)
+    assert r == optimize_unambiguous_special(0.3, (0.3, 0.3, 0.4), grid_step=1.0)
+    # 2^-24 itself is allowed; its axis is not built here, only checked.
+    with pytest.raises(InvalidGammaError):
+        max_unambiguous_symmetric_grid(1.5, (0.3, 0.3, 0.4), step=2.0**-24)
+
+
+# ----------------------------------------- row-wise oracles vs the dense mesh
+
+
+def _guard_max(gamma, p, step):
+    """Row-wise and dense guard maxima of one point, asserted equal."""
+    cols = _reference_point("2.1", gamma, p)
+    fast = _family_grid_guard(cols, step)
+    assert fast == dense_family_grid_guard(cols, step), (gamma, p, step)
+    return cols, fast
+
+
+def _criterion_05_draws():
+    rng = np.random.default_rng(505)  # criterion 05's seed and draw order
+    for _ in range(100):
+        gamma = float(rng.uniform(0.05, 0.9))
+        yield gamma, tuple(float(x) for x in rng.dirichlet([1.0, 1.0, 1.0]))
+
+
+def test_oracles_equal_the_dense_mesh_on_criterion_05_draws():
+    tripped = 0
+    for gamma, p in _criterion_05_draws():
+        assert max_unambiguous_symmetric_grid(gamma, p) == dense_symmetric_grid(
+            gamma, p
+        ), (gamma, p)
+        cols, best = _guard_max(gamma * SQRT2_INV, p, 1e-3)
+        # Lower the closed form by 1e-4: the guard trips exactly where the
+        # dense guard's test `best_grid > value + tol.GUARD` does.
+        low = replace(cols, reference=cols.reference - 1e-4)
+        trips = best > float(low.reference[0]) + tol.GUARD
+        tripped += trips
+        if trips:
+            with pytest.raises(InvariantViolationError):
+                _family_grid_guard(low, 1e-3)
+        else:
+            assert _family_grid_guard(low, 1e-3) == best
+    assert tripped > 50  # the perturbation is seen, not absorbed by the grid
+
+
+EDGE_PRIORS = [
+    (0.0, 0.5, 0.5),
+    (0.5, 0.0, 0.5),
+    (0.5, 0.5, 0.0),
+    (0.2, 0.8, 0.0),
+    (0.3, 0.3, 0.4),
+    (0.45, 0.45, 0.1),
+    (1 / 3, 1 / 3, 1 / 3),
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("p", EDGE_PRIORS)
+def test_oracles_equal_the_dense_mesh_on_edge_priors(p):
+    # Gammas on the grid make a row x0 = gamma whose cost is flat up to
+    # rounding when p1 = 0; gammas near 1 put the optimum at a corner.
+    for step, overlaps, gammas in (
+        (1e-2, (0.3, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-9), (0.3, SQRT2_INV, -SQRT2_INV)),
+        (1e-3, (0.5, 0.999), (0.5, SQRT2_INV)),
+    ):
+        for gamma in overlaps:
+            want = dense_symmetric_grid(gamma, p, step=step)
+            assert max_unambiguous_symmetric_grid(gamma, p, step=step) == want
+        for gamma in gammas:
+            _guard_max(gamma, p, step)
 
 
 # -------------------------------------------------------------- simplex grid

@@ -6,12 +6,16 @@ import math
 from unittest import mock
 
 import numpy as np
+from dense_oracles import dense_family_grid_guard, dense_symmetric_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statedisc import cli, montecarlo, serialize, tol
 from statedisc.analysis import (
+    _family_grid_guard,
+    _reference_point,
     compare_columns,
+    max_unambiguous_symmetric_grid,
     simplex_grid,
     theorem21_check,
     theorem31_check,
@@ -75,6 +79,44 @@ def test_batch_rows_equal_one_row_calls(check, gs, ps):
             assert batch.record(i) == _scalar(check, g, p)
         else:
             assert type(batch.error(i)) is _scalar(check, g, p)
+
+
+def _outcome(f, *args, **kwargs):
+    """The value, or the type of the domain error or numpy warning raised.
+
+    The guard warns on both paths when 0 < |gamma| < ~1.5e-154: gamma^2
+    underflows and its axis reaches 1/0.
+    """
+    try:
+        return f(*args, **kwargs)
+    except (DiscriminationError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+def _guard_outcome(guard, gamma, p):
+    cols = _reference_point("2.1", gamma, p)
+    return guard(cols, 1e-2)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(
+    st.one_of(st.floats(-(2**-0.5), 2**-0.5), st.sampled_from([2**-0.5, -(2**-0.5)])),
+    st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.5, 0.99])),
+    st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
+    st.booleans(),
+)
+@example(0.5, 0.5, (0.5, 0.0, 0.5), True)  # a row flat up to rounding
+def test_row_wise_oracles_equal_the_dense_mesh(gamma, overlap, p, refine):
+    # The whole domain of both oracles: theorem 2.1 gammas for the guard,
+    # symmetric overlaps in [0, 1), and priors on the simplex.
+    args = (overlap, p)
+    assert _outcome(max_unambiguous_symmetric_grid, *args, 1e-2, refine) == (
+        _outcome(dense_symmetric_grid, *args, 1e-2, refine)
+    ), (args, refine)
+    args = (gamma, p)
+    assert _outcome(_guard_outcome, _family_grid_guard, *args) == (
+        _outcome(_guard_outcome, dense_family_grid_guard, *args)
+    ), args
 
 
 def _main(argv):
