@@ -363,9 +363,9 @@ def _reference_point(theorem: str, gamma, priors) -> ComparisonColumns:
 
 
 def _check_grid_step(step) -> float:
-    """A grid step in ``[2^-24, inf)``: at most 2^24 values per unit axis."""
-    if not 2.0**-24 <= float(step) < np.inf:
-        raise ParamOutOfRangeError(f"grid step {step!r} outside [2^-24, inf)")
+    """A grid step in ``[2^-20, inf)``: at most 2^20 values per unit axis."""
+    if not 2.0**-20 <= float(step) < np.inf:
+        raise ParamOutOfRangeError(f"grid step {step!r} outside [2^-20, inf)")
     return float(step)
 
 

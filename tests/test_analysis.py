@@ -297,8 +297,8 @@ def test_symmetric_grid_domain():
         max_unambiguous_symmetric_grid(0.3, (0.3, 0.3, 0.4), step=5.0)
 
 
-# Non-finite, non-positive, or finer than 2^24 values per unit axis.
-BAD_STEPS = (0.0, -0.0, -1e-3, -np.inf, np.inf, np.nan, 1e-300, 5e-324, 2.0**-25)
+# Non-finite, non-positive, or finer than 2^20 values per unit axis.
+BAD_STEPS = (0.0, -0.0, -1e-3, -np.inf, np.inf, np.nan, 1e-300, 5e-324, 2.0**-21)
 
 
 @pytest.mark.parametrize("step", BAD_STEPS)
@@ -312,9 +312,9 @@ def test_grid_steps_are_checked_before_any_grid(step):
 def test_grid_step_none_skips_the_guard_and_the_finest_step_is_kept():
     r = optimize_unambiguous_special(0.3, (0.3, 0.3, 0.4), grid_step=None)
     assert r == optimize_unambiguous_special(0.3, (0.3, 0.3, 0.4), grid_step=1.0)
-    # 2^-24 itself is allowed; its axis is not built here, only checked.
+    # 2^-20 itself is allowed; its axis is not built here, only checked.
     with pytest.raises(InvalidGammaError):
-        max_unambiguous_symmetric_grid(1.5, (0.3, 0.3, 0.4), step=2.0**-24)
+        max_unambiguous_symmetric_grid(1.5, (0.3, 0.3, 0.4), step=2.0**-20)
 
 
 # ----------------------------------------- row-wise oracles vs the dense mesh
