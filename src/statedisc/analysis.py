@@ -376,8 +376,8 @@ def _row_minimum(a0, a1, cost, transpose) -> tuple[float, float, float]:
     or ``x0`` if ``transpose`` (callers take the larger prior's axis, so
     that no row is flat up to rounding); each must be feasible on a suffix
     and convex there.  For all rows at once, bisection finds the feasible
-    start, then the first non-negative forward difference; only a fixed
-    window of +-3 points around it, for rounding near a flat minimum, is read.
+    start, then the first non-negative forward difference; the minimum is
+    taken over a fixed window of +-3 points around it, which absorbs rounding.
     """
     rows, cols = (a1, a0) if transpose else (a0, a1)
     n, x = cols.shape[0], rows[:, None]
