@@ -423,7 +423,10 @@ def _family_grid_guard(cols: ComparisonColumns, grid_step: float) -> float:
         vals = 1.0 - p[0] * xx0 - p[1] * xx1 - p[2] * g2 * t
         return np.where(g2 * t <= 1.0 + tol.BOUNDARY, -vals, np.inf)
 
-    best_grid = -_row_minimum(axis, axis, loss, p[1] < p[0])[0]
+    # For |gamma| < ~1.5e-154, g^2 underflows and 1/x overflows at the
+    # axis start; those points are infeasible and their cost is inf anyway.
+    with np.errstate(all="ignore"):
+        best_grid = -_row_minimum(axis, axis, loss, p[1] < p[0])[0]
     if best_grid > value + tol.GUARD:
         raise InvariantViolationError(
             f"grid search found {best_grid!r} above optimizer {value!r}"

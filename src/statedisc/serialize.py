@@ -11,6 +11,7 @@ from the kernel's columns, byte-identical to writing their records.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import fields
 
 import numpy as np
@@ -186,22 +187,8 @@ def _csv_row_template(reference_kind: str, has_alpha: bool) -> str:
     return f"%.12g,{alpha},%.12g,%.12g,%.12g,%.12g,{reference_kind},%.12g,%.12g,%s"
 
 
-# Rows are formatted this many at a time from the columns, so that only
-# one chunk's worth of Python floats and row strings is alive at once.
-_CHUNK_ROWS = 4096
-
-
-def _template_rows(template: str, columns, sep: str) -> list[str]:
-    """``template % row`` for every row of the columns, ``sep``-joined per chunk."""
-    chunks = []
-    for i in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*(c[i : i + _CHUNK_ROWS].tolist() for c in columns))
-        chunks.append(sep.join(map(template.__mod__, rows)))
-    return chunks
-
-
-def _table_columns(table: ComparisonColumns, fold: bool) -> list:
-    """The columns a row template takes, gamma doubling as alpha for 3.1."""
+def _table_rows(table: ComparisonColumns, fold: bool):
+    """The rows a row template takes, gamma doubling as alpha for 3.1."""
     floats = [
         table.gamma, *table.priors.T,
         table.p_mixed, table.p_una_reference, table.margin,
@@ -210,11 +197,8 @@ def _table_columns(table: ComparisonColumns, fold: bool) -> list:
         floats = [c + 0.0 for c in floats]  # adding 0.0 folds -0.0
     if table.theorem == "3.1":  # alpha is gamma
         floats.insert(1, floats[0])
-    return [*floats, np.where(table.verdict, "true", "false")]
-
-
-def _csv_document(rows) -> str:
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    columns = [*floats, np.where(table.verdict, "true", "false")]
+    return zip(*(c.tolist() for c in columns))
 
 
 def comparison_record_to_csv_row(record: ComparisonRecord) -> str:
@@ -231,17 +215,24 @@ def comparison_record_to_csv_row(record: ComparisonRecord) -> str:
 
 def comparison_records_to_csv(records) -> str:
     """Full CSV document (header plus rows), '\\n' separated, trailing newline."""
-    return _csv_document(map(comparison_record_to_csv_row, records))
+    return "\n".join([CSV_HEADER, *map(comparison_record_to_csv_row, records)]) + "\n"
+
+
+def comparison_csv_pieces(tables) -> Iterator[str]:
+    """The CSV document of a stream of comparison tables, piece by piece.
+
+    Byte-identical to :func:`comparison_records_to_csv` over the tables'
+    records in turn, without building them: one %-template per row.
+    """
+    yield CSV_HEADER + "\n"
+    for table in tables:
+        row = _csv_row_template(table.reference_kind, table.theorem == "3.1") + "\n"
+        yield "".join(map(row.__mod__, _table_rows(table, True)))
 
 
 def comparison_columns_to_csv(table: ComparisonColumns) -> str:
-    """The CSV document of a comparison table, written from its columns.
-
-    Byte-identical to :func:`comparison_records_to_csv` over the table's
-    records, without building them: one %-template per row.
-    """
-    template = _csv_row_template(table.reference_kind, table.theorem == "3.1")
-    return _csv_document(_template_rows(template, _table_columns(table, True), "\n"))
+    """The CSV document of one comparison table."""
+    return "".join(comparison_csv_pieces([table]))
 
 
 def _json_record_template(reference_kind: str, has_alpha: bool) -> str:
@@ -261,15 +252,22 @@ def _json_record_template(reference_kind: str, has_alpha: bool) -> str:
     )
 
 
-def comparison_columns_to_json(table: ComparisonColumns) -> str:
-    """The JSON document of a comparison table, written from its columns.
+def comparison_json_pieces(tables) -> Iterator[str]:
+    """The JSON document of a stream of comparison tables, piece by piece.
 
     Byte-identical to ``json.dumps([comparison_record_to_json(r) for r in
-    records], indent=2) + "\\n"`` over the table's records, without
-    building them: one %-template per record.
+    records], indent=2) + "\\n"`` over the tables' records in turn,
+    without building them: one %-template per record.
     """
-    if not len(table):
-        return "[]\n"
-    template = _json_record_template(table.reference_kind, table.theorem == "3.1")
-    body = ",\n".join(_template_rows(template, _table_columns(table, False), ",\n"))
-    return "[\n" + body + "\n]\n"
+    sep = "[\n"
+    for table in tables:
+        if len(table):
+            item = _json_record_template(table.reference_kind, table.theorem == "3.1")
+            yield sep + ",\n".join(map(item.__mod__, _table_rows(table, False)))
+            sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def comparison_columns_to_json(table: ComparisonColumns) -> str:
+    """The JSON document of one comparison table."""
+    return "".join(comparison_json_pieces([table]))

@@ -2,8 +2,10 @@
 
 These are the full-mesh implementations that ``statedisc.analysis``
 replaced with its row-wise kernel, kept verbatim as the reference the
-kernel must equal exactly.  The one change: the guard returns its grid
-maximum (``-inf`` when no point is feasible) so that tests can compare it.
+kernel must equal exactly.  The changes: the guard returns its grid
+maximum (``-inf`` when no point is feasible) so that tests can compare it,
+and, as the kernel's guard, it raises no numpy warning where gamma^2
+underflows.
 """
 import numpy as np
 
@@ -30,14 +32,15 @@ def dense_family_grid_guard(cols, grid_step: float):
     axis = np.arange(g2, 1.0, grid_step)
     axis = np.append(axis, 1.0)
     xx0, xx1 = np.meshgrid(axis, axis, indexing="ij")
-    feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + tol.BOUNDARY
-    if feasible.any():
+    with np.errstate(all="ignore"):
+        feasible = g2 * (1.0 / xx0 + 1.0 / xx1) <= 1.0 + tol.BOUNDARY
         vals = (
             1.0
             - p[0] * xx0
             - p[1] * xx1
             - p[2] * g2 * (1.0 / xx0 + 1.0 / xx1)
         )
+    if feasible.any():
         best_grid = float(vals[feasible].max())
         if best_grid > value + tol.GUARD:
             raise InvariantViolationError(

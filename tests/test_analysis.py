@@ -158,6 +158,17 @@ def test_optimizer_domain():
         optimize_unambiguous_special(0.9, (0.3, 0.3, 0.4))
 
 
+@pytest.mark.parametrize(
+    "gamma, p", [(1e-160, (0.3, 0.3, 0.4)), (2.311352555955939e-234, (0.0, 0.0, 1.0))]
+)
+def test_optimizer_guard_is_quiet_where_gamma_squared_underflows(gamma, p):
+    # g^2 is subnormal or 0, so 1/x overflows at the guard axis's start;
+    # tier-1 turns the RuntimeWarning that would give into an error.
+    r = optimize_unambiguous_special(gamma, p)
+    assert r == optimize_unambiguous_special(gamma, p, grid_step=None)
+    assert r.value == 1.0
+
+
 def test_optimizer_beats_random_feasible_points():
     rng = np.random.default_rng(51)
     for _ in range(30):

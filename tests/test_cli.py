@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -453,6 +454,53 @@ def test_output_file_is_written_atomically(capsys, tmp_path):
     assert payload["analytic_success"] == pytest.approx(0.7, abs=1e-12)
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".statedisc-")]
     assert leftovers == []
+
+
+#: One run of every command that takes --output.
+OUTPUT_COMMANDS = {
+    "validate": ["validate"] + MIXED,
+    "run": ["run"] + MIXED,
+    "dump": ["dump"] + MIXED,
+    "simulate": ["simulate"] + MIXED + ["--n", "100"],
+    "sweep": ["sweep", "--scheme", "mixed-special", "--priors", "0.3,0.3,0.4",
+              "--grid", "gamma=0.1:0.3:0.1"],
+    "compare": ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.3:0.1"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_unwritable_output_is_one_usage_line(capsys, tmp_path, command, where):
+    target = tmp_path / "out"
+    if where == "missing-directory":
+        target = tmp_path / "absent" / "out"
+    else:
+        target.mkdir()  # the temp file goes next to it, into tmp_path
+    argv = OUTPUT_COMMANDS[command] + ["--output", str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write --output {target}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob(".statedisc-*")] == []
+
+
+def test_compare_memory_does_not_grow_with_the_grid(monkeypatch):
+    # Blocks of points are compared, formatted and written in turn, so the
+    # peak is that of one block: 37 gammas (84,286 points) peak like 10.
+    peaks = []
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for grid in ("0.01:0.37:0.04", "0.001:0.721:0.02"):
+            tracemalloc.start()
+            try:
+                code = main(["compare", "--theorem", "2.1", "--gamma-grid", grid,
+                             "--prior-step", "0.01"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 def test_config_file_supplies_command_and_params(capsys, tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 from statedisc import cli
 from statedisc.montecarlo import sweep
+from statedisc.serialize import CSV_HEADER
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_compare.json").read_text())
 PER_CODE = re.compile(r"^ \(((?:\w+: \d+)(?:, \w+: \d+)*)\)$")
@@ -57,3 +58,50 @@ def test_sweep_records_and_skipped(check):
     skipped = [[s.gamma, list(s.priors), s.code] for s in result.skipped]
     assert json.dumps(records) == json.dumps(ref["records"])
     assert json.dumps(skipped) == json.dumps(ref["skipped"])
+
+
+#: Block sizes of one point, a size that divides no row, and the whole grid.
+BLOCKS = [1, 7, 2**30]
+
+
+def _compare(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out, captured.err
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("case", GOLDEN["cli"], ids=lambda c: c["name"])
+def test_block_edges_do_not_change_output(capsys, monkeypatch, case, block):
+    want = _compare(capsys, case["argv"])
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    out, err = _compare(capsys, case["argv"])
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+    assert err.startswith(case["summary"])
+    assert (out, err) == want
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_block_edges_do_not_change_the_output_file(capsys, monkeypatch, tmp_path,
+                                                   block):
+    case = GOLDEN["cli"][1]
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    target = tmp_path / "out"
+    out, err = _compare(capsys, case["argv"] + ["--output", str(target)])
+    assert out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == case["stdout_sha256"]
+    assert err.startswith(case["summary"])
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("fmt, want", [("json", "[]\n"), ("csv", CSV_HEADER + "\n")])
+def test_a_grid_with_every_point_skipped(capsys, monkeypatch, fmt, want, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    out, err = _compare(capsys, ["compare", "--theorem", "3.1", "--gamma-grid",
+                                 "1:1.2:0.1", "--format", fmt])
+    assert out == want
+    assert err == (
+        "points: 0  failures: 0  min margin: n/a  skipped: 426 (InvalidGamma: 426)\n"
+    )
