@@ -65,9 +65,9 @@ class ComparisonRecord:
 
     ``margin = p_mixed - p_una_reference``; the verdict is true when the
     margin clears ``-tol.VERDICT``.  ``reference_kind`` names what the mixed
-    value was compared against: ``"family_optimum"`` (coupled-failure
-    family), ``"xu_max"`` (symmetric-overlap piecewise maximum), or
-    ``"theorem21_bound"`` (the closed-form ceiling on that family).
+    value was compared against, one of :data:`REFERENCE_KINDS`:
+    ``"family_optimum"`` (coupled-failure family) or ``"xu_max"``
+    (symmetric-overlap piecewise maximum).
     """
 
     gamma: float
@@ -79,12 +79,11 @@ class ComparisonRecord:
     margin: float
     verdict: bool
 
-    _KINDS = ("xu_max", "theorem21_bound", "family_optimum")
-
     def __post_init__(self):
-        if self.reference_kind not in self._KINDS:
+        if self.reference_kind not in REFERENCE_KINDS.values():
             raise ParamOutOfRangeError(
-                f"reference_kind {self.reference_kind!r} not in {self._KINDS}"
+                f"reference_kind {self.reference_kind!r} not in "
+                f"{tuple(REFERENCE_KINDS.values())}"
             )
         for what, v in (
             ("p_mixed", self.p_mixed),
@@ -228,16 +227,18 @@ def _family_optimum(g, p0, p1, p2):
 
     x0 = np.where(p0 > 0.0, box(g * np.sqrt(p2 / p0)), 1.0)
     x1 = np.where(p1 > 0.0, box(g * np.sqrt(p2 / p1)), 1.0)
-    # Projection onto the boundary g^2 (t0 + t1) = 1 with t = 1/x.
-    big_t = 1.0 / g2
+    # Projection onto the boundary g^2 (t0 + t1) = 1 with t = 1/x.  Where
+    # 1/g^2 overflows, the largest float keeps the projection finite.
+    big_t = np.minimum(1.0 / g2, np.finfo(float).max)
     r0, r1 = np.sqrt(p0), np.sqrt(p1)
     t0 = np.where(r0 + r1 > 0.0, big_t * r0 / (r0 + r1), big_t / 2.0)
     t0 = np.minimum(big_t - 1.0, np.maximum(1.0, t0))
     infeasible = g2 * (1.0 / x0 + 1.0 / x1) > 1.0
     x0 = np.where(infeasible, box(1.0 / t0), x0)
     x1 = np.where(infeasible, box(1.0 / (big_t - t0)), x1)
-    value = 1.0 - p0 * x0 - p1 * x1 - p2 * g2 * (1.0 / x0 + 1.0 / x1)
-    return x0, x1, value
+    # The last term is 0 where p2 g^2 is, even if 1/x0 + 1/x1 overflows.
+    tail = np.where(p2 * g2 > 0.0, p2 * g2 * (1.0 / x0 + 1.0 / x1), 0.0)
+    return x0, x1, 1.0 - p0 * x0 - p1 * x1 - tail
 
 
 def _xu_max(gamma, p0, p1, p2):

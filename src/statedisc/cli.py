@@ -226,11 +226,18 @@ def _range_spec(rng: dict, what: str) -> tuple[float, float, int]:
 
 
 def _range_values(rng: dict, what: str):
-    """Grid values one at a time, at most ``MAX_COMPARE_POINTS`` of them."""
+    """Grid values one at a time, at most ``MAX_COMPARE_POINTS`` of them;
+    ``min + k step`` is rounded to 12 decimals only to undo its roundoff."""
     lo, step, count = _range_spec(rng, what)
     if count > MAX_COMPARE_POINTS:
         raise UsageError(f"{what} grid has more than {MAX_COMPARE_POINTS} values")
-    return (round(lo + k * step, 12) for k in range(count))
+
+    def value(k):
+        v = lo + k * step
+        r = round(v, 12)
+        return r if abs(r - v) <= tol.GRID_ROUNDOFF * (abs(lo) + k * step) else v
+
+    return map(value, range(count))
 
 
 def _need(cfg: dict, key: str, command: str):

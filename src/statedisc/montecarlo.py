@@ -20,19 +20,17 @@ tallies do not depend on it.
 Comparison sweeps run on :func:`analysis.compare_columns`, the one
 implementation of both theorem comparisons: :func:`sweep` makes a single
 kernel call over the whole grid, and its :class:`SweepResult` keeps the
-columns, building a record only when one is accessed.
+columns and builds the records, once, on first access.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import tol
-from .analysis import ComparisonColumns, compare_columns
+from .analysis import ComparisonColumns, ComparisonRecord, compare_columns
 from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
 from .measurement import _identify_outcomes
 from .schemes import Scheme
@@ -178,35 +176,14 @@ class SkippedPoint:
     code: str
 
 
-class ComparisonRecords(Sequence):
-    """Read-only records of a comparison table, built and validated on access."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: ComparisonColumns):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[k] for k in range(*index.indices(len(self))))
-        k = operator.index(index)
-        n = len(self)
-        if not -n <= k < n:
-            raise IndexError("record index out of range")
-        return self._table.record(k % n)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Outcome of :func:`sweep`, backed by the comparison kernel's columns.
 
     ``grid`` holds every grid point, gamma-major, with its row code, and
     ``priors`` the priors as given, one per grid column.  ``table`` is the
-    compared points; ``records`` views them as :class:`ComparisonRecord`
-    objects, each built when it is accessed.
+    compared points and ``records`` the tuple of their validated
+    :class:`ComparisonRecord` objects.
     """
 
     grid: ComparisonColumns
@@ -216,9 +193,9 @@ class SweepResult:
     def table(self) -> ComparisonColumns:
         return self.grid.select(self.grid.code == 0)
 
-    @property
-    def records(self) -> ComparisonRecords:
-        return ComparisonRecords(self.table)
+    @cached_property
+    def records(self) -> tuple[ComparisonRecord, ...]:
+        return tuple(map(self.table.record, range(len(self.table))))
 
     @cached_property
     def skipped(self) -> tuple[SkippedPoint, ...]:

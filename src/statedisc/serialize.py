@@ -6,8 +6,8 @@ nested row lists of those pairs; outcome labels as the tagged strings
 the public constructors, so every invariant is re-checked on the way in.
 
 CSV output is byte-stable: floats at 12 significant digits, '.' decimal
-separator, '\\n' line endings.  Comparison tables are written straight
-from the kernel's columns, byte-identical to writing their records.
+separator, '\\n' line endings.  Comparison tables have one writer per
+format, which streams the kernel's columns; the record writers match it.
 """
 from __future__ import annotations
 
@@ -201,21 +201,16 @@ def _table_rows(table: ComparisonColumns, fold: bool):
     return zip(*(c.tolist() for c in columns))
 
 
-def comparison_record_to_csv_row(record: ComparisonRecord) -> str:
-    alpha = () if record.alpha is None else (record.alpha,)
-    values = (
-        record.gamma, *alpha, *record.priors,
-        record.p_mixed, record.p_una_reference, record.margin,
-    )
-    template = _csv_row_template(record.reference_kind, record.alpha is not None)
-    return template % (
-        *(float(v) + 0.0 for v in values), "true" if record.verdict else "false"
-    )
-
-
 def comparison_records_to_csv(records) -> str:
     """Full CSV document (header plus rows), '\\n' separated, trailing newline."""
-    return "\n".join([CSV_HEADER, *map(comparison_record_to_csv_row, records)]) + "\n"
+    lines = [CSV_HEADER]
+    for r in records:
+        alpha = () if r.alpha is None else (r.alpha,)
+        values = (r.gamma, *alpha, *r.priors, r.p_mixed, r.p_una_reference, r.margin)
+        row = _csv_row_template(r.reference_kind, r.alpha is not None)
+        verdict = "true" if r.verdict else "false"
+        lines.append(row % (*(float(v) + 0.0 for v in values), verdict))
+    return "\n".join(lines) + "\n"
 
 
 def comparison_csv_pieces(tables) -> Iterator[str]:
@@ -228,11 +223,6 @@ def comparison_csv_pieces(tables) -> Iterator[str]:
     for table in tables:
         row = _csv_row_template(table.reference_kind, table.theorem == "3.1") + "\n"
         yield "".join(map(row.__mod__, _table_rows(table, True)))
-
-
-def comparison_columns_to_csv(table: ComparisonColumns) -> str:
-    """The CSV document of one comparison table."""
-    return "".join(comparison_csv_pieces([table]))
 
 
 def _json_record_template(reference_kind: str, has_alpha: bool) -> str:
@@ -266,8 +256,3 @@ def comparison_json_pieces(tables) -> Iterator[str]:
             yield sep + ",\n".join(map(item.__mod__, _table_rows(table, False)))
             sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
-
-
-def comparison_columns_to_json(table: ComparisonColumns) -> str:
-    """The JSON document of one comparison table."""
-    return "".join(comparison_json_pieces([table]))

@@ -44,3 +44,4 @@ SCHUR = 1e-15  # x0 x1 - gamma^2 above which the grid oracle's floor is finite
 CLASSICAL = 1e-9  # worst block normality or commutator norm, right classicality
 SIMPLEX_STEP = 1e-9  # |n step - 1| for a prior step to divide 1 into n
 GRID_STEPS = 1e-9  # shortfall of (max - min) / step from a whole count of steps
+GRID_ROUNDOFF = 2.0**-50  # |round(v, 12) - v| per unit of |min| + k step, grid v

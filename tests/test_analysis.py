@@ -54,17 +54,20 @@ def test_comparison_record_build():
 
 
 def test_comparison_record_rejects_bad_kind():
-    with pytest.raises(ParamOutOfRangeError):
-        ComparisonRecord(
-            gamma=0.5,
-            alpha=None,
-            priors=(0.3, 0.3, 0.4),
-            p_mixed=0.7,
-            p_una_reference=0.3,
-            reference_kind="nonsense",
-            margin=0.4,
-            verdict=True,
-        )
+    # No comparison measures against the closed-form ceiling
+    # theorem21_bound, so no record may name it either.
+    for kind in ("nonsense", "theorem21_bound"):
+        with pytest.raises(ParamOutOfRangeError):
+            ComparisonRecord(
+                gamma=0.5,
+                alpha=None,
+                priors=(0.3, 0.3, 0.4),
+                p_mixed=0.7,
+                p_una_reference=0.3,
+                reference_kind=kind,
+                margin=0.4,
+                verdict=True,
+            )
 
 
 def test_skipped_point_errors_name_the_offending_value():
@@ -167,6 +170,18 @@ def test_optimizer_guard_is_quiet_where_gamma_squared_underflows(gamma, p):
     r = optimize_unambiguous_special(gamma, p)
     assert r == optimize_unambiguous_special(gamma, p, grid_step=None)
     assert r.value == 1.0
+
+
+@pytest.mark.parametrize("gamma", [1e-160, -1e-160, 1e-155, 1e-300, 5e-324])
+@pytest.mark.parametrize("p", [(0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (0.3, 0.3, 0.4)])
+def test_family_optimum_is_finite_where_one_over_gamma_squared_overflows(gamma, p):
+    # 1/g^2 overflows: the boundary projection took inf - inf, and the
+    # value 0 * inf at p2 = 0 or where g^2 is 0; both gave NaN.
+    r = optimize_unambiguous_special(gamma, p)
+    assert r.value == 1.0
+    assert np.isfinite([r.x0, r.x1]).all()
+    rec = theorem21_check(gamma, p)
+    assert rec.p_una_reference == 1.0 and rec.verdict
 
 
 def test_optimizer_beats_random_feasible_points():

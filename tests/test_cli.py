@@ -407,6 +407,21 @@ def test_compare_theorem21_grid(capsys):
     assert "points: 70" in err
 
 
+@pytest.mark.parametrize("grid, first, last", [
+    ("3e-13:3e-13:1", "3e-13", "3e-13"),  # 12 decimals would read 0
+    ("6e-13:6e-13:1", "6e-13", "6e-13"),  # 12 decimals would read 1e-12
+    ("0.1:0.3:0.1", "0.1", "0.3"),  # 0.1 + 2 * 0.1 is 0.30000000000000004
+])
+def test_grid_values_are_rounded_only_to_undo_roundoff(capsys, grid, first, last):
+    for argv in (["compare", "--theorem", "2.1", "--gamma-grid", grid,
+                  "--prior-step", "0.5"],
+                 ["sweep"] + MIXED + ["--grid", f"gamma={grid}"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and "skipped: 0" in err
+        gammas = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert (gammas[0], gammas[-1]) == (first, last)
+
+
 def test_compare_summary_counts_skips_per_code(capsys):
     argv = ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.8:0.2",
             "--prior-step", "0.5"]

@@ -187,6 +187,7 @@ def test_sweep_aliases_and_empty_grid():
 def test_sweep_records_are_a_read_only_view():
     r = sweep("3.1", [0.2, 1.0, 0.5], [(0.9, 0.05, 0.05), (0.3, 0.3, 0.4)])
     recs = r.records
+    assert type(recs) is tuple and r.records is recs  # built once
     assert len(recs) == 4 and len(r.skipped) == 2
     assert recs[-1] == recs[3]
     assert recs[1:3] == (recs[1], recs[2])

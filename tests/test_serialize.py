@@ -137,7 +137,8 @@ def make_record():
 
 def test_comparison_record_csv_row():
     rec = make_record()
-    row = serialize.comparison_record_to_csv_row(rec)
+    header, row = serialize.comparison_records_to_csv([rec]).splitlines()
+    assert header == serialize.CSV_HEADER
     cells = row.split(",")
     assert len(cells) == 10
     assert cells[0] == "0.5"
@@ -152,7 +153,7 @@ def test_comparison_record_csv_alpha_column():
     from statedisc.analysis import theorem31_check
 
     rec = theorem31_check(0.4, (0.2, 0.3, 0.5))
-    cells = serialize.comparison_record_to_csv_row(rec).split(",")
+    cells = serialize.comparison_records_to_csv([rec]).splitlines()[1].split(",")
     assert cells[1] == "0.4"
 
 
@@ -173,10 +174,9 @@ def test_records_to_csv_document():
 )
 def test_column_writers_match_record_writers(check, gammas, step):
     result = sweep(check, gammas, simplex_grid(step))
-    assert serialize.comparison_columns_to_csv(
-        result.table
-    ) == serialize.comparison_records_to_csv(result.records)
+    csv_text = "".join(serialize.comparison_csv_pieces([result.table]))
+    assert csv_text == serialize.comparison_records_to_csv(result.records)
     want = json.dumps(
         [serialize.comparison_record_to_json(r) for r in result.records], indent=2
     )
-    assert serialize.comparison_columns_to_json(result.table) == want + "\n"
+    assert "".join(serialize.comparison_json_pieces([result.table])) == want + "\n"
