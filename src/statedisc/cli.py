@@ -128,10 +128,15 @@ def _load_config(path: str) -> dict:
 
 def _config_value(key: str, value, convert, choices=None):
     """A config-file value read with its flag's converter and choices; a
-    complex value may also be the ``[re, im]`` pair that ``dump`` writes."""
+    complex value may also be the ``[re, im]`` pair that ``dump`` writes,
+    and a whole number a float such as ``1e3``, but never ``1.9``."""
     try:
         if convert is str and not isinstance(value, str):
             raise TypeError(f"{type(value).__name__} is not text")
+        if convert is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if convert is int and type(value) not in (int, str):
+            raise TypeError(f"{type(value).__name__} is not a whole number")
         if convert is complex and isinstance(value, list):
             value = serialize.complex_from_json(value)
         value = convert(value)

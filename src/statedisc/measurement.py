@@ -104,15 +104,6 @@ class Povm:
         return int(_identify_outcomes(self, [state_index])[0])
 
 
-def clamp_probability(value: float, what: str, band: float) -> float:
-    """``value`` clipped into [0, 1]; raises when it lies more than ``band`` outside."""
-    if not -band <= value <= 1.0 + band:
-        raise InvariantViolationError(
-            f"{what} = {value!r} outside [0, 1] by more than {band}"
-        )
-    return min(1.0, max(0.0, value))
-
-
 def _identify_outcomes(povm: Povm, states) -> np.ndarray:
     """``x[k]``, the one outcome labeled Identify(states[k]); raises at the
     first state without exactly one."""
@@ -156,8 +147,11 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
     if not np.abs(norms - 1.0).max() <= tol.NORM:
         raise InvariantViolationError(f"state norms {norms!r} differ from 1")
     conf = np.einsum("id,xde,ie->ix", w.conj(), np.array(povm.elements), w).real
-    for extreme in (conf.min(), conf.max()):
-        clamp_probability(float(extreme), "probability", tol.PROB)
+    for extreme in (float(conf.min()), float(conf.max())):
+        if not -tol.PROB <= extreme <= 1.0 + tol.PROB:
+            raise InvariantViolationError(
+                f"probability = {extreme!r} outside [0, 1] by more than {tol.PROB}"
+            )
     conf = np.clip(conf, 0.0, 1.0)
     sums = conf.sum(axis=1)
     if not np.abs(sums - 1.0).max() <= tol.COMPLETE:

@@ -24,6 +24,7 @@ columns and builds the records, once, on first access.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,15 +115,17 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     single shard is the reference stream, and sharded runs remain
     reproducible but produce a different (merged) tally.
     """
-    n = int(n)
+    # A fraction, NaN or infinity is out of range, never truncated.
+    for name, value in (("trial count", n), ("shards", shards), ("seed", seed)):
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ParamOutOfRangeError(f"{name} {value!r} is not a whole number")
+    n, shards, seed = int(n), int(shards), int(seed)
     if n < 1:
         raise ParamOutOfRangeError(f"trial count {n} must be >= 1")
-    shards = int(shards)
     if not 1 <= shards <= min(n, _MAX_SHARDS):
         raise ParamOutOfRangeError(
             f"shards = {shards} outside [1, min(n, {_MAX_SHARDS})]"
         )
-    seed = int(seed)
     # The key holds the seed in 64 bits; a wider one would alias another.
     if not 0 <= seed < 1 << 64:
         raise ParamOutOfRangeError(f"seed {seed} outside [0, 2^64)")

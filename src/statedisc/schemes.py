@@ -24,8 +24,9 @@ Builders
 The four coupled builders share one flagged-ancilla recipe (the layout of
 Roa, Retamal and Alid-Vaccarezza, PRL 107, 080401, 2011).  A builder
 validates its parameters and supplies the ensemble, the domain vectors and
-their images, one identifying system vector per state, and the closed
-form.  The recipe owns the rest: the coupling completes domain -> images,
+each image's system parts with the ancilla in |0> and |1>, one identifying
+vector per state, and the closed form, all in system space.  The recipe
+embeds them and owns the rest: the coupling completes domain -> images,
 outcome k is identifying vector k with the ancilla in |0>, the ancilla in
 |1> flags the inconclusive outcome, and it returns the validated scheme.
 
@@ -199,10 +200,11 @@ def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _ready_states(ensemble: Ensemble) -> list[np.ndarray]:
-    """Each state with the ancilla in |0>: the coupling's domain vectors."""
-    e0a = np.eye(2, dtype=np.complex128)[0]
-    return [np.kron(s.amplitudes, e0a) for s in ensemble.states]
+def _with_ancilla(a0, a1) -> np.ndarray:
+    """``a0 (x) |0> + a1 (x) |1>`` in kron's layout; a branch may be 0."""
+    v = np.zeros((len(a0), 2), dtype=np.complex128)
+    v[:, 0], v[:, 1] = a0, a1
+    return v.reshape(-1)
 
 
 def _flagged_scheme(
@@ -211,10 +213,12 @@ def _flagged_scheme(
 ) -> Scheme:
     """The flagged-ancilla recipe shared by the four coupled builders.
 
-    The coupling sends ``domain[k]`` to ``images[k]`` on ``system (x)
-    qubit ancilla``.  Outcome k, labeled ``identify(k)``, projects the
-    system onto ``identify[k]`` with the ancilla in |0>; the last outcome,
-    labeled ``inconclusive``, is the ancilla in |1> whatever the system.
+    The coupling sends each system vector ``domain[k]``, with the ancilla
+    in |0>, to ``a0 (x) |0> + a1 (x) |1>`` for ``(a0, a1) = images[k]``.
+    Outcome k, labeled ``identify(k)``, projects the system onto
+    ``identify[k]`` with the ancilla in |0>; the last outcome, labeled
+    ``inconclusive``, is the ancilla in |1> whatever the system.  The POVM
+    keeps kron: ``dump`` prints the ``-0.0`` it puts beside negative entries.
     """
     dim = ensemble.dim
     flag0, flag1 = (_proj(e) for e in np.eye(2, dtype=np.complex128))
@@ -224,6 +228,8 @@ def _flagged_scheme(
         (*elements, np.kron(np.eye(dim), flag1)),
         (*labels, OutcomeLabel.inconclusive()),
     )
+    domain = [_with_ancilla(d, 0.0) for d in domain]
+    images = [_with_ancilla(a0, a1) for a0, a1 in images]
     u = linalg.isometry_completion(domain, images, 2 * dim)
     return Scheme(ensemble, 2, u, povm, analytic, params, branch_note)
 
@@ -274,18 +280,17 @@ def build_rra(
             f"but <psi_minus|psi_plus> = {overlap!r}"
         )
 
-    e0a, e1a = np.eye(2, dtype=np.complex128)
-    fail = np.kron(e0a, e1a)  # system |0>, ancilla |1>
+    fail = np.eye(2, dtype=np.complex128)[0]  # a failure leaves the system in |0>
     plus, minus = _plus_minus(2)
-    img_plus = _snapped_sqrt(1.0 - abs(c_plus) ** 2) * np.kron(plus, e0a)
-    img_plus = img_plus + c_plus * fail
-    img_minus = _snapped_sqrt(1.0 - abs(c_minus) ** 2) * np.kron(minus, e0a)
-    img_minus = img_minus + c_minus * fail
-    ens = Ensemble((psi_plus, psi_minus), p)
+    images = [
+        (_snapped_sqrt(1.0 - abs(c_plus) ** 2) * plus, c_plus * fail),
+        (_snapped_sqrt(1.0 - abs(c_minus) ** 2) * minus, c_minus * fail),
+    ]
     analytic = 1.0 - p[0] * abs(c_plus) ** 2 - p[1] * abs(c_minus) ** 2
     return _flagged_scheme(
-        ens, _ready_states(ens), [img_plus, img_minus], (plus, minus), analytic,
-        RraParams(c_plus=c_plus, c_minus=c_minus),
+        Ensemble((psi_plus, psi_minus), p),
+        (psi_plus.amplitudes, psi_minus.amplitudes), images, (plus, minus),
+        analytic, RraParams(c_plus=c_plus, c_minus=c_minus),
     )
 
 
@@ -322,12 +327,13 @@ def xu_max_unambiguous(gamma: float, priors) -> XuResult:
     )
 
 
-def _three_state_gram(gamma: float, alpha: float) -> np.ndarray:
+def _three_state_gram(g01: complex, g12: complex, g20: complex) -> np.ndarray:
+    """Overlaps ``g01 = <u0|u1>``, ``g12 = <u1|u2>``, ``g20 = <u2|u0>``."""
     return np.array(
         [
-            [1.0, alpha, gamma],
-            [alpha, 1.0, gamma],
-            [gamma, gamma, 1.0],
+            [1.0, g01, np.conj(g20)],
+            [np.conj(g01), 1.0, g12],
+            [g20, np.conj(g12), 1.0],
         ],
         dtype=np.complex128,
     )
@@ -350,25 +356,20 @@ def _mixed_scheme(
 ) -> Scheme:
     """The flagged recipe for the mixed three-state schemes.
 
-    Splits each of the first two coupled states into the component along
-    the third plus an orthogonal remainder, then maps the remainders to
-    +/- branches whose interference term carries ``c = sqrt(c2)``.
+    Splits each of the first two states into the component along the
+    third plus an orthogonal remainder, then maps the remainders to +/-
+    branches whose ancilla-|1> interference term carries ``c = sqrt(c2)``.
     Outcomes: +, -, and the third state, each with the ancilla in |0>.
     """
-    e0a, e1a = np.eye(2, dtype=np.complex128)
     _, e1s, e2s = np.eye(3, dtype=np.complex128)
-    v = _ready_states(ensemble)
+    u0, u1, u2 = (s.amplitudes for s in ensemble.states)
     scale = np.sqrt(1.0 - gamma**2)
-    psi0 = (v[0] - gamma * v[2]) / scale
-    psi1 = (v[1] - gamma * v[2]) / scale
+    psi0 = (u0 - gamma * u2) / scale
+    psi1 = (u1 - gamma * u2) / scale
     c, r = _mixed_amplitudes(c2)
     plus, minus = _plus_minus(3)
-    domain = [v[2], psi0, psi1]
-    images = [
-        np.kron(e2s, e0a),
-        r * np.kron(plus, e0a) + np.conj(c) * np.kron(e1s, e1a),
-        r * np.kron(minus, e0a) + c * np.kron(e1s, e1a),
-    ]
+    domain = [u2, psi0, psi1]
+    images = [(e2s, 0.0), (r * plus, np.conj(c) * e1s), (r * minus, c * e1s)]
     if r == 0.0:
         # |c| = 1 makes psi1 a multiple of psi0 (and its image of psi0's),
         # so only the independent pair is pinned; linearity carries the rest.
@@ -397,7 +398,7 @@ def build_mixed_special(gamma: float, priors, allow_trivial: bool = False) -> Sc
         raise GammaOutOfRangeError(
             f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2); overlaps not realizable"
         )
-    ens = states_from_gram(GramSpec(_three_state_gram(gamma, 0.0), p))
+    ens = states_from_gram(GramSpec(_three_state_gram(0.0, gamma, gamma), p))
     c2 = -(gamma**2) / (1.0 - gamma**2)
     analytic = 1.0 - 2.0 * gamma**2 * (1.0 - p[2])
     return _mixed_scheme(ens, gamma, c2, analytic, MixedSpecialParams(gamma=gamma))
@@ -434,7 +435,7 @@ def build_mixed_general(
             )
     if not abs(alpha) <= 1.0 + tol.BOUNDARY:
         raise GramNotPsdError(f"|alpha| = {abs(alpha)!r} exceeds 1")
-    gram = _three_state_gram(gamma, alpha)
+    gram = _three_state_gram(alpha, gamma, gamma)
     w = np.linalg.eigvalsh(gram)
     if w.min() < -tol.PSD:
         raise GramNotPsdError(
@@ -508,29 +509,34 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
             f"gamma^2 (1/x0 + 1/x1) = {penalty!r} exceeds 1"
         )
 
-    ens = states_from_gram(GramSpec(_three_state_gram(gamma, 0.0), p))
-    e0a, e1a = np.eye(2, dtype=np.complex128)
+    ens = states_from_gram(GramSpec(_three_state_gram(0.0, gamma, gamma), p))
     e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
     a0 = np.sqrt(x0)
     a1 = np.sqrt(x1)
     ap0 = gamma / a0 if x0 > 0.0 else 0.0
     ap1 = gamma / a1 if x1 > 0.0 else 0.0
-    img0 = np.sqrt(max(0.0, 1.0 - x0)) * np.kron(e0s, e0a)
-    img0 = img0 + a0 * np.kron(e0s, e1a)
-    img1 = np.sqrt(max(0.0, 1.0 - x1)) * np.kron(e1s, e0a)
-    img1 = img1 + a1 * np.kron(e1s, e1a)
-    img2 = np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * np.kron(e2s, e0a)
-    img2 = img2 + ap0 * np.kron(e0s, e1a) + ap1 * np.kron(e1s, e1a)
+    images = [
+        (np.sqrt(max(0.0, 1.0 - x0)) * e0s, a0 * e0s),
+        (np.sqrt(max(0.0, 1.0 - x1)) * e1s, a1 * e1s),
+        (np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * e2s, ap0 * e0s + ap1 * e1s),
+    ]
     analytic = 1.0 - p[0] * x0 - p[1] * x1 - p[2] * (ap0**2 + ap1**2)
     return _flagged_scheme(
-        ens, _ready_states(ens), [img0, img1, img2], (e0s, e1s, e2s), analytic,
-        UnambiguousSpecialParams(gamma=gamma, x0=x0, x1=x1),
+        ens, [s.amplitudes for s in ens.states], images, (e0s, e1s, e2s),
+        analytic, UnambiguousSpecialParams(gamma=gamma, x0=x0, x1=x1),
     )
+
+
+def _check_zero_aux_moduli(g12: complex, g20: complex):
+    for name, g in (("g12", g12), ("g20", g20)):
+        if not abs(g) < 1.0:
+            raise OverlapConstraintViolatedError(f"|{name}| = {abs(g)!r} must be < 1")
 
 
 def zero_aux_posterior(g12: complex, g20: complex, priors) -> float:
     """Posterior probability of state 2 given the outcome labeled 2."""
     p = validate_priors(priors, 3)
+    _check_zero_aux_moduli(g12, g20)
     denom = p[0] * abs(g20) ** 2 + p[1] * abs(g12) ** 2 + p[2]
     if denom <= tol.ZERO_PROB:
         raise ZeroProbabilityOutcomeError("outcome 2 has zero probability")
@@ -556,21 +562,12 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     g12 = complex(g12)
     g20 = complex(g20)
     p = validate_priors(priors, 3)
-    for name, g in (("g12", g12), ("g20", g20)):
-        if not abs(g) < 1.0:
-            raise OverlapConstraintViolatedError(f"|{name}| = {abs(g)!r} must be < 1")
+    _check_zero_aux_moduli(g12, g20)
     if not abs(np.conj(g12 * g20) - g01) <= tol.OVERLAP:
         raise OverlapConstraintViolatedError(
             f"conj(g12*g20) = {np.conj(g12 * g20)!r} differs from g01 = {g01!r}"
         )
-    gram = np.array(
-        [
-            [1.0, g01, np.conj(g20)],
-            [np.conj(g01), 1.0, g12],
-            [g20, np.conj(g12), 1.0],
-        ],
-        dtype=np.complex128,
-    )
+    gram = _three_state_gram(g01, g12, g20)
     w = np.linalg.eigvalsh(gram)
     if w.min() < -tol.PSD:
         raise GramNotPsdError(f"overlap matrix eigenvalue {w.min():.3e}")

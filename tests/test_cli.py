@@ -577,6 +577,12 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
         (compare, {"grid": [1]}, "grid"),
         (simulate, {"n": "x"}, "n"),
         (simulate, {"seed": 1.5e400}, "seed"),  # JSON Infinity
+        # A whole-number flag takes an integral float, never a truncation.
+        (simulate, {"n": 1000.9}, "n"),
+        (simulate, {"n": 1000.5}, "n"),
+        (simulate, {"n": True}, "n"),
+        (simulate, {"seed": 1.9}, "seed"),
+        (simulate, {"shards": 1.99}, "shards"),
         (simulate, {"params": {"gamma": "x"}}, "gamma"),
         (simulate, {"params": [1]}, "params"),
         (simulate, {"priors": "abc"}, "priors"),

@@ -154,6 +154,16 @@ def test_simulate_argument_validation():
     # Each shard costs about 40 us whatever its size.
     with pytest.raises(ParamOutOfRangeError, match="65536"):
         simulate(s, 10**7, seed=1, shards=2**16 + 1)
+    # A trial count, seed or shard count that is not a whole number is
+    # rejected, never truncated.
+    for n, seed, shards in (
+        (10.7, 1, 1), (10, 1.9, 1), (10, 1, 1.99), (1000.9, 1.9, 1.99),
+        (float("nan"), 0, 1), (float("inf"), 0, 1), (10, float("nan"), 1),
+        (10, float("inf"), 1), (10, 0, float("nan")), (10, 0, float("inf")),
+    ):
+        with pytest.raises(ParamOutOfRangeError, match="whole number"):
+            simulate(s, n, seed, shards)
+    assert simulate(s, 10.0, 1.0, 2.0) == simulate(s, 10, 1, 2)
 
 
 def test_sweep_produces_records_in_grid_order():

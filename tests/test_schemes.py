@@ -489,6 +489,18 @@ def test_zero_aux_degenerate_posterior_denominator():
         zero_aux_posterior(0.0, 0.0, (0.5, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("g", [float("nan"), float("inf"), 5.0, -5.0, 5j, 1.0, 0.6 + 0.8j])
+def test_zero_aux_posterior_rejects_what_the_builder_rejects(g):
+    # No states have an overlap of modulus 1 or more: the builder refuses
+    # such an overlap, and the posterior it reports refuses it the same way.
+    third = (1 / 3, 1 / 3, 1 / 3)
+    for g12, g20 in ((g, 0.3), (0.3, g)):
+        with pytest.raises(OverlapConstraintViolatedError, match="must be < 1"):
+            zero_aux_posterior(g12, g20, third)
+        with pytest.raises(OverlapConstraintViolatedError, match="must be < 1"):
+            build_zero_aux(np.conj(g12 * g20), g12, g20, third)
+
+
 # ------------------------------------------------------------- separability
 
 
