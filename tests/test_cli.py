@@ -115,6 +115,19 @@ def test_out_of_domain_inputs_exit_2(capsys, argv):
     assert err.startswith("error: ParamOutOfRange: ")
 
 
+def test_trial_count_beyond_the_bound_exits_2(capsys, monkeypatch):
+    # Rejected before any stream is made, so it cannot run for years.
+    monkeypatch.setattr("numpy.random.Generator", None)
+    code, out, err = run_cli(
+        capsys, ["simulate"] + MIXED + ["--n", "1000000000000000000"]
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: ParamOutOfRange: trial count 1000000000000000000 outside "
+        "[1, 17179869184]\n"
+    )
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         [],

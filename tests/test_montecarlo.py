@@ -143,10 +143,17 @@ def test_simulate_zero_prior_state_is_never_drawn():
     assert r.counts[0].sum() == 0
 
 
-def test_simulate_argument_validation():
+def test_simulate_argument_validation(monkeypatch):
     s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
     with pytest.raises(ParamOutOfRangeError):
         simulate(s, 0, seed=1)
+    # More than 2^34 trials would sample for hours; the bound is checked
+    # before any stream is made.
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", None)
+        for n in (2**34 + 1, 10**18):
+            with pytest.raises(ParamOutOfRangeError, match="17179869184"):
+                simulate(s, n, seed=1)
     with pytest.raises(ParamOutOfRangeError):
         simulate(s, 10, seed=1, shards=0)
     with pytest.raises(ParamOutOfRangeError):

@@ -520,7 +520,9 @@ def _tie_generator(scheme, seed):
 
     class Ties:
         def __init__(self, bit_generator):
-            self._next = 0
+            # A stream split at an even row starts where its Philox
+            # counter stands, four words per counter step.
+            self._next = 4 * int(bit_generator.state["state"]["counter"][0])
 
         def random(self, shape):
             drawn = np.arange(self._next, self._next + 2 * shape[0]) % values.size
