@@ -6,6 +6,8 @@ so the rest of the package agrees on what "Hermitian" or "PSD" means.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tol
@@ -18,12 +20,15 @@ from .errors import (
 )
 
 
+_TINY = np.finfo(float).tiny  # the least normal float
+
+
 def as_cmatrix(m) -> np.ndarray:
     """Coerce input to a finite 2-d complex128 array."""
     a = np.array(m, dtype=np.complex128, copy=True)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite if both parts are
         raise InvariantViolationError("matrix has non-finite entries")
     return a
 
@@ -31,7 +36,7 @@ def as_cmatrix(m) -> np.ndarray:
 def as_cvector(v) -> np.ndarray:
     """Coerce input to a finite 1-d complex128 array."""
     a = np.array(v, dtype=np.complex128, copy=True).reshape(-1)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvariantViolationError("vector has non-finite entries")
     return a
 
@@ -42,7 +47,12 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """``np.linalg.norm(m)``; a complex array takes numpy's own steps inline."""
+    if getattr(m, "dtype", None) != np.complex128:
+        return float(np.linalg.norm(m))
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -94,7 +104,7 @@ def psd_cholesky(g) -> np.ndarray:
     # Eigenvalues at roundoff scale are exact zeros of the intended input;
     # keeping them would inject sqrt(eps)-sized noise into the factor.
     w = np.where(w < tol.DROP * max(1.0, float(w.max(initial=0.0))), 0.0, w)
-    f = v * np.sqrt(np.clip(w, 0.0, None))
+    f = v * np.sqrt(w)  # every w left is 0.0 or at least the cutoff
     # LQ factorization of f via QR of its adjoint: f = L q with L lower
     # triangular, so L L^dag = f f^dag = g regardless of q.
     r = np.linalg.qr(dag(f), mode="r")
@@ -102,17 +112,17 @@ def psd_cholesky(g) -> np.ndarray:
     for k in range(ell.shape[1]):
         pivot = ell[k, k]
         # A subnormal pivot is roundoff, and dividing by it overflows.
-        if abs(pivot) >= np.finfo(float).tiny:
+        if abs(pivot) >= _TINY:
             ell[:, k] *= np.conj(pivot) / abs(pivot)
         ell[k, k] = ell[k, k].real + 0.0j
     return ell
 
 
-def _orthonormal_residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    r = vec.astype(np.complex128, copy=True)
-    for _ in range(2):  # two Gram-Schmidt passes keep orthogonality near 1e-15
+def _orthonormal_residual(vec, basis: list[np.ndarray], passes: int = 2) -> np.ndarray:
+    r = vec.copy()
+    for _ in range(passes):  # two Gram-Schmidt passes keep orthogonality near 1e-15
         for b in basis:
-            r = r - (np.conj(b) @ r) * b
+            r -= np.vdot(b, r) * b  # np.vdot(b, r) is bitwise np.conj(b) @ r
     return r
 
 
@@ -136,8 +146,11 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
             raise DimensionMismatchError(f"vector length {v.shape[0]} != dim {dim}")
 
     m = len(dom)
-    gram_d = np.array([[np.conj(a) @ b for b in dom] for a in dom])
-    gram_i = np.array([[np.conj(a) @ b for b in img] for a in img])
+    # Check-only quantities, so computed stacked: the Gram gap here and the
+    # action residual at the end.
+    d_stack, i_stack = np.array(dom).reshape(m, dim), np.array(img).reshape(m, dim)
+    gram_d = d_stack.conj() @ d_stack.T
+    gram_i = i_stack.conj() @ i_stack.T
     gap = float(np.abs(gram_d - gram_i).max()) if m else 0.0
     if gap > tol.GRAM:
         raise GramMismatchError(f"Gram matrices differ by {gap:.3e} > {tol.GRAM}")
@@ -147,8 +160,8 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     for dv, iv in zip(dom, img):
         rd = _orthonormal_residual(dv, dom_basis)
         ri = _orthonormal_residual(iv, img_basis)
-        nd = np.linalg.norm(rd)
-        ni = np.linalg.norm(ri)
+        nd = frobenius(rd)
+        ni = frobenius(ri)
         if max(nd, ni) <= tol.ACTION:
             continue  # dependent pair; Gram equality keeps the map consistent
         if (nd < tol.RANK) != (ni < tol.RANK):
@@ -160,19 +173,30 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
         # to within them: either way the map would miss its image.
         if nd < tol.RANK or abs(nd - ni) > tol.ACTION:
             raise GramMismatchError(f"nearly dependent pair, norms {nd:.3e}, {ni:.3e}")
-        dom_basis.append(rd / nd)
-        img_basis.append(ri / ni)
+        rd /= nd
+        ri /= ni
+        dom_basis.append(rd)
+        img_basis.append(ri)
 
+    eye = np.eye(dim, dtype=np.complex128)
     for basis in (dom_basis, img_basis):
+        # Canonical vector j takes the same two passes as a pair vector.  Its
+        # first pass runs on all later canonical vectors at once, one basis
+        # vector at a time in basis order: np.vecdot of a row is bitwise its
+        # np.vdot, and each row's product and difference are its own.
+        first_pass, done = eye.copy(), 0
         for j in range(dim):
             if len(basis) == dim:
                 break
-            e = np.zeros(dim, dtype=np.complex128)
-            e[j] = 1.0
-            r = _orthonormal_residual(e, basis)
-            nr = np.linalg.norm(r)
+            rest = first_pass[j:]
+            for b in basis[done:]:
+                rest -= np.vecdot(b, rest)[:, None] * b
+            done = len(basis)
+            r = _orthonormal_residual(first_pass[j], basis, passes=1)
+            nr = frobenius(r)
             if nr >= tol.RANK:
-                basis.append(r / nr)
+                r /= nr
+                basis.append(r)
         if len(basis) != dim:
             raise InvariantViolationError("orthonormal completion did not reach dim")
 
@@ -180,11 +204,10 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     i_mat = np.column_stack(img_basis)
     u = i_mat @ dag(d_mat)
 
-    uni = frobenius(dag(u) @ u - np.eye(dim))
+    uni = frobenius(dag(u) @ u - eye)
     if uni > tol.UNITARY:
         raise InvariantViolationError(f"unitarity residual {uni:.3e} > {tol.UNITARY}")
-    for dv, iv in zip(dom, img):
-        act = float(np.linalg.norm(u @ dv - iv))
-        if act > tol.ACTION:
-            raise InvariantViolationError(f"action residual {act:.3e} > {tol.ACTION}")
+    act = float(np.linalg.norm(d_stack @ u.T - i_stack, axis=1).max(initial=0.0))
+    if act > tol.ACTION:
+        raise InvariantViolationError(f"action residual {act:.3e} > {tol.ACTION}")
     return u

@@ -9,6 +9,7 @@ property tests check on every unambiguous builder.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,19 @@ class Povm:
     completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        elements = tuple(linalg.as_cmatrix(m) for m in self.elements)
+        try:  # the usual input: equal square finite matrices, in one copy
+            stack = np.array(self.elements, dtype=np.complex128)
+        except (TypeError, ValueError):
+            stack = None
+        if (
+            stack is not None and stack.ndim == 3 and len(stack)
+            and stack.shape[1] == stack.shape[2] and np.isfinite(stack).all()
+        ):
+            stack.setflags(write=False)  # so are the views into it
+            elements = tuple(stack)
+        else:  # each element coerced alone, raising as the first bad one does
+            elements = tuple(linalg.as_cmatrix(m) for m in self.elements)
+            stack = None
         labels = tuple(self.labels)
         if not elements:
             raise DimensionMismatchError("POVM needs at least one element")
@@ -65,28 +78,16 @@ class Povm:
             raise LabelMismatchError(
                 f"{len(elements)} elements but {len(labels)} labels"
             )
-        dim = elements[0].shape[0]
-        square = [m.shape == (dim, dim) for m in elements] + [False]
-        stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
-        adjoint = stack.conj().transpose(0, 2, 1)
-        herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
-        low = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=1)
-        # The first failing element raises; shape, Hermiticity, then positivity.
-        for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
-            if herm[k] > tol.HERMITIAN:
-                raise NotHermitianError(
-                    f"Hermiticity residual {herm[k]:.3e} exceeds {tol.HERMITIAN}"
-                )
-            raise NotPsdError(f"POVM element eigenvalue {low[k]:.3e}")
-        if len(stack) < len(elements):
-            raise DimensionMismatchError("POVM elements differ in dimension")
-        res = linalg.frobenius(stack.sum(axis=0) - np.eye(dim))
-        if res > tol.COMPLETE:
-            raise InvariantViolationError(
-                f"POVM completeness residual {res:.3e} > {tol.COMPLETE}"
-            )
+        if stack is None:
+            dim = elements[0].shape[0]
+            square = [m.shape == (dim, dim) for m in elements] + [False]
+            stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
+            _check_positive(stack)
+            if len(stack) < len(elements):
+                raise DimensionMismatchError("POVM elements differ in dimension")
+        res = _completeness(stack.shape, stack.tobytes())
         for m in elements:
-            m.setflags(write=False)
+            m.setflags(write=False)  # a view of the frozen stack already is
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "completeness_residual", res)
@@ -104,18 +105,49 @@ class Povm:
         return int(_identify_outcomes(self, [state_index])[0])
 
 
+def _check_positive(stack: np.ndarray):
+    """Raise at the first element of ``stack`` that is not Hermitian, or
+    else not positive semidefinite."""
+    adjoint = stack.conj().transpose(0, 2, 1)
+    herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
+    low = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=1)
+    for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
+        if herm[k] > tol.HERMITIAN:
+            raise NotHermitianError(
+                f"Hermiticity residual {herm[k]:.3e} exceeds {tol.HERMITIAN}"
+            )
+        raise NotPsdError(f"POVM element eigenvalue {low[k]:.3e}")
+
+
+@functools.lru_cache(maxsize=64)
+def _completeness(shape: tuple, data: bytes) -> float:
+    """Completeness residual of a stack of equal square elements, each
+    checked by :func:`_check_positive` first.  Cached by the stack's bytes:
+    a stack equal bit for bit to one seen before (a reloaded POVM, a
+    builder's fixed one) gets the answer its checks gave then."""
+    stack = np.frombuffer(data, dtype=np.complex128).reshape(shape)
+    _check_positive(stack)
+    res = linalg.frobenius(stack.sum(axis=0) - np.eye(shape[1]))
+    if res > tol.COMPLETE:
+        raise InvariantViolationError(
+            f"POVM completeness residual {res:.3e} > {tol.COMPLETE}"
+        )
+    return res
+
+
 def _identify_outcomes(povm: Povm, states) -> np.ndarray:
     """``x[k]``, the one outcome labeled Identify(states[k]); raises at the
     first state without exactly one."""
-    states = np.asarray(states)
     index = [-1 if lab.index is None else lab.index for lab in povm.labels]
-    hits = np.array(index) == states[:, None]
-    count = hits.sum(axis=1)
-    for k in np.flatnonzero(count != 1)[:1]:
-        raise LabelMismatchError(
-            f"{count[k]} outcomes identify state {states[k]}, expected 1"
-        )
-    return hits.argmax(axis=1)
+    outcomes = []
+    for state in states:
+        count = index.count(state)
+        if count != 1:
+            raise LabelMismatchError(
+                f"{count} outcomes identify state {state}, expected 1"
+            )
+        outcomes.append(index.index(state))
+    return np.array(outcomes, dtype=np.intp)
 
 
 def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> np.ndarray:

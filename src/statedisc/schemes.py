@@ -35,6 +35,7 @@ JSON codec derive everything they know about a kind from it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union
 
@@ -157,8 +158,12 @@ class Scheme:
         # Closed form must match the measurement pipeline on the spot.
         conf = measurement.pure_confusion(_coupled_vectors(self), self.povm)
         identify = measurement._identify_outcomes(self.povm, range(len(conf)))
-        terms = self.ensemble.priors * conf[np.arange(len(conf)), identify]
-        total = float(np.cumsum(terms)[-1])  # added in state order
+        rows, priors = conf.tolist(), self.ensemble.priors.tolist()
+        # Each state's prior times its identifying outcome's probability,
+        # added in state order: the float64 products and sums, in Python.
+        total = priors[0] * rows[0][identify[0]]
+        for i in range(1, len(rows)):
+            total += priors[i] * rows[i][identify[i]]
         if not abs(total - self.analytic_success) <= tol.PIPELINE:  # NaN fails
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
@@ -200,11 +205,25 @@ def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _with_ancilla(a0, a1) -> np.ndarray:
-    """``a0 (x) |0> + a1 (x) |1>`` in kron's layout; a branch may be 0."""
-    v = np.zeros((len(a0), 2), dtype=np.complex128)
-    v[:, 0], v[:, 1] = a0, a1
-    return v.reshape(-1)
+@functools.lru_cache(maxsize=8)
+def _flagged_povm(identify: bytes, dim: int) -> Povm:
+    """The flagged recipe's POVM for the identifying vectors whose complex128
+    stack has these bytes: built and validated once per distinct set, as
+    each builder passes fixed vectors.  Its arrays are read-only.
+
+    Outcome k, labeled ``identify(k)``, projects the system onto vector k
+    with the ancilla in |0>; the last outcome, labeled ``inconclusive``, is
+    the ancilla in |1> whatever the system.  The POVM keeps kron: ``dump``
+    prints the ``-0.0`` it puts beside negative entries.
+    """
+    vectors = np.frombuffer(identify, dtype=np.complex128).reshape(-1, dim)
+    flag0, flag1 = (_proj(e) for e in np.eye(2, dtype=np.complex128))
+    elements = [np.kron(_proj(vec), flag0) for vec in vectors]
+    labels = [OutcomeLabel.identify(k) for k in range(len(vectors))]
+    return Povm(
+        (*elements, np.kron(np.eye(dim), flag1)),
+        (*labels, OutcomeLabel.inconclusive()),
+    )
 
 
 def _flagged_scheme(
@@ -214,23 +233,18 @@ def _flagged_scheme(
     """The flagged-ancilla recipe shared by the four coupled builders.
 
     The coupling sends each system vector ``domain[k]``, with the ancilla
-    in |0>, to ``a0 (x) |0> + a1 (x) |1>`` for ``(a0, a1) = images[k]``.
-    Outcome k, labeled ``identify(k)``, projects the system onto
-    ``identify[k]`` with the ancilla in |0>; the last outcome, labeled
-    ``inconclusive``, is the ancilla in |1> whatever the system.  The POVM
-    keeps kron: ``dump`` prints the ``-0.0`` it puts beside negative entries.
+    in |0>, to ``a0 (x) |0> + a1 (x) |1>`` for ``(a0, a1) = images[k]`` (a
+    branch may be 0); the POVM is :func:`_flagged_povm` of ``identify``.
     """
     dim = ensemble.dim
-    flag0, flag1 = (_proj(e) for e in np.eye(2, dtype=np.complex128))
-    elements = [np.kron(_proj(vec), flag0) for vec in identify]
-    labels = [OutcomeLabel.identify(k) for k in range(len(identify))]
-    povm = Povm(
-        (*elements, np.kron(np.eye(dim), flag1)),
-        (*labels, OutcomeLabel.inconclusive()),
-    )
-    domain = [_with_ancilla(d, 0.0) for d in domain]
-    images = [_with_ancilla(a0, a1) for a0, a1 in images]
-    u = linalg.isometry_completion(domain, images, 2 * dim)
+    povm = _flagged_povm(np.array(identify, dtype=np.complex128).tobytes(), dim)
+    # pairs[0, k] and pairs[1, k] are domain[k] and images[k] in kron's layout.
+    pairs = np.zeros((2, len(images), dim, 2), dtype=np.complex128)
+    for k, (d, (a0, a1)) in enumerate(zip(domain, images)):
+        pairs[0, k, :, 0] = d
+        pairs[1, k, :, 0], pairs[1, k, :, 1] = a0, a1
+    pairs = pairs.reshape(2, len(images), 2 * dim)
+    u = linalg.isometry_completion(pairs[0], pairs[1], 2 * dim)
     return Scheme(ensemble, 2, u, povm, analytic, params, branch_note)
 
 

@@ -43,22 +43,54 @@ def complex_from_json(pair) -> complex:
     return complex(float(re), float(im))
 
 
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v).ravel()]
+def _pairs_to_json(a) -> list:
+    """Nested ``[re, im]`` lists of a complex array: ``complex_to_json`` of
+    every entry, read off its float pairs in one step."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
-def vector_from_json(rows) -> np.ndarray:
-    return np.array([complex_from_json(p) for p in rows], dtype=np.complex128)
+def _regular_pairs(rows, ndim: int):
+    """Complex array of ``ndim`` dimensions read in one step from nested
+    ``[re, im]`` pairs, or ``None`` unless they hold only numbers in that
+    shape.  The float pairs are reinterpreted as complex, bits kept."""
+    try:
+        a = np.array(rows)
+    except (TypeError, ValueError):  # ragged
+        return None
+    if a.dtype.kind not in "biuf" or a.shape[ndim:] != (2,):
+        return None
+    return a.astype(np.float64).view(np.complex128)[..., 0]
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(m)]
-
-
-def matrix_from_json(rows) -> np.ndarray:
+def _pairs_from_json(rows, ndim: int) -> np.ndarray:
+    """Like :func:`_regular_pairs`, but anything else takes
+    ``complex_from_json`` pair by pair, so that a ragged or non-pair entry,
+    a ``null`` or a string that is not a number raises just as it does."""
+    a = _regular_pairs(rows, ndim)
+    if a is not None:
+        return a
+    if ndim == 1:
+        return np.array([complex_from_json(p) for p in rows], dtype=np.complex128)
     return np.array(
         [[complex_from_json(p) for p in row] for row in rows], dtype=np.complex128
     )
+
+
+def vector_to_json(v: np.ndarray) -> list[list[float]]:
+    return _pairs_to_json(np.asarray(v).ravel())
+
+
+def vector_from_json(rows) -> np.ndarray:
+    return _pairs_from_json(rows, 1)
+
+
+def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    return _pairs_to_json(m)
+
+
+def matrix_from_json(rows) -> np.ndarray:
+    return _pairs_from_json(rows, 2)
 
 
 def ensemble_to_json(ens: Ensemble) -> dict:
@@ -87,14 +119,17 @@ def label_from_json(text: str) -> OutcomeLabel:
 
 def povm_to_json(povm: Povm) -> dict:
     return {
-        "elements": [matrix_to_json(e) for e in povm.elements],
+        "elements": _pairs_to_json(povm.elements),
         "labels": [label_to_json(lab) for lab in povm.labels],
     }
 
 
 def povm_from_json(data) -> Povm:
+    elements = _regular_pairs(data["elements"], 3)
+    if elements is None:
+        elements = tuple(matrix_from_json(e) for e in data["elements"])
     return Povm(
-        elements=tuple(matrix_from_json(e) for e in data["elements"]),
+        elements=elements,
         labels=tuple(label_from_json(t) for t in data["labels"]),
     )
 

@@ -49,6 +49,13 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
     ``tol.PRIORS``; NaN and infinity fail.  The sum runs left to right, so
     a vector gets the same answer alone or as a row of a batch.
     """
+    if p.ndim == 1:  # one vector: the same additions on Python floats
+        values = p.tolist()
+        total = values[0]
+        for x in values[1:]:
+            total += x
+        # A NaN entry makes the total NaN, which fails whatever min() saw.
+        return np.bool_(min(values) >= 0.0 and abs(total - 1.0) <= tol.PRIORS)
     total = p[..., 0]
     # inf + -inf is NaN and an overflowing sum is inf; both fail below.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -67,7 +74,7 @@ class Ket:
         a = linalg.as_cvector(self.amplitudes)
         if a.shape[0] < 1:
             raise DimensionMismatchError("empty state vector")
-        norm = float(np.linalg.norm(a))
+        norm = linalg.frobenius(a)
         if abs(norm - 1.0) > tol.NORM:
             raise InvariantViolationError(f"ket norm {norm!r} differs from 1")
         object.__setattr__(self, "amplitudes", _freeze(a))
@@ -194,9 +201,8 @@ def states_from_gram(spec: GramSpec) -> Ensemble:
     non-negative diagonal pivots).  Raises :class:`NotPsdError` when the
     overlaps are not realizable.
     """
-    ell = linalg.psd_cholesky(spec.overlaps)
-    kets = tuple(Ket(np.conj(ell[i, :])) for i in range(spec.n_states))
-    return Ensemble(kets, spec.priors)
+    rows = np.conj(linalg.psd_cholesky(spec.overlaps))
+    return Ensemble(tuple(map(Ket, rows)), spec.priors)
 
 
 def ensemble_density(ensemble: Ensemble) -> DensityMatrix:

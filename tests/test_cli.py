@@ -365,6 +365,57 @@ def test_sweep_skips_out_of_domain_points(capsys):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writes_each_row_as_it_is_built(capsys, monkeypatch, fmt):
+    from statedisc import cli
+
+    built, seen = [], []
+    brute = cli.brute_force_success
+    monkeypatch.setattr(cli, "brute_force_success",
+                        lambda s: built.append(1) or brute(s))
+
+    def write(pieces, path):  # when each piece arrives, how many points built
+        for piece in pieces:
+            seen.append((len(built), piece))
+
+    monkeypatch.setattr(cli, "_write_output", write)
+    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.5:0.9:0.1", "--format", fmt]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0 and err.strip() == "points: 3  skipped: 2"
+    # Row k goes out once point k is built, before point k + 1 is.
+    assert [n for n, _ in seen] == [1, 2, 3, 3]
+    text = "".join(piece for _, piece in seen)
+    monkeypatch.undo()
+    assert run_cli(capsys, argv)[1] == text
+
+
+@pytest.mark.parametrize("fmt, empty", [("csv", "gamma,p0,p1,p2,analytic_success,"
+                                         "brute_force_success\n"), ("json", "[]\n")])
+def test_sweep_of_only_skipped_points_writes_the_empty_table(capsys, fmt, empty):
+    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.8:0.9:0.1", "--format", fmt]
+    assert run_cli(capsys, argv) == (0, empty, "points: 0  skipped: 2\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "json"]])
+def test_empty_sweep_grid_writes_nothing(capsys, tmp_path, extra):
+    out = tmp_path / "rows.csv"
+    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.5:0.1:0.1"] + extra
+    code, stdout, err = run_cli(capsys, argv)
+    assert (code, stdout, err) == (1, "", "usage error: empty gamma grid\n")
+    code, _, _ = run_cli(capsys, argv + ["--output", str(out)])
+    assert code == 1 and not out.exists() and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["--scheme", "mixed-special", "--grid", "gamma=0.1:0.3:0.1"],
+     "scheme mixed-special requires --priors"),
+    (["--scheme", "mixed-general", "--priors", "0.3,0.3,0.4",
+      "--grid", "alpha=0.1:0.3:0.1"], "scheme mixed-general requires --gamma"),
+])
+def test_sweep_missing_an_input_writes_nothing(capsys, argv, missing):
+    assert run_cli(capsys, ["sweep", *argv]) == (1, "", f"usage error: {missing}\n")
+
+
 #: Extra flags of each command whose pipeline evaluations are counted.
 COUNTED_COMMANDS = {
     "run": [], "run csv": ["--format", "csv"], "validate": [], "dump": [],

@@ -178,3 +178,87 @@ def test_isometry_completion_random_partial_maps():
         assert linalg.frobenius(linalg.dag(u) @ u - np.eye(n)) < 1e-11
         for d, i in zip(dom, img):
             assert np.linalg.norm(u @ d - i) < 1e-10
+
+
+# The build path relies on these equalities holding bit for bit in the
+# installed numpy and BLAS; a failure names the library pair, not the code.
+def _library() -> str:
+    return f"numpy {np.__version__} with its BLAS; see np.show_config()"
+
+
+def _random_pairs(seed, count=2000):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 9))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        r = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if k % 3 == 0:  # exact zeros and negative zeros, as the builders make
+            b[rng.integers(0, n)] = 0.0
+            r[rng.integers(0, n)] = complex(-0.0, -0.0)
+        yield b, r
+
+
+def test_vdot_is_bitwise_conj_matmul():
+    bad = sum(
+        np.vdot(b, r).tobytes() != (np.conj(b) @ r).tobytes()
+        for b, r in _random_pairs(181)
+    )
+    assert bad == 0, (
+        f"np.vdot differs from np.conj(b) @ r in {bad} pairs: {_library()}"
+    )
+
+
+def test_vecdot_rows_and_row_products_are_bitwise_per_row():
+    rng = np.random.default_rng(182)
+    bad = 0
+    for b, _ in _random_pairs(183, 500):
+        rows = rng.normal(size=(4, len(b))) + 1j * rng.normal(size=(4, len(b)))
+        c = np.vecdot(b, rows)
+        products = c[:, None] * b
+        for k, row in enumerate(rows):
+            bad += c[k].tobytes() != np.vdot(b, row).tobytes()
+            bad += products[k].tobytes() != (c[k] * b).tobytes()
+    assert bad == 0, (
+        f"np.vecdot rows differ from np.vdot in {bad} cases: {_library()}"
+    )
+
+
+def test_inline_norm_is_bitwise_numpy_norm():
+    rng = np.random.default_rng(184)
+    vectors = [r for _, r in _random_pairs(185)]
+    vectors += [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                for _ in range(200)]
+
+    def inline(v):  # the parts of the flattened complex array, as strided views
+        x = v.ravel()
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+    bad = sum(
+        linalg.frobenius(v) != np.linalg.norm(v) or inline(v) != np.linalg.norm(v)
+        for v in vectors
+    )
+    assert bad == 0, (
+        f"the inline norm differs from np.linalg.norm in {bad} cases: {_library()}"
+    )
+
+
+def test_broadcast_kron_is_bitwise_kron_with_negative_zeros():
+    rng = np.random.default_rng(186)
+    bad = 0
+    for _ in range(300):
+        n, m = (int(k) for k in rng.integers(1, 5, size=2))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a[rng.random((n, n)) < 0.3] = 0.0
+        b[rng.random((m, m)) < 0.3] = -1.0
+        broadcast = (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+        bad += broadcast.tobytes() != np.kron(a, b).tobytes()
+    flag = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+    minus = np.outer([1.0, -1.0], [1.0, -1.0]).astype(np.complex128)
+    kron = np.kron(minus, flag)
+    assert np.signbit(kron.real).any()  # the -0.0 that dump prints
+    broadcast = (minus[:, None, :, None] * flag[None, :, None, :]).reshape(4, 4)
+    bad += broadcast.tobytes() != kron.tobytes()
+    assert bad == 0, (
+        f"broadcast kron differs from np.kron in {bad} cases: {_library()}"
+    )

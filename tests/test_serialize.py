@@ -180,3 +180,88 @@ def test_column_writers_match_record_writers(check, gammas, step):
         [serialize.comparison_record_to_json(r) for r in result.records], indent=2
     )
     assert "".join(serialize.comparison_json_pieces([result.table])) == want + "\n"
+
+
+# The loaders read well-formed [re, im] arrays in one step and everything
+# else pair by pair; each malformed case raises what reading pair by pair
+# raises (the types below were taken from the pair-by-pair loaders).
+PAIR = [0.8, 0.0]
+MALFORMED_PAIRS = [
+    ("null pair", [None, PAIR], TypeError),
+    ("null real part", [[None, 0.0], PAIR], TypeError),
+    ("null imaginary part", [[0.6, None], PAIR], TypeError),
+    ("non-numeric string", [["abc", 0.0], PAIR], ValueError),
+    ("short pair", [[0.6], PAIR], ValueError),
+    ("long pair", [[0.6, 0.0, 1.0], PAIR], ValueError),
+    ("empty pair", [[], PAIR], ValueError),
+    ("ragged", [[0.6, 0.0], [0.8]], ValueError),
+    ("number for a pair", [0.6, PAIR], TypeError),
+    ("numbers only", [0.6, 0.8], TypeError),
+    ("nested part", [[[0.6], 0.0], PAIR], TypeError),
+    ("object for a pair", [{"re": 0.6, "im": 0.0}, PAIR], ValueError),
+    ("integer too large", [[10**400, 0], PAIR], OverflowError),
+]
+
+
+@pytest.mark.parametrize("name, rows, error", MALFORMED_PAIRS,
+                         ids=[c[0] for c in MALFORMED_PAIRS])
+def test_malformed_pairs_raise_as_pair_by_pair(name, rows, error):
+    with pytest.raises(error):
+        serialize.vector_from_json(rows)
+    with pytest.raises(error):
+        serialize.matrix_from_json([rows, rows])
+
+
+@pytest.mark.parametrize("rows, values", [
+    ([["0.6", "0"], PAIR], [0.6, 0.8]),  # numeric strings read as float() does
+    (["06", PAIR], [6j, 0.8]),  # so does a two-character string
+    ([[True, False], PAIR], [1.0, 0.8]),
+    ([[float("nan"), 0.0], PAIR], [complex(float("nan"), 0.0), 0.8]),
+    ([], []),
+])
+def test_odd_but_readable_pairs_read_as_pair_by_pair(rows, values):
+    got = serialize.vector_from_json(rows)
+    assert got.dtype == np.complex128
+    np.testing.assert_array_equal(got, np.array(values, dtype=np.complex128))
+
+
+def test_pairs_read_and_write_keep_every_bit():
+    rng = np.random.default_rng(18)
+    m = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    m[0, :] = -0.0
+    m[1, :] = complex(0.0, -0.0)
+    rows = through_json(serialize.matrix_to_json(m))
+    assert rows == [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    back = serialize.matrix_from_json(rows)
+    assert back.tobytes() == m.tobytes()
+    by_pair = np.array([[serialize.complex_from_json(p) for p in row] for row in rows])
+    assert back.tobytes() == by_pair.tobytes()
+
+
+def _mixed_special_json():
+    s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
+    return through_json(serialize.scheme_to_json(s))
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (["coupling", 0, 0], None, TypeError),
+    (["coupling", 0, 0, 1], None, TypeError),
+    (["coupling", 0, 0, 0], "x", ValueError),
+    (["coupling", 0, 0], [1.0], ValueError),
+    (["coupling", 0], [[1.0, 0.0]], ValueError),
+    (["ensemble", "states", 0, 0], None, TypeError),
+    (["povm", "elements", 0, 0, 0], None, TypeError),
+    (["povm", "elements", 1, 2, 3, 0], None, TypeError),
+    (["povm", "elements", 0, 0, 0, 1], "i", ValueError),
+    (["povm", "elements", 3], 1.0, TypeError),
+    # A NaN written into the file is non-finite, where a null is a TypeError.
+    (["povm", "elements", 0, 0, 0, 0], float("nan"), InvariantViolationError),
+])
+def test_tampered_scheme_arrays_fail_as_before(path, value, error):
+    data = _mixed_special_json()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(error):
+        serialize.scheme_from_json(data)
