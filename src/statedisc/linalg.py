@@ -118,9 +118,9 @@ def psd_cholesky(g) -> np.ndarray:
     return ell
 
 
-def _orthonormal_residual(vec, basis: list[np.ndarray], passes: int = 2) -> np.ndarray:
+def _orthonormal_residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     r = vec.copy()
-    for _ in range(passes):  # two Gram-Schmidt passes keep orthogonality near 1e-15
+    for _ in range(2):  # two Gram-Schmidt passes keep orthogonality near 1e-15
         for b in basis:
             r -= np.vdot(b, r) * b  # np.vdot(b, r) is bitwise np.conj(b) @ r
     return r
@@ -183,16 +183,25 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
         # Canonical vector j takes the same two passes as a pair vector.  Its
         # first pass runs on all later canonical vectors at once, one basis
         # vector at a time in basis order: np.vecdot of a row is bitwise its
-        # np.vdot, and each row's product and difference are its own.
+        # np.vdot, and each row's product and difference are its own.  These
+        # residuals start as 1.0 and +0.0 entries, and x - y is -0.0 only for
+        # x = -0.0: so they never hold a -0.0, and subtracting a zero
+        # coefficient's product, all signed zeros, changes no bit of them.
         first_pass, done = eye.copy(), 0
         for j in range(dim):
             if len(basis) == dim:
                 break
             rest = first_pass[j:]
             for b in basis[done:]:
-                rest -= np.vecdot(b, rest)[:, None] * b
+                c = np.vecdot(b, rest)
+                if c.any():
+                    rest -= c[:, None] * b
             done = len(basis)
-            r = _orthonormal_residual(first_pass[j], basis, passes=1)
+            r = first_pass[j].copy()
+            for b in basis:  # the second pass
+                c = np.vdot(b, r)
+                if c:
+                    r -= c * b
             nr = frobenius(r)
             if nr >= tol.RANK:
                 r /= nr

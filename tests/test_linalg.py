@@ -180,6 +180,60 @@ def test_isometry_completion_random_partial_maps():
             assert np.linalg.norm(u @ d - i) < 1e-10
 
 
+def _reference_completion(dom, img, dim):
+    """The completion as plain per-vector modified Gram-Schmidt: each update
+    ``r = r - (np.conj(b) @ r) * b`` on its own, two passes per vector."""
+    def residual(vec, basis):
+        r = np.array(vec, dtype=np.complex128)
+        for _ in range(2):
+            for b in basis:
+                r = r - (np.conj(b) @ r) * b
+        return r
+
+    bases = ([], [])
+    for pair in zip(dom, img):
+        rs = [residual(v, basis) for v, basis in zip(pair, bases)]
+        norms = [np.linalg.norm(r) for r in rs]
+        if max(norms) > 1e-10:
+            for basis, r, n in zip(bases, rs, norms):
+                basis.append(r / n)
+    for basis in bases:
+        for e in np.eye(dim, dtype=np.complex128):
+            if len(basis) == dim:
+                break
+            r = residual(e, basis)
+            if np.linalg.norm(r) >= 1e-8:
+                basis.append(r / np.linalg.norm(r))
+    return np.column_stack(bases[1]) @ np.column_stack(bases[0]).conj().T
+
+
+def test_isometry_completion_is_bitwise_plain_gram_schmidt():
+    # Random partial maps, and the builders' layout: vectors with the
+    # ancilla in |0> (zeros at odd places), images in both ancilla states,
+    # and negative zeros among the entries.
+    rng = np.random.default_rng(16)
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        dim = 2 * n
+        k = int(rng.integers(1, n + 1))
+        u_ref = random_unitary(rng, dim)
+        basis = random_unitary(rng, n)
+        dom = [np.kron(basis[:, j], [1.0, 0.0]) for j in range(k)]
+        if trial % 2:
+            dom = [random_unitary(rng, dim)[:, 0] for _ in range(k)]
+        if trial % 3 == 0:
+            for d in dom:
+                d[d.real == 0] = complex(-0.0, 0.0)
+        img = [u_ref @ d for d in dom]
+        if trial % 5 == 0:  # an image block that is exactly zero
+            img = [np.kron(u_ref[:n, :n] @ basis[:, j], [1.0, 0.0]) for j in range(k)]
+            img = [v / np.linalg.norm(v) * np.linalg.norm(d) for v, d in zip(img, dom)]
+            if abs(np.vdot(img[0], img[-1]) - np.vdot(dom[0], dom[-1])) > 1e-12:
+                continue
+        u = linalg.isometry_completion(dom, img, dim)
+        assert u.tobytes() == _reference_completion(dom, img, dim).tobytes(), trial
+
+
 # The build path relies on these equalities holding bit for bit in the
 # installed numpy and BLAS; a failure names the library pair, not the code.
 def _library() -> str:
