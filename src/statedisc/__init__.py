@@ -6,6 +6,8 @@ verify them through an independent measurement pipeline, compare mixed
 schemes against the best fully unambiguous alternatives, and reproduce
 every number by seeded Monte-Carlo simulation.
 """
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     ComparisonColumns,
     ComparisonRecord,
@@ -92,74 +94,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeOutOfRangeError",
-    "ComparisonColumns",
-    "ComparisonRecord",
-    "DensityMatrix",
-    "DimensionMismatchError",
-    "DiscriminationError",
-    "EmptyGridError",
-    "Ensemble",
-    "GammaOutOfRangeError",
-    "GramMismatchError",
-    "GramNotPsdError",
-    "GramSpec",
-    "HypothesisViolatedError",
-    "InfeasibleAmplitudesError",
-    "InvalidGammaError",
-    "InvariantViolationError",
-    "Ket",
-    "LabelMismatchError",
-    "MixedGeneralParams",
-    "MixedSpecialParams",
-    "NotHermitianError",
-    "NotPsdError",
-    "OptimizeResult",
-    "OutcomeLabel",
-    "OverlapConstraintViolatedError",
-    "ParamOutOfRangeError",
-    "Povm",
-    "RraParams",
-    "Scheme",
-    "SeparableDecomposition",
-    "SimResult",
-    "SkippedPoint",
-    "SweepResult",
-    "UnambiguousSpecialParams",
-    "XuResult",
-    "ZeroAuxParams",
-    "ZeroProbabilityOutcomeError",
-    "brute_force_success",
-    "build_mixed_general",
-    "build_mixed_special",
-    "build_rra",
-    "build_unambiguous_special",
-    "build_zero_aux",
-    "commutator",
-    "compare_columns",
-    "confusion_matrix",
-    "coupled_ensemble",
-    "dag",
-    "ensemble_density",
-    "frobenius",
-    "hermitian_eig",
-    "inner",
-    "isometry_completion",
-    "max_unambiguous_symmetric_grid",
-    "optimize_unambiguous_special",
-    "psd_cholesky",
-    "right_classicality_check",
-    "scheme_confusion",
-    "separable_decomposition",
-    "simplex_grid",
-    "simulate",
-    "states_from_gram",
-    "sweep",
-    "theorem21_bound",
-    "theorem21_check",
-    "theorem31_check",
-    "unambiguity_check",
-    "xu_max_unambiguous",
-    "zero_aux_posterior",
-]
+# Every name imported above, once: the public names that are not modules.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -368,42 +368,38 @@ def _cmd_sweep(cfg: dict) -> int:
             f"scheme {scheme_id} sweeps over {sweepable[scheme_id]}, not {param!r}"
         )
     values = _range_values(rng, param)
-    # Checked before anything is written, as are the priors.
-    if not _range_spec(rng, param)[2]:
+    if not _range_spec(rng, param)[2]:  # before anything is written
         raise UsageError(f"empty {param} grid")
     priors = _need_priors(cfg, SCHEME_KINDS[scheme_id].n_priors, scheme_id)
+    if cfg.get("format", "csv") == "json":  # the bytes of json.dumps(rows, indent=2)
+        first, sep, end, empty = "[\n", ",\n", "\n]\n", "[]\n"
+
+        def text(v, a, b):
+            return json.dumps([{"param": param, "value": v, "priors": priors,
+                                "analytic_success": a, "brute_force_success": b}],
+                              indent=2)[2:-2]
+    else:
+        first = f"{param},p0,p1,p2,analytic_success,brute_force_success\n"
+        sep, end, empty = "", "", first
+
+        def text(v, a, b):
+            return ",".join(map(serialize.format_float, (v, *priors, a, b))) + "\n"
     tally = Counter()
 
-    def rows():  # (value, analytic, brute force) of each point as it builds
+    def pieces():  # each row as its point is built; the header goes with the first
+        lead = first
         for v in values:
-            point = {**cfg, "params": {**cfg["params"], param: v}}
             try:
-                scheme = _build_scheme(point)
+                scheme = _build_scheme({**cfg, "params": {**cfg["params"], param: v}})
             except DiscriminationError:
                 tally["skipped"] += 1
                 continue
             tally["points"] += 1
-            yield v, scheme.analytic_success, brute_force_success(scheme)
+            yield lead + text(v, scheme.analytic_success, brute_force_success(scheme))
+            lead = sep
+        yield end if tally["points"] else empty
 
-    def json_pieces():  # the bytes of json.dumps(records, indent=2)
-        sep = "[\n"
-        for v, a, b in rows():
-            yield sep + json.dumps([{"param": param, "value": v, "priors": priors,
-                                     "analytic_success": a, "brute_force_success": b}],
-                                   indent=2)[2:-2]
-            sep = ",\n"
-        yield "[]\n" if sep == "[\n" else "\n]\n"
-
-    def csv_pieces():  # the header goes out with the first row, or alone
-        head = f"{param},p0,p1,p2,analytic_success,brute_force_success\n"
-        for v, a, b in rows():
-            cells = map(serialize.format_float, (v, *priors, a, b))
-            yield head + ",".join(cells) + "\n"
-            head = ""
-        yield head
-
-    json_out = cfg.get("format", "csv") == "json"
-    _write_output(json_pieces() if json_out else csv_pieces(), cfg.get("output"))
+    _write_output(pieces(), cfg.get("output"))
     print(f"points: {tally['points']}  skipped: {tally['skipped']}", file=sys.stderr)
     return 0
 

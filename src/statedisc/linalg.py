@@ -20,9 +20,6 @@ from .errors import (
 )
 
 
-_TINY = np.finfo(float).tiny  # the least normal float
-
-
 def as_cmatrix(m) -> np.ndarray:
     """Coerce input to a finite 2-d complex128 array."""
     a = np.array(m, dtype=np.complex128, copy=True)
@@ -51,8 +48,7 @@ def frobenius(m: np.ndarray) -> float:
     if getattr(m, "dtype", None) != np.complex128:
         return float(np.linalg.norm(m))
     x = m.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -112,7 +108,7 @@ def psd_cholesky(g) -> np.ndarray:
     for k in range(ell.shape[1]):
         pivot = ell[k, k]
         # A subnormal pivot is roundoff, and dividing by it overflows.
-        if abs(pivot) >= _TINY:
+        if abs(pivot) >= np.finfo(float).tiny:
             ell[:, k] *= np.conj(pivot) / abs(pivot)
         ell[k, k] = ell[k, k].real + 0.0j
     return ell
@@ -146,12 +142,10 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
             raise DimensionMismatchError(f"vector length {v.shape[0]} != dim {dim}")
 
     m = len(dom)
-    # Check-only quantities, so computed stacked: the Gram gap here and the
-    # action residual at the end.
+    # The Gram gap and the action residual only gate, so they are stacked.
     d_stack, i_stack = np.array(dom).reshape(m, dim), np.array(img).reshape(m, dim)
-    gram_d = d_stack.conj() @ d_stack.T
-    gram_i = i_stack.conj() @ i_stack.T
-    gap = float(np.abs(gram_d - gram_i).max()) if m else 0.0
+    gap = np.abs(d_stack.conj() @ d_stack.T - i_stack.conj() @ i_stack.T)
+    gap = float(gap.max()) if m else 0.0
     if gap > tol.GRAM:
         raise GramMismatchError(f"Gram matrices differ by {gap:.3e} > {tol.GRAM}")
 
@@ -160,8 +154,7 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     for dv, iv in zip(dom, img):
         rd = _orthonormal_residual(dv, dom_basis)
         ri = _orthonormal_residual(iv, img_basis)
-        nd = frobenius(rd)
-        ni = frobenius(ri)
+        nd, ni = frobenius(rd), frobenius(ri)
         if max(nd, ni) <= tol.ACTION:
             continue  # dependent pair; Gram equality keeps the map consistent
         if (nd < tol.RANK) != (ni < tol.RANK):
@@ -173,20 +166,15 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
         # to within them: either way the map would miss its image.
         if nd < tol.RANK or abs(nd - ni) > tol.ACTION:
             raise GramMismatchError(f"nearly dependent pair, norms {nd:.3e}, {ni:.3e}")
-        rd /= nd
-        ri /= ni
-        dom_basis.append(rd)
-        img_basis.append(ri)
+        dom_basis.append(rd / nd)
+        img_basis.append(ri / ni)
 
     eye = np.eye(dim, dtype=np.complex128)
     for basis in (dom_basis, img_basis):
-        # Canonical vector j takes the same two passes as a pair vector.  Its
-        # first pass runs on all later canonical vectors at once, one basis
-        # vector at a time in basis order: np.vecdot of a row is bitwise its
-        # np.vdot, and each row's product and difference are its own.  These
-        # residuals start as 1.0 and +0.0 entries, and x - y is -0.0 only for
-        # x = -0.0: so they never hold a -0.0, and subtracting a zero
-        # coefficient's product, all signed zeros, changes no bit of them.
+        # Canonical vector j's first pass runs on all later ones at once (a
+        # row's np.vecdot is bitwise its np.vdot).  These residuals start as
+        # 1.0 and +0.0 and, as x - y is -0.0 only for x = -0.0, never hold a
+        # -0.0: a zero coefficient's product, signed zeros, changes no bit.
         first_pass, done = eye.copy(), 0
         for j in range(dim):
             if len(basis) == dim:
@@ -197,21 +185,18 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
                 if c.any():
                     rest -= c[:, None] * b
             done = len(basis)
-            r = first_pass[j].copy()
+            r = first_pass[j]  # no later row reads it
             for b in basis:  # the second pass
                 c = np.vdot(b, r)
                 if c:
                     r -= c * b
             nr = frobenius(r)
             if nr >= tol.RANK:
-                r /= nr
-                basis.append(r)
+                basis.append(r / nr)
         if len(basis) != dim:
             raise InvariantViolationError("orthonormal completion did not reach dim")
 
-    d_mat = np.column_stack(dom_basis)
-    i_mat = np.column_stack(img_basis)
-    u = i_mat @ dag(d_mat)
+    u = np.column_stack(img_basis) @ dag(np.column_stack(dom_basis))
 
     uni = frobenius(dag(u) @ u - eye)
     if uni > tol.UNITARY:

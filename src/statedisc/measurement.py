@@ -58,19 +58,7 @@ class Povm:
     completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:  # the usual input: equal square finite matrices, in one copy
-            stack = np.array(self.elements, dtype=np.complex128)
-        except (TypeError, ValueError):
-            stack = None
-        if (
-            stack is not None and stack.ndim == 3 and len(stack)
-            and stack.shape[1] == stack.shape[2] and np.isfinite(stack).all()
-        ):
-            stack.setflags(write=False)  # so are the views into it
-            elements = tuple(stack)
-        else:  # each element coerced alone, raising as the first bad one does
-            elements = tuple(linalg.as_cmatrix(m) for m in self.elements)
-            stack = None
+        elements = tuple(linalg.as_cmatrix(m) for m in self.elements)
         labels = tuple(self.labels)
         if not elements:
             raise DimensionMismatchError("POVM needs at least one element")
@@ -78,16 +66,15 @@ class Povm:
             raise LabelMismatchError(
                 f"{len(elements)} elements but {len(labels)} labels"
             )
-        if stack is None:
-            dim = elements[0].shape[0]
-            square = [m.shape == (dim, dim) for m in elements] + [False]
-            stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
-            _check_positive(stack)
-            if len(stack) < len(elements):
-                raise DimensionMismatchError("POVM elements differ in dimension")
+        dim = elements[0].shape[0]
+        square = [m.shape == (dim, dim) for m in elements] + [False]
+        stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
+        if len(stack) < len(elements):
+            _check_positive(stack)  # an earlier element's failure comes first
+            raise DimensionMismatchError("POVM elements differ in dimension")
         res = _completeness(stack.shape, stack.tobytes())
         for m in elements:
-            m.setflags(write=False)  # a view of the frozen stack already is
+            m.setflags(write=False)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "completeness_residual", res)
@@ -106,8 +93,7 @@ class Povm:
 
 
 def _check_positive(stack: np.ndarray):
-    """Raise at the first element of ``stack`` that is not Hermitian, or
-    else not positive semidefinite."""
+    """Raise at the first element that is not Hermitian, or else not PSD."""
     adjoint = stack.conj().transpose(0, 2, 1)
     herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
     low = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=1)
@@ -121,10 +107,8 @@ def _check_positive(stack: np.ndarray):
 
 @functools.lru_cache(maxsize=64)
 def _completeness(shape: tuple, data: bytes) -> float:
-    """Completeness residual of a stack of equal square elements, each
-    checked by :func:`_check_positive` first.  Cached by the stack's bytes:
-    a stack equal bit for bit to one seen before (a reloaded POVM, a
-    builder's fixed one) gets the answer its checks gave then."""
+    """Completeness residual of a stack of checked square elements, cached by
+    its bytes: a stack seen before (a reloaded POVM) gets the same answer."""
     stack = np.frombuffer(data, dtype=np.complex128).reshape(shape)
     _check_positive(stack)
     res = linalg.frobenius(stack.sum(axis=0) - np.eye(shape[1]))
@@ -139,15 +123,12 @@ def _identify_outcomes(povm: Povm, states) -> np.ndarray:
     """``x[k]``, the one outcome labeled Identify(states[k]); raises at the
     first state without exactly one."""
     index = [-1 if lab.index is None else lab.index for lab in povm.labels]
-    outcomes = []
     for state in states:
-        count = index.count(state)
-        if count != 1:
+        if index.count(state) != 1:
             raise LabelMismatchError(
-                f"{count} outcomes identify state {state}, expected 1"
+                f"{index.count(state)} outcomes identify state {state}, expected 1"
             )
-        outcomes.append(index.index(state))
-    return np.array(outcomes, dtype=np.intp)
+    return np.array([index.index(state) for state in states], dtype=np.intp)
 
 
 def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> np.ndarray:
@@ -175,7 +156,7 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
             f"POVM dim {povm.dim} vs state vectors of shape {w.shape}"
         )
     # Each test is written so that NaN fails it.
-    norms = np.linalg.norm(w, axis=1)
+    norms = np.sqrt(np.vecdot(w, w).real)
     if not np.abs(norms - 1.0).max() <= tol.NORM:
         raise InvariantViolationError(f"state norms {norms!r} differ from 1")
     conf = np.einsum("id,xde,ie->ix", w.conj(), np.array(povm.elements), w).real

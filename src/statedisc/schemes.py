@@ -36,6 +36,7 @@ JSON codec derive everything they know about a kind from it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union
 
@@ -158,12 +159,9 @@ class Scheme:
         # Closed form must match the measurement pipeline on the spot.
         conf = measurement.pure_confusion(_coupled_vectors(self), self.povm)
         identify = measurement._identify_outcomes(self.povm, range(len(conf)))
-        rows, priors = conf.tolist(), self.ensemble.priors.tolist()
-        # Each state's prior times its identifying outcome's probability,
-        # added in state order: the float64 products and sums, in Python.
-        total = priors[0] * rows[0][identify[0]]
-        for i in range(1, len(rows)):
-            total += priors[i] * rows[i][identify[i]]
+        terms = zip(self.ensemble.priors.tolist(), conf.tolist(), identify.tolist())
+        # Added in state order: the float64 products and sums, in Python.
+        total = functools.reduce(operator.add, [p * row[x] for p, row, x in terms])
         if not abs(total - self.analytic_success) <= tol.PIPELINE:  # NaN fails
             raise InvariantViolationError(
                 f"pipeline success {total!r} vs analytic {self.analytic_success!r}"
@@ -207,15 +205,10 @@ def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=8)
 def _flagged_povm(identify: bytes, dim: int) -> Povm:
-    """The flagged recipe's POVM for the identifying vectors whose complex128
-    stack has these bytes: built and validated once per distinct set, as
-    each builder passes fixed vectors.  Its arrays are read-only.
-
-    Outcome k, labeled ``identify(k)``, projects the system onto vector k
-    with the ancilla in |0>; the last outcome, labeled ``inconclusive``, is
-    the ancilla in |1> whatever the system.  The POVM keeps kron: ``dump``
-    prints the ``-0.0`` it puts beside negative entries.
-    """
+    """The flagged recipe's POVM for the identifying vectors of these
+    complex128 bytes, built once per set.  Outcome k projects the system onto
+    vector k with the ancilla in |0>; the last, ``inconclusive``, is the
+    ancilla in |1>.  It keeps kron for the ``-0.0`` that ``dump`` prints."""
     vectors = np.frombuffer(identify, dtype=np.complex128).reshape(-1, dim)
     flag0, flag1 = (_proj(e) for e in np.eye(2, dtype=np.complex128))
     elements = [np.kron(_proj(vec), flag0) for vec in vectors]

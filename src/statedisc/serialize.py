@@ -44,16 +44,15 @@ def complex_from_json(pair) -> complex:
 
 
 def _pairs_to_json(a) -> list:
-    """Nested ``[re, im]`` lists of a complex array: ``complex_to_json`` of
-    every entry, read off its float pairs in one step."""
+    """``complex_to_json`` of every entry, read off the float pairs at once."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def _regular_pairs(rows, ndim: int):
-    """Complex array of ``ndim`` dimensions read in one step from nested
-    ``[re, im]`` pairs, or ``None`` unless they hold only numbers in that
-    shape.  The float pairs are reinterpreted as complex, bits kept."""
+    """Complex array of ``ndim`` dimensions from nested ``[re, im]`` pairs,
+    bits kept, or ``None`` unless they are only numbers in that shape: the
+    loaders then go pair by pair and raise as ``complex_from_json`` does."""
     try:
         a = np.array(rows)
     except (TypeError, ValueError):  # ragged
@@ -63,26 +62,15 @@ def _regular_pairs(rows, ndim: int):
     return a.astype(np.float64).view(np.complex128)[..., 0]
 
 
-def _pairs_from_json(rows, ndim: int) -> np.ndarray:
-    """Like :func:`_regular_pairs`, but anything else takes
-    ``complex_from_json`` pair by pair, so that a ragged or non-pair entry,
-    a ``null`` or a string that is not a number raises just as it does."""
-    a = _regular_pairs(rows, ndim)
-    if a is not None:
-        return a
-    if ndim == 1:
-        return np.array([complex_from_json(p) for p in rows], dtype=np.complex128)
-    return np.array(
-        [[complex_from_json(p) for p in row] for row in rows], dtype=np.complex128
-    )
-
-
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
     return _pairs_to_json(np.asarray(v).ravel())
 
 
 def vector_from_json(rows) -> np.ndarray:
-    return _pairs_from_json(rows, 1)
+    a = _regular_pairs(rows, 1)
+    if a is None:
+        a = np.array([complex_from_json(p) for p in rows], dtype=np.complex128)
+    return a
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -90,7 +78,10 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return _pairs_from_json(rows, 2)
+    a = _regular_pairs(rows, 2)
+    if a is None:
+        a = np.array([vector_from_json(row) for row in rows], dtype=np.complex128)
+    return a
 
 
 def ensemble_to_json(ens: Ensemble) -> dict:
@@ -125,11 +116,8 @@ def povm_to_json(povm: Povm) -> dict:
 
 
 def povm_from_json(data) -> Povm:
-    elements = _regular_pairs(data["elements"], 3)
-    if elements is None:
-        elements = tuple(matrix_from_json(e) for e in data["elements"])
     return Povm(
-        elements=elements,
+        elements=tuple(matrix_from_json(e) for e in data["elements"]),
         labels=tuple(label_from_json(t) for t in data["labels"]),
     )
 

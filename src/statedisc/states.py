@@ -5,6 +5,8 @@ value that exists is a value that satisfies its invariants.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +51,9 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
     ``tol.PRIORS``; NaN and infinity fail.  The sum runs left to right, so
     a vector gets the same answer alone or as a row of a batch.
     """
-    if p.ndim == 1:  # one vector: the same additions on Python floats
+    if p.ndim == 1:  # one vector: the same additions, on Python floats
         values = p.tolist()
-        total = values[0]
-        for x in values[1:]:
-            total += x
-        # A NaN entry makes the total NaN, which fails whatever min() saw.
+        total = functools.reduce(operator.add, values[1:], values[0])  # NaN wins
         return np.bool_(min(values) >= 0.0 and abs(total - 1.0) <= tol.PRIORS)
     total = p[..., 0]
     # inf + -inf is NaN and an overflowing sum is inf; both fail below.
