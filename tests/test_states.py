@@ -13,6 +13,7 @@ from statedisc.states import (
     Ket,
     ensemble_density,
     inner,
+    priors_ok,
     states_from_gram,
 )
 
@@ -114,3 +115,20 @@ def test_ensemble_density_mixes_projectors():
     e = Ensemble(states=(Ket(np.eye(2)[0]), Ket(np.eye(2)[1])), priors=(0.25, 0.75))
     rho = ensemble_density(e)
     assert np.allclose(rho.matrix, np.diag([0.25, 0.75]))
+
+
+def test_priors_ok_on_one_vector_matches_the_batched_rows():
+    # The batched path adds column by column; one vector adds the same
+    # floats in Python.  Edge sums sit on both sides of tol.PRIORS.
+    rng = np.random.default_rng(41)
+    rows = [rng.dirichlet(np.ones(k)) for k in (2, 3, 3, 4) for _ in range(50)]
+    rows += [np.array(r, dtype=float) for r in (
+        [0.3, 0.3, 0.4], [1.0, 0.0, -0.0], [-0.0, 1.0], [0.5, 0.5 + 1e-12, 0.0],
+        [0.5, 0.5 + 2e-12, 0.0], [np.nan, 1.0, 0.0], [np.inf, -np.inf, 1.0],
+        [1e308, 1e308, -1e308], [-1e-300, 1.0, 0.0], [1.0],
+    )]
+    for row in rows:
+        batch = np.vstack([row, row])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = bool(priors_ok(batch)[0])
+        assert bool(priors_ok(row)) is want, row
