@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from statedisc import measurement, serialize
+from statedisc import cli, measurement, serialize
 from statedisc.cli import main
 from statedisc.schemes import SCHEME_KINDS
 
@@ -367,8 +367,6 @@ def test_sweep_skips_out_of_domain_points(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_writes_each_row_as_it_is_built(capsys, monkeypatch, fmt):
-    from statedisc import cli
-
     built, seen = [], []
     brute = cli.brute_force_success
     monkeypatch.setattr(cli, "brute_force_success",
