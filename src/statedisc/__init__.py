@@ -56,8 +56,6 @@ from .measurement import (
 )
 from .montecarlo import (
     SimResult,
-    SkippedPoint,
-    SweepResult,
     brute_force_success,
     simulate,
     sweep,

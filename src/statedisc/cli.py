@@ -126,6 +126,13 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _not_bool(value):
+    """A config value that is not a JSON boolean, which is never a number."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return value
+
+
 def _config_value(key: str, value, convert, choices=None):
     """A config-file value read with its flag's converter and choices; a
     complex value may also be the ``[re, im]`` pair that ``dump`` writes,
@@ -138,8 +145,8 @@ def _config_value(key: str, value, convert, choices=None):
         if convert is int and type(value) not in (int, str):
             raise TypeError(f"{type(value).__name__} is not a whole number")
         if convert is complex and isinstance(value, list):
-            value = serialize.complex_from_json(value)
-        value = convert(value)
+            value = serialize.complex_from_json(list(map(_not_bool, value)))
+        value = convert(_not_bool(value))
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"config {key}: bad value {value!r} ({exc})") from exc
     if choices is not None and value not in choices:
@@ -160,6 +167,8 @@ def _read_config(path: str, flags) -> dict:
         cfg["priors"] = _config_value("priors", cfg["priors"], _parse_priors)
     if not isinstance(cfg.get("grid", {}), dict):
         raise UsageError("config grid must be a JSON object")
+    if not isinstance(cfg.get("allow_trivial", False), bool):
+        raise UsageError("config allow_trivial must be true or false")
     return cfg
 
 
@@ -187,8 +196,10 @@ def _merge_config(args) -> dict:
 
 def _parse_priors(value) -> list[float]:
     """Priors from ``--priors`` text, or a config file's text or list."""
+    if isinstance(value, list):
+        return [float(_not_bool(p)) for p in value]
     if not isinstance(value, str):
-        return [float(p) for p in value]
+        raise TypeError(f"{type(value).__name__} is not text or a list")
     try:
         return [float(tok) for tok in value.split(",")]
     except ValueError as exc:
@@ -216,7 +227,7 @@ def _parse_grid_text(text: str) -> dict:
 def _range_spec(rng: dict, what: str) -> tuple[float, float, int]:
     """``(min, step, count)`` of a MIN:MAX:STEP grid, without listing it."""
     try:
-        lo, hi, step = float(rng["min"]), float(rng["max"]), float(rng["step"])
+        lo, hi, step = (float(_not_bool(rng[k])) for k in ("min", "max", "step"))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad {what} grid: need min, max, step") from exc
     if not all(np.isfinite((lo, hi, step))):

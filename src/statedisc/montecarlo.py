@@ -25,11 +25,6 @@ summed: they depend neither on the chunk nor on the core count.  Each part
 draws ``_CHUNK / parts`` rows at a time, so one chunk bounds the memory of
 the whole run.  In process, 10^7 trials on mixed-special take about 17 ns
 per trial on two cores, against 26 ns on one.
-
-Comparison sweeps run on :func:`analysis.compare_columns`, the one
-implementation of both theorem comparisons: :func:`sweep` makes a single
-kernel call over the whole grid, and its :class:`SweepResult` keeps the
-columns and builds the records, once, on first access.
 """
 from __future__ import annotations
 
@@ -37,12 +32,11 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import tol
-from .analysis import ComparisonColumns, ComparisonRecord, compare_columns
+from .analysis import ComparisonColumns, compare_columns
 from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
 from .measurement import _identify_outcomes
 from .schemes import Scheme
@@ -239,71 +233,14 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     )
 
 
-@dataclass(frozen=True)
-class SkippedPoint:
-    """Grid point rejected by a check's domain guards, with the error code."""
+def sweep(check: str, gammas, priors_list) -> ComparisonColumns:
+    """Compare ``check`` (``"2.1"`` or ``"3.1"``) over a gamma-by-priors grid.
 
-    gamma: float
-    priors: tuple[float, ...]
-    code: str
-
-
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Outcome of :func:`sweep`, backed by the comparison kernel's columns.
-
-    ``grid`` holds every grid point, gamma-major, with its row code, and
-    ``priors`` the priors as given, one per grid column.  ``table`` is the
-    compared points and ``records`` the tuple of their validated
-    :class:`ComparisonRecord` objects.
-    """
-
-    grid: ComparisonColumns
-    priors: tuple
-
-    @cached_property
-    def table(self) -> ComparisonColumns:
-        return self.grid.select(self.grid.code == 0)
-
-    @cached_property
-    def records(self) -> tuple[ComparisonRecord, ...]:
-        return tuple(map(self.table.record, range(len(self.table))))
-
-    @cached_property
-    def skipped(self) -> tuple[SkippedPoint, ...]:
-        n = len(self.priors)
-        return tuple(
-            SkippedPoint(
-                gamma=float(self.grid.gamma[i]),
-                priors=tuple(float(x) for x in self.priors[i % n]),
-                code=self.grid.error(i).code,
-            )
-            for i in np.flatnonzero(self.grid.code).tolist()
-        )
-
-    @property
-    def failures(self) -> int:
-        return int(np.count_nonzero(~self.table.verdict))
-
-    @property
-    def min_margin(self) -> float:
-        if not len(self.table):
-            return float("nan")
-        return float(self.table.margin.min())
-
-
-def sweep(check: str, gammas, priors_list) -> SweepResult:
-    """Run a comparison check over a parameter-by-priors grid.
-
-    ``check`` selects the comparison: ``"2.1"`` for the family
-    comparison, ``"3.1"`` for the symmetric-overlap comparison.  Grid
-    points outside a check's domain are skipped and reported, not fatal.
-    Iteration order is gammas-major and deterministic.
+    Returns :func:`analysis.compare_columns` over the grid, gammas-major,
+    where a point outside the check's domain has a row code, not an error.
     """
     gammas = [float(g) for g in gammas]
     priors_list = tuple(priors_list)
     if not gammas or not priors_list:
         raise EmptyGridError("empty parameter grid")
-    return SweepResult(
-        grid=compare_columns(check, gammas, priors_list), priors=priors_list
-    )
+    return compare_columns(check, gammas, priors_list)

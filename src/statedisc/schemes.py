@@ -283,7 +283,7 @@ def build_rra(
     overlap = complex(np.conj(psi_minus.amplitudes) @ psi_plus.amplitudes)
     if not abs(np.conj(c_plus) * c_minus - overlap) <= tol.OVERLAP:
         raise OverlapConstraintViolatedError(
-            f"conj(c_plus)*c_minus = {np.conj(c_plus) * c_minus!r} "
+            f"conj(c_plus)*c_minus = {complex(np.conj(c_plus) * c_minus)!r} "
             f"but <psi_minus|psi_plus> = {overlap!r}"
         )
 
@@ -572,7 +572,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     _check_zero_aux_moduli(g12, g20)
     if not abs(np.conj(g12 * g20) - g01) <= tol.OVERLAP:
         raise OverlapConstraintViolatedError(
-            f"conj(g12*g20) = {np.conj(g12 * g20)!r} differs from g01 = {g01!r}"
+            f"conj(g12*g20) = {(g12 * g20).conjugate()!r} differs from g01 = {g01!r}"
         )
     gram = _three_state_gram(g01, g12, g20)
     w = np.linalg.eigvalsh(gram)
@@ -732,7 +732,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
         raise HypothesisViolatedError(
             f"decomposition applies to mixed schemes, not {type(params).__name__}"
         )
-    p = scheme.ensemble.priors
+    p = scheme.ensemble.priors.tolist()
     if abs(p[0] - p[1]) > tol.EQUAL_PRIORS:
         raise HypothesisViolatedError(f"requires p0 = p1, got {p[0]!r} and {p[1]!r}")
     q = 1.0 - float(p[2])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -88,6 +88,36 @@ def test_skipped_point_errors_name_the_offending_value():
         assert str(bad.error(0)) == (
             f"{what} = {value!r} outside [0, 1] by more than 1e-12"
         )
+
+
+def test_columns_select_takes_a_mask_or_an_index_array_in_its_order():
+    cols = compare_columns(
+        "3.1", [0.2, 1.0, 0.5], [(0.9, 0.05, 0.05), (0.5, 0.5), (0.3, 0.3, 0.4)]
+    )
+    mask = cols.code == 0
+    for rows, picked in ((mask, np.flatnonzero(mask)), ([8, 0, 2], [8, 0, 2])):
+        part = cols.select(rows)
+        assert part.theorem == "3.1" and len(part) == len(picked)
+        for f in fields(cols):
+            if f.name != "theorem":
+                want = getattr(cols, f.name)[picked]
+                assert np.array_equal(getattr(part, f.name), want, equal_nan=True)
+    assert [part.record(i).gamma for i in range(3)] == [0.5, 0.2, 0.2]
+    assert len(cols) == 9  # selecting leaves the grid whole
+
+
+def test_columns_skip_counts_are_per_error_code_and_sorted():
+    cols = compare_columns(
+        "2.1", [0.0, 0.5, 0.9], [(0.3, 0.3, 0.4), (0.5, 0.5), (0.6, 0.6, -0.2)]
+    )
+    counts = cols.skip_counts()
+    assert counts == {"DimensionMismatch": 1, "GammaOutOfRange": 6,
+                      "ParamOutOfRange": 1}
+    assert list(counts) == sorted(counts)
+    # The three invariant row codes count as one error code.
+    relabeled = replace(cols, code=np.array([0, 5, 6, 7, 1, 0, 0, 0, 0], np.int8))
+    assert relabeled.skip_counts() == {"GammaOutOfRange": 1, "InvariantViolation": 3}
+    assert cols.select(cols.code == 0).skip_counts() == {}
 
 
 def test_comparison_record_rejects_inconsistent_fields():

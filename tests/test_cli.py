@@ -632,6 +632,10 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
                 "params": {"g01": 0.06, "g12": [0.3, 0.0], "g20": "0.2"}}
     compare = {"command": "compare", "theorem": "2.1",
                "grid": {"gamma": {"min": 0.1, "max": 0.2, "step": 0.1}}}
+    rra = {"command": "run", "scheme": "rra", "priors": [0.5, 0.5],
+           "params": {"overlap": 0.36, "c_plus": 0.6, "c_minus": 0.6}}
+    trivial = {"command": "run", "scheme": "mixed-special",
+               "params": {"gamma": 0.0}, "priors": [0.3, 0.3, 0.4]}
     for base, edit, key in (
         (compare, {"prior_step": "abc"}, "prior_step"),
         (compare, {"p2_min": [1]}, "p2_min"),
@@ -655,6 +659,18 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
         (zero_aux, {"params": {**zero_aux["params"], "g01": [0.06]}}, "g01"),
         (zero_aux, {"params": {**zero_aux["params"], "g12": ["a", 0]}}, "g12"),
         (zero_aux, {"params": {**zero_aux["params"], "g20": {"re": 0.2}}}, "g20"),
+        # A JSON boolean is never a number, and priors are text or a list.
+        (simulate, {"params": {"gamma": True}}, "gamma"),
+        (compare, {"prior_step": True}, "prior_step"),
+        (compare, {"grid": {"gamma": {"min": True, "max": 0.2, "step": 0.1}}},
+         "grid"),
+        (rra, {"params": {**rra["params"], "c_plus": True}}, "c_plus"),
+        (rra, {"params": {**rra["params"], "c_plus": [True, False]}}, "c_plus"),
+        (simulate, {"priors": {"0.3": 1, "0.30": 2, "0.4": 3}}, "priors"),
+        (simulate, {"priors": [True, False, False]}, "priors"),
+        # allow_trivial is a JSON boolean: the text "false" is not false.
+        (trivial, {"allow_trivial": "false"}, "allow_trivial"),
+        (trivial, {"allow_trivial": 1}, "allow_trivial"),
     ):
         path = tmp_path / "edited.json"
         path.write_text(json.dumps({**base, **edit}))

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from statedisc.analysis import ComparisonColumns
 from statedisc.errors import (
     EmptyGridError,
+    InvalidGammaError,
     InvariantViolationError,
     ParamOutOfRangeError,
 )
 from statedisc.montecarlo import (
     SimResult,
-    SweepResult,
     brute_force_success,
     simulate,
     sweep,
@@ -173,26 +174,34 @@ def test_simulate_argument_validation(monkeypatch):
     assert simulate(s, 10.0, 1.0, 2.0) == simulate(s, 10, 1, 2)
 
 
+def _compared(grid):
+    """The compared points of a sweep and their records."""
+    table = grid.select(grid.code == 0)
+    return table, [table.record(i) for i in range(len(table))]
+
+
 def test_sweep_produces_records_in_grid_order():
-    r = sweep("2.1", [0.3, 0.5], [(0.3, 0.3, 0.4), (0.2, 0.2, 0.6)])
-    assert isinstance(r, SweepResult)
-    assert len(r.records) == 4
-    assert [rec.gamma for rec in r.records] == [0.3, 0.3, 0.5, 0.5]
-    assert r.failures == 0
-    assert r.min_margin > 0
+    grid = sweep("2.1", [0.3, 0.5], [(0.3, 0.3, 0.4), (0.2, 0.2, 0.6)])
+    assert isinstance(grid, ComparisonColumns)
+    table, records = _compared(grid)
+    assert len(records) == 4
+    assert [rec.gamma for rec in records] == [0.3, 0.3, 0.5, 0.5]
+    assert not (~table.verdict).any()
+    assert table.margin.min() > 0
 
 
 def test_sweep_skips_domain_errors():
-    # zero overlap is outside the first check's domain, so it lands in skipped
-    r = sweep("2.1", [0.0, 0.5], [(0.3, 0.3, 0.4)])
-    assert len(r.records) == 1
-    assert len(r.skipped) == 1
-    assert r.skipped[0].code == "GammaOutOfRange"
+    # zero overlap is outside the first check's domain, so it is coded
+    grid = sweep("2.1", [0.0, 0.5], [(0.3, 0.3, 0.4)])
+    assert len(_compared(grid)[1]) == 1
+    assert grid.code.tolist() == [1, 0]
+    assert grid.error(0).code == "GammaOutOfRange"
+    assert grid.skip_counts() == {"GammaOutOfRange": 1}
 
 
 def test_sweep_aliases_and_empty_grid():
     b = sweep("3.1", [0.3], [(0.05, 0.05, 0.9)])
-    assert b.records[0].reference_kind == "xu_max"
+    assert b.record(0).reference_kind == "xu_max"
     with pytest.raises(ParamOutOfRangeError):
         sweep("theorem31", [0.3], [(0.05, 0.05, 0.9)])
     with pytest.raises(EmptyGridError):
@@ -201,20 +210,19 @@ def test_sweep_aliases_and_empty_grid():
         sweep("nope", [0.3], [(0.3, 0.3, 0.4)])
 
 
-def test_sweep_records_are_a_read_only_view():
-    r = sweep("3.1", [0.2, 1.0, 0.5], [(0.9, 0.05, 0.05), (0.3, 0.3, 0.4)])
-    recs = r.records
-    assert type(recs) is tuple and r.records is recs  # built once
-    assert len(recs) == 4 and len(r.skipped) == 2
-    assert recs[-1] == recs[3]
-    assert recs[1:3] == (recs[1], recs[2])
-    assert list(recs) == [recs[i] for i in range(4)]
+def test_sweep_grid_records_and_skipped_points():
+    priors = [(0.9, 0.05, 0.05), (0.3, 0.3, 0.4)]
+    grid = sweep("3.1", [0.2, 1.0, 0.5], priors)
+    table, recs = _compared(grid)
+    skipped = np.flatnonzero(grid.code).tolist()
+    assert len(recs) == 4 and len(skipped) == 2
+    assert recs == [grid.record(i) for i in np.flatnonzero(grid.code == 0)]
     assert recs[0].priors == (0.05, 0.05, 0.9)  # sorted for the comparison
-    assert r.skipped[0].priors == (0.9, 0.05, 0.05)  # as given
-    assert [s.gamma for s in r.skipped] == [1.0, 1.0]
+    assert priors[skipped[0] % len(priors)] == (0.9, 0.05, 0.05)  # as given
+    assert grid.gamma[skipped].tolist() == [1.0, 1.0]
     with pytest.raises(IndexError):
-        recs[4]
-    with pytest.raises(TypeError):
-        recs[0] = recs[1]
-    assert r.failures == 0
-    assert r.min_margin == min(rec.margin for rec in recs)
+        table.record(4)
+    with pytest.raises(InvalidGammaError):
+        grid.record(skipped[0])
+    assert not (~table.verdict).any()
+    assert table.margin.min() == min(rec.margin for rec in recs)

@@ -534,8 +534,10 @@ def test_separable_decomposition_boundary_is_a_state():
 
 def test_separable_decomposition_requires_equal_first_priors():
     s = build_mixed_special(0.5, (0.2, 0.4, 0.4))
-    with pytest.raises(HypothesisViolatedError):
+    # The priors print as Python floats, not as numpy scalar reprs.
+    with pytest.raises(HypothesisViolatedError) as info:
         separable_decomposition(s)
+    assert str(info.value) == "requires p0 = p1, got 0.2 and 0.4"
 
 
 def test_separable_decomposition_requires_low_alpha():
