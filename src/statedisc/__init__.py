@@ -83,7 +83,6 @@ from .schemes import (
 from .states import (
     DensityMatrix,
     Ensemble,
-    GramSpec,
     Ket,
     ensemble_density,
     inner,

@@ -1,6 +1,6 @@
 """POVMs, confusion matrices, and the unambiguity check.
 
-A measurement is a list of PSD elements summing to the identity, each
+A measurement is a stack of PSD elements summing to the identity, each
 tagged with an outcome label: either "this outcome identifies state i" or
 "this outcome is inconclusive".  A success probability is read off the
 confusion matrix as the sum over identifying outcomes; for an unambiguous
@@ -51,9 +51,9 @@ class OutcomeLabel:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Labeled positive operator-valued measure on C^dim."""
+    """Labeled POVM on C^dim; ``elements`` is one read-only (K, dim, dim) stack."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     labels: tuple[OutcomeLabel, ...]
     completeness_residual: float = field(init=False, repr=False)
 
@@ -73,15 +73,14 @@ class Povm:
             _check_positive(stack)  # an earlier element's failure comes first
             raise DimensionMismatchError("POVM elements differ in dimension")
         res = _completeness(stack.shape, stack.tobytes())
-        for m in elements:
-            m.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "completeness_residual", res)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -89,7 +88,13 @@ class Povm:
 
     def identify_outcome(self, state_index: int) -> int:
         """Index of the unique outcome labeled Identify(state_index)."""
-        return int(_identify_outcomes(self, [state_index])[0])
+        index = [lab.index for lab in self.labels]
+        count = index.count(state_index)
+        if count != 1:
+            raise LabelMismatchError(
+                f"{count} outcomes identify state {state_index}, expected 1"
+            )
+        return index.index(state_index)
 
 
 def _check_positive(stack: np.ndarray):
@@ -119,27 +124,16 @@ def _completeness(shape: tuple, data: bytes) -> float:
     return res
 
 
-def _identify_outcomes(povm: Povm, states) -> np.ndarray:
-    """``x[k]``, the one outcome labeled Identify(states[k]); raises at the
-    first state without exactly one."""
-    index = [-1 if lab.index is None else lab.index for lab in povm.labels]
-    for state in states:
-        if index.count(state) != 1:
-            raise LabelMismatchError(
-                f"{index.count(state)} outcomes identify state {state}, expected 1"
-            )
-    return np.array([index.index(state) for state in states], dtype=np.intp)
-
-
-def _check_identify_bijection(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """Outcome ``x[i]`` identifying state i, checked to be a bijection."""
-    n = len(ensemble)
+def _identify_outcomes(povm: Povm, n: int) -> np.ndarray:
+    """``x[i]``, the one outcome labeled Identify(i), for each of ``n``
+    states; raises at the first label naming a state ``>= n``, then at the
+    first state without exactly one outcome."""
     for lab in povm.labels:
         if lab.is_identify and lab.index >= n:
             raise LabelMismatchError(
                 f"label identifies state {lab.index}, ensemble has {n}"
             )
-    return _identify_outcomes(povm, range(n))
+    return np.array([povm.identify_outcome(i) for i in range(n)], dtype=np.intp)
 
 
 def pure_confusion(vectors, povm: Povm) -> np.ndarray:
@@ -159,7 +153,7 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
     norms = np.sqrt(np.vecdot(w, w).real)
     if not np.abs(norms - 1.0).max() <= tol.NORM:
         raise InvariantViolationError(f"state norms {norms!r} differ from 1")
-    conf = np.einsum("id,xde,ie->ix", w.conj(), np.array(povm.elements), w).real
+    conf = np.einsum("id,xde,ie->ix", w.conj(), povm.elements, w).real
     for extreme in (float(conf.min()), float(conf.max())):
         if not -tol.PROB <= extreme <= 1.0 + tol.PROB:
             raise InvariantViolationError(
@@ -184,7 +178,7 @@ def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:
     ``Tr(M_{x(j)} rho_i)`` for i != j.  ``ok`` also requires every
     diagonal term ``Tr(M_{x(i)} rho_i)`` to exceed ``tol.UNAMBIGUOUS``.
     """
-    identify = _check_identify_bijection(ensemble, povm)
+    identify = _identify_outcomes(povm, len(ensemble))
     cols = confusion_matrix(ensemble, povm)[:, identify]
     worst = float(np.abs(cols[~np.eye(len(identify), dtype=bool)]).max(initial=0.0))
     ok = worst <= tol.UNAMBIGUOUS and bool((np.diag(cols) > tol.UNAMBIGUOUS).all())

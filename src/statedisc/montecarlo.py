@@ -222,7 +222,7 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
         raise errors[0]
     counts = np.sum(tallies, axis=0).reshape(n_states, n_out)
 
-    identify = _identify_outcomes(scheme.povm, range(n_states))
+    identify = _identify_outcomes(scheme.povm, n_states)
     p_hat = int(counts[np.arange(n_states), identify].sum()) / n
     return SimResult(
         n=n,

@@ -60,7 +60,6 @@ from .measurement import OutcomeLabel, Povm
 from .states import (
     _HALF_SQRT2,
     Ensemble,
-    GramSpec,
     Ket,
     states_from_gram,
     validate_priors,
@@ -158,7 +157,7 @@ class Scheme:
 
         # Closed form must match the measurement pipeline on the spot.
         conf = measurement.pure_confusion(_coupled_vectors(self), self.povm)
-        identify = measurement._identify_outcomes(self.povm, range(len(conf)))
+        identify = measurement._identify_outcomes(self.povm, len(conf))
         terms = zip(self.ensemble.priors.tolist(), conf.tolist(), identify.tolist())
         # Added in state order: the float64 products and sums, in Python.
         total = functools.reduce(operator.add, [p * row[x] for p, row, x in terms])
@@ -405,7 +404,7 @@ def build_mixed_special(gamma: float, priors, allow_trivial: bool = False) -> Sc
         raise GammaOutOfRangeError(
             f"|gamma| = {abs(gamma)!r} exceeds 1/sqrt(2); overlaps not realizable"
         )
-    ens = states_from_gram(GramSpec(_three_state_gram(0.0, gamma, gamma), p))
+    ens = states_from_gram(_three_state_gram(0.0, gamma, gamma), p)
     c2 = -(gamma**2) / (1.0 - gamma**2)
     analytic = 1.0 - 2.0 * gamma**2 * (1.0 - p[2])
     return _mixed_scheme(ens, gamma, c2, analytic, MixedSpecialParams(gamma=gamma))
@@ -478,7 +477,7 @@ def build_mixed_general(
     else:
         analytic = 1.0 - (2.0 * gamma**2 - alpha) * (1.0 - p[2])
         note = "alpha < gamma^2: success = 1 - (2*gamma^2 - alpha)*(1 - p2)"
-    ens = states_from_gram(GramSpec(gram, p))
+    ens = states_from_gram(gram, p)
     params = MixedGeneralParams(gamma=gamma, alpha=alpha)
     return _mixed_scheme(ens, gamma, c2, analytic, params, note)
 
@@ -516,7 +515,7 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
             f"gamma^2 (1/x0 + 1/x1) = {penalty!r} exceeds 1"
         )
 
-    ens = states_from_gram(GramSpec(_three_state_gram(0.0, gamma, gamma), p))
+    ens = states_from_gram(_three_state_gram(0.0, gamma, gamma), p)
     e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
     a0 = np.sqrt(x0)
     a1 = np.sqrt(x1)
@@ -595,7 +594,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
             f"conditioning lost: overlap error {error:.3e} of the measurement "
             f"vectors, at 1 - |g|^2 = {min(room):.3e}, exceeds {tol.ORTHOGONAL}"
         )
-    ens = states_from_gram(GramSpec(gram, p))
+    ens = states_from_gram(gram, p)
     u0, u1, u2 = (s.amplitudes for s in ens.states)
     psi0 = (u0 - g20 * u2) / np.sqrt(room[0])
     psi1 = (u1 - np.conj(g12) * u2) / np.sqrt(room[1])

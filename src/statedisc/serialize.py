@@ -11,6 +11,7 @@ format, which streams the kernel's columns; the record writers match it.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import fields
 
@@ -96,16 +97,22 @@ def ensemble_from_json(data) -> Ensemble:
     return Ensemble(states, np.array(data["priors"], dtype=float))
 
 
+_IDENTIFY = re.compile("identify:(0|[1-9][0-9]*)")
+
+
 def label_to_json(label: OutcomeLabel) -> str:
     return str(label)
 
 
-def label_from_json(text: str) -> OutcomeLabel:
+def label_from_json(text) -> OutcomeLabel:
+    """The label ``label_to_json`` writes: ``"inconclusive"``, or
+    ``"identify:"`` and the index in canonical ASCII digits."""
     if text == "inconclusive":
         return OutcomeLabel.inconclusive()
-    if text.startswith("identify:"):
-        return OutcomeLabel.identify(int(text[len("identify:") :]))
-    raise LabelMismatchError(f"unknown outcome label {text!r}")
+    match = isinstance(text, str) and _IDENTIFY.fullmatch(text)
+    if not match:
+        raise LabelMismatchError(f"unknown outcome label {text!r}")
+    return OutcomeLabel.identify(int(match[1]))
 
 
 def povm_to_json(povm: Povm) -> dict:
@@ -165,9 +172,12 @@ def scheme_to_json(scheme: Scheme) -> dict:
 def scheme_from_json(data) -> Scheme:
     # The constructor re-validates unitarity, POVM structure, and the
     # pipeline-vs-analytic agreement, so a tampered file fails loudly.
+    ancilla_dim = data["ancilla_dim"]
+    if type(ancilla_dim) is not int:  # never a fraction, text or boolean
+        raise TypeError(f"ancilla_dim {ancilla_dim!r} is not a JSON integer")
     return Scheme(
         ensemble=ensemble_from_json(data["ensemble"]),
-        ancilla_dim=int(data["ancilla_dim"]),
+        ancilla_dim=ancilla_dim,
         coupling=matrix_from_json(data["coupling"]),
         povm=povm_from_json(data["povm"]),
         analytic_success=float(data["analytic_success"]),

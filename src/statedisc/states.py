@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,53 +155,21 @@ class Ensemble:
         return len(self.states)
 
 
-@dataclass(frozen=True, eq=False)
-class GramSpec:
-    """Pairwise overlaps plus priors; the abstract datum of an ensemble.
+def states_from_gram(overlaps, priors) -> Ensemble:
+    """Synthesize kets in C^n realizing the requested overlaps, with priors.
 
-    ``overlaps[i, j]`` is the required ``<u_i|u_j>``; the matrix must be
-    Hermitian with unit diagonal.  Realizability (positive semidefiniteness)
-    is checked when states are synthesized, not here.
+    ``overlaps[i, j]`` is the required ``<u_i|u_j>``.  The i-th ket is the
+    conjugated i-th row of the matrix's triangular PSD factor, which fixes
+    the phase convention (real non-negative diagonal pivots).  Raises
+    :class:`NotHermitianError` or :class:`NotPsdError` when the overlaps
+    are not realizable, :class:`InvariantViolationError` unless their
+    diagonal is 1; :class:`Ensemble` checks the priors.
     """
-
-    overlaps: np.ndarray
-    priors: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        g = linalg.as_cmatrix(self.overlaps)
-        n = g.shape[0]
-        if g.shape[1] != n:
-            raise DimensionMismatchError(f"overlap matrix must be square, got {g.shape}")
-        if linalg.frobenius(g - linalg.dag(g)) > tol.HERMITIAN:
-            raise InvariantViolationError("overlap matrix is not Hermitian")
-        if np.abs(np.diag(g) - 1.0).max() > tol.DENSITY:
-            raise InvariantViolationError("overlap matrix diagonal must be 1")
-        priors = self.priors
-        if priors is None:
-            priors = np.full(n, 1.0 / n)
-        p = np.array(priors, dtype=float).reshape(-1)
-        if p.shape[0] != n:
-            raise DimensionMismatchError(f"{n} states but {p.shape[0]} priors")
-        if not priors_ok(p):
-            raise InvariantViolationError("priors must be non-negative and sum to 1")
-        object.__setattr__(self, "overlaps", _freeze(g))
-        object.__setattr__(self, "priors", _freeze(p))
-
-    @property
-    def n_states(self) -> int:
-        return self.overlaps.shape[0]
-
-
-def states_from_gram(spec: GramSpec) -> Ensemble:
-    """Synthesize kets in C^n realizing the requested overlaps.
-
-    Uses the triangular PSD factor of the overlap matrix; the i-th ket is
-    the conjugated i-th row, which fixes the phase convention (real
-    non-negative diagonal pivots).  Raises :class:`NotPsdError` when the
-    overlaps are not realizable.
-    """
-    rows = np.conj(linalg.psd_cholesky(spec.overlaps))
-    return Ensemble(tuple(map(Ket, rows)), spec.priors)
+    rows = np.conj(linalg.psd_cholesky(overlaps))
+    diagonal = np.diagonal(np.asarray(overlaps, dtype=np.complex128))
+    if np.abs(diagonal - 1.0).max() > tol.DENSITY:
+        raise InvariantViolationError("overlap matrix diagonal must be 1")
+    return Ensemble(tuple(map(Ket, rows)), priors)
 
 
 def ensemble_density(ensemble: Ensemble) -> DensityMatrix:

@@ -11,9 +11,11 @@ from statedisc.errors import (
 from statedisc.measurement import (
     OutcomeLabel,
     Povm,
+    _identify_outcomes,
     confusion_matrix,
     unambiguity_check,
 )
+from statedisc.schemes import build_mixed_special
 from statedisc.states import Ensemble, Ket
 
 
@@ -81,6 +83,11 @@ def test_identify_outcome_lookup():
     assert p.identify_outcome(1) == 1
     with pytest.raises(LabelMismatchError):
         p.identify_outcome(7)
+    # -1 is no outcome's state, not the inconclusive one's.
+    special = build_mixed_special(0.5, (0.3, 0.3, 0.4)).povm
+    assert [special.identify_outcome(i) for i in range(3)] == [0, 1, 2]
+    with pytest.raises(LabelMismatchError, match="0 outcomes identify state -1"):
+        special.identify_outcome(-1)
 
 
 def test_identify_lookups_name_the_first_bad_state():
@@ -95,6 +102,28 @@ def test_identify_lookups_name_the_first_bad_state():
             projective_povm(2, labels=(OutcomeLabel.identify(0),
                                        OutcomeLabel.identify(2))),
         )
+
+
+def test_identify_outcomes_rejects_a_label_beyond_the_states_first():
+    labels = tuple(map(OutcomeLabel.identify, (0, 0, 5, 4)))
+    with pytest.raises(LabelMismatchError, match="identifies state 5, ensemble has 3"):
+        _identify_outcomes(projective_povm(4, labels=labels), 3)
+    labels = (*map(OutcomeLabel.identify, (2, 0, 1)), OutcomeLabel.inconclusive())
+    assert _identify_outcomes(projective_povm(4, labels=labels), 3).tolist() == [1, 2, 0]
+
+
+def test_povm_elements_are_one_read_only_stack():
+    elements = [np.diag([1.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]]]
+    p = Povm(elements=elements, labels=projective_povm(2).labels)
+    assert p.elements.shape == (2, 2, 2) and p.elements.dtype == np.complex128
+    assert not p.elements.flags.writeable
+    with pytest.raises(ValueError):
+        p.elements[0, 0, 0] = 0.5
+    assert len(p.elements) == 2 and np.array_equal(p.elements[1], elements[1])
+    assert [m.tolist() for m in p.elements] == [np.asarray(m).tolist() for m in elements]
+    assert np.array_equal(sum(p.elements), np.eye(2))
+    elements[1][0][0] = 1.0  # the POVM holds its own copy
+    assert p.elements[1, 0, 0] == 0.0
 
 
 def test_confusion_matrix_rows_sum_to_one():

@@ -267,3 +267,31 @@ def test_tampered_scheme_arrays_fail_as_before(path, value, error):
     node[path[-1]] = value
     with pytest.raises(error):
         serialize.scheme_from_json(data)
+
+
+@pytest.mark.parametrize("path, value, error, message", [
+    # Only a JSON integer is an ancilla dimension: nothing is truncated.
+    (["ancilla_dim"], 2.9, TypeError, "not a JSON integer"),
+    (["ancilla_dim"], 2.0, TypeError, "not a JSON integer"),
+    (["ancilla_dim"], "2", TypeError, "not a JSON integer"),
+    (["ancilla_dim"], True, TypeError, "not a JSON integer"),
+    # A label is text, and its index canonical ASCII digits as written.
+    (["povm", "labels", 0], 5, LabelMismatchError, "unknown outcome label"),
+    (["povm", "labels", 0], None, LabelMismatchError, "unknown outcome label"),
+    (["povm", "labels", 1], "identify:+1", LabelMismatchError, "unknown outcome"),
+    (["povm", "labels", 1], "identify: 1", LabelMismatchError, "unknown outcome"),
+    (["povm", "labels", 1], "identify:01", LabelMismatchError, "unknown outcome"),
+    (["povm", "labels", 0], "identify:0_0", LabelMismatchError, "unknown outcome"),
+    (["povm", "labels", 2], "identify:\u0662", LabelMismatchError, "unknown outcome"),
+    # The inconclusive outcome relabelled: every state still has one outcome.
+    (["povm", "labels", 3], "identify:7", LabelMismatchError,
+     "label identifies state 7, ensemble has 3"),
+])
+def test_malformed_scheme_fields_raise(path, value, error, message):
+    data = _mixed_special_json()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(error, match=message):
+        serialize.scheme_from_json(data)

@@ -4,12 +4,12 @@ import pytest
 from statedisc.errors import (
     DimensionMismatchError,
     InvariantViolationError,
+    NotHermitianError,
     NotPsdError,
 )
 from statedisc.states import (
     DensityMatrix,
     Ensemble,
-    GramSpec,
     Ket,
     ensemble_density,
     inner,
@@ -63,7 +63,7 @@ def test_ensemble_and_gram_spec_reject_non_finite_priors(priors):
     with pytest.raises(InvariantViolationError):
         Ensemble(states=(k0, k1), priors=priors)
     with pytest.raises(InvariantViolationError):
-        GramSpec(np.eye(2), priors)
+        states_from_gram(np.eye(2), priors)
 
 
 def test_states_from_gram_reproduces_overlaps():
@@ -72,7 +72,7 @@ def test_states_from_gram_reproduces_overlaps():
         f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         f /= np.linalg.norm(f, axis=1, keepdims=True)
         g = f @ f.conj().T
-        e = states_from_gram(GramSpec(g))
+        e = states_from_gram(g, (1 / 3, 1 / 3, 1 / 3))
         for i in range(3):
             for j in range(3):
                 assert inner(e.states[i], e.states[j]) == pytest.approx(
@@ -83,7 +83,7 @@ def test_states_from_gram_reproduces_overlaps():
 def test_states_from_gram_rank_deficient():
     gamma = 1.0 / np.sqrt(2.0)
     g = np.array([[1, 0, gamma], [0, 1, gamma], [gamma, gamma, 1]])
-    e = states_from_gram(GramSpec(g))
+    e = states_from_gram(g, (1 / 3, 1 / 3, 1 / 3))
     # the third state lies exactly in the span of the first two
     v = e.states[2].amplitudes
     recon = gamma * e.states[0].amplitudes + gamma * e.states[1].amplitudes
@@ -94,21 +94,29 @@ def test_states_from_gram_rank_deficient():
 def test_states_from_gram_rejects_unrealizable():
     g = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
     with pytest.raises(NotPsdError):
-        states_from_gram(GramSpec(g))
+        states_from_gram(g, (1 / 3, 1 / 3, 1 / 3))
 
 
-def test_gram_spec_rejects_bad_shape_and_diagonal():
-    with pytest.raises(InvariantViolationError):
-        GramSpec(np.array([[0.5, 0.0], [0.0, 1.0]]))  # unit diagonal required
-    with pytest.raises(InvariantViolationError):
-        GramSpec(np.array([[1.0, 0.5], [0.1, 1.0]]))  # not Hermitian
-    with pytest.raises(DimensionMismatchError):
-        GramSpec(np.eye(3), priors=(0.5, 0.5))
+def test_states_from_gram_rejects_bad_shape_and_diagonal():
+    with pytest.raises(InvariantViolationError):  # unit diagonal required
+        states_from_gram(np.array([[0.5, 0.0], [0.0, 1.0]]), (0.5, 0.5))
+    with pytest.raises(NotHermitianError):
+        states_from_gram(np.array([[1.0, 0.5], [0.1, 1.0]]), (0.5, 0.5))
+    with pytest.raises(DimensionMismatchError, match="3 states but 2 priors"):
+        states_from_gram(np.eye(3), priors=(0.5, 0.5))
 
 
-def test_gram_spec_default_priors_uniform():
-    spec = GramSpec(np.eye(3))
-    assert np.allclose(spec.priors, 1.0 / 3.0)
+def test_states_from_gram_checks_the_overlaps_before_the_priors():
+    # The matrix is the factor's to check; the priors are Ensemble's.
+    g = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    with pytest.raises(NotPsdError):
+        states_from_gram(g, (0.5, 0.5))
+    with pytest.raises(NotPsdError):
+        states_from_gram(g, (np.nan, 0.5, 0.5))
+    with pytest.raises(NotHermitianError):
+        states_from_gram(np.array([[1.0, 0.5], [0.1, 1.0]]), (0.7, 0.7))
+    with pytest.raises(InvariantViolationError, match="priors"):
+        states_from_gram(np.eye(2), (0.7, 0.7))
 
 
 def test_ensemble_density_mixes_projectors():
