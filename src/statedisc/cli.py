@@ -67,6 +67,20 @@ _SCALAR_FLAGS = {
     "prior_step": (float, None),
     "p2_min": (float, None),
 }
+#: The metavar of each flag whose value is text to parse.
+_METAVARS = {"config": "PATH", "output": "PATH", "priors": "P0,P1[,P2]",
+             "grid": "PARAM=MIN:MAX:STEP", "gamma_grid": "MIN:MAX:STEP"}
+#: The flags each command reads; ``scheme`` stands for ``--scheme``, every
+#: builder input, ``--priors`` and ``--allow-trivial``, narrowed by kind.
+_COMMAND_FLAGS = {
+    "validate": ("config", "scheme", "output"),
+    "run": ("config", "scheme", "output", "format"),
+    "dump": ("config", "scheme", "output"),
+    "simulate": ("config", "scheme", "output", "format", "n", "seed", "shards"),
+    "sweep": ("config", "scheme", "output", "format", "grid"),
+    "compare": ("config", "output", "format", "theorem", "gamma_grid",
+                "prior_step", "p2_min"),
+}
 
 
 class UsageError(Exception):
@@ -74,44 +88,34 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag is read only as spelled in full
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_scalar(parser: _Parser, key: str, **kwargs):
-    convert, choices = _SCALAR_FLAGS[key]
-    kwargs.update(type=None if convert is str else convert, choices=choices)
-    parser.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+def _add_flag(parser: _Parser, key: str):
+    convert, choices = _SCALAR_FLAGS.get(key, (str, None))
+    parser.add_argument("--" + key.replace("_", "-"), metavar=_METAVARS.get(key),
+                        type=None if convert is str else convert, choices=choices,
+                        default=None)
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", default=None)
-    for key in ("scheme", *_INPUT_TYPES):
-        _add_scalar(common, key)
-    common.add_argument("--priors", metavar="P0,P1[,P2]", default=None)
-    common.add_argument("--allow-trivial", action="store_true", default=False)
-    _add_scalar(common, "output", metavar="PATH")
-    _add_scalar(common, "format")
-
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every command, or of ``command`` alone: it parses alike."""
+    scheme = _Parser(add_help=False)
+    for key in ("scheme", *_INPUT_TYPES, "priors"):
+        _add_flag(scheme, key)
+    scheme.add_argument("--allow-trivial", action="store_true", default=False)
     parser = _Parser(prog="statedisc", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("validate", parents=[common])
-    sub.add_parser("run", parents=[common])
-    sub.add_parser("dump", parents=[common])
-
-    p_sim = sub.add_parser("simulate", parents=[common])
-    for key in ("n", "seed", "shards"):
-        _add_scalar(p_sim, key)
-
-    p_sweep = sub.add_parser("sweep", parents=[common])
-    p_sweep.add_argument("--grid", metavar="PARAM=MIN:MAX:STEP", default=None)
-
-    p_cmp = sub.add_parser("compare", parents=[common])
-    _add_scalar(p_cmp, "theorem")
-    p_cmp.add_argument("--gamma-grid", metavar="MIN:MAX:STEP", default=None)
-    _add_scalar(p_cmp, "prior_step")
-    _add_scalar(p_cmp, "p2_min")
+    for name in [command] if command else _COMMAND_FLAGS:
+        flags = _COMMAND_FLAGS[name]
+        cmd = sub.add_parser(name, parents=[scheme] if "scheme" in flags else [])
+        for key in flags:
+            if key != "scheme":
+                _add_flag(cmd, key)
     return parser
 
 
@@ -163,20 +167,18 @@ def _read_config(path: str, flags) -> dict:
         where = params if key in _INPUT_TYPES else cfg
         if key in flags and where.get(key) is not None:
             where[key] = _config_value(key, where[key], convert, choices)
-    if "priors" in cfg:
+    if "priors" in flags and "priors" in cfg:
         cfg["priors"] = _config_value("priors", cfg["priors"], _parse_priors)
     if not isinstance(cfg.get("grid", {}), dict):
         raise UsageError("config grid must be a JSON object")
-    if not isinstance(cfg.get("allow_trivial", False), bool):
+    if "allow_trivial" in flags and not isinstance(cfg.get("allow_trivial", False), bool):
         raise UsageError("config allow_trivial must be true or false")
     return cfg
 
 
 def _merge_config(args) -> dict:
-    """Fold the optional config file and CLI flags into one request map.
-
-    Explicit command-line values win over config-file values.
-    """
+    """The optional config file and the flags in one request map; a flag
+    wins over its value in the file."""
     cfg = _read_config(args.config, vars(args)) if args.config else {}
     params = cfg.setdefault("params", {})
     for key in _SCALAR_FLAGS:
@@ -274,8 +276,15 @@ def _build_scheme(cfg: dict) -> Scheme:
     if scheme is None:
         raise UsageError("missing --scheme")
     kind = SCHEME_KINDS[scheme]  # the flag and the config reader check the name
+    params = cfg["params"]  # a dump's params name their kind
+    unread = [k for k in params
+              if k not in kind.inputs and (k, params[k]) != ("kind", scheme)]
+    if cfg.get("allow_trivial") and not kind.trivial:
+        unread.append("allow_trivial")
+    if unread:
+        raise UsageError(f"scheme {scheme} takes no --{unread[0].replace('_', '-')}")
     priors = _need_priors(cfg, kind.n_priors, scheme)
-    values = {k: _need(cfg["params"], k, f"scheme {scheme}") for k in kind.inputs}
+    values = {k: _need(params, k, f"scheme {scheme}") for k in kind.inputs}
     return kind.build(values, priors, bool(cfg.get("allow_trivial", False)))
 
 
@@ -345,8 +354,6 @@ def _cmd_run(cfg: dict) -> int:
 
 
 def _cmd_dump(cfg: dict) -> int:
-    if cfg.get("format", "json") == "csv":
-        raise UsageError("dump emits JSON only")
     scheme = _build_scheme(cfg)
     _write_output([_json_text(serialize.scheme_to_json(scheme))], cfg.get("output"))
     return 0
@@ -378,6 +385,8 @@ def _cmd_sweep(cfg: dict) -> int:
         raise UsageError(
             f"scheme {scheme_id} sweeps over {sweepable[scheme_id]}, not {param!r}"
         )
+    if param in cfg["params"]:
+        raise UsageError(f"sweep over {param} takes no --{param}")
     values = _range_values(rng, param)
     if not _range_spec(rng, param)[2]:  # before anything is written
         raise UsageError(f"empty {param} grid")
@@ -517,8 +526,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _command_from_config(argv)
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        command = argv[0] if argv and argv[0] in _COMMAND_FLAGS else None
+        args = _build_parser(command).parse_args(argv)
         if args.command is None:
             raise UsageError("missing command; see --help")
         cfg = _merge_config(args)

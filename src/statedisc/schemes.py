@@ -631,15 +631,16 @@ class SchemeKind:
     """What the command line and the JSON codec need to know about a kind.
 
     ``inputs`` are the numbers the command line supplies (``None``: the
-    params fields), and ``sweepable`` those a sweep may vary.  ``build``
-    adapts them to the builder: ``build(values, priors, allow_trivial)``
-    with ``values`` keyed by input name.
+    params fields), ``sweepable`` those a sweep may vary, and ``trivial``
+    whether ``allow_trivial`` admits boundary values.  ``build(values,
+    priors, allow_trivial)`` adapts them to the builder by input name.
     """
 
     params: type
     n_priors: int
     build: Callable[[dict, list, bool], Scheme]
     sweepable: tuple[str, ...] = ()
+    trivial: bool = False
     inputs: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -665,6 +666,7 @@ SCHEME_KINDS: dict[str, SchemeKind] = {
             v["gamma"], p, allow_trivial=trivial
         ),
         sweepable=("gamma",),
+        trivial=True,
     ),
     MixedGeneralParams.kind: SchemeKind(
         MixedGeneralParams,
@@ -673,6 +675,7 @@ SCHEME_KINDS: dict[str, SchemeKind] = {
             v["gamma"], v["alpha"], p, allow_trivial=trivial
         ),
         sweepable=("gamma", "alpha"),
+        trivial=True,
     ),
     UnambiguousSpecialParams.kind: SchemeKind(
         UnambiguousSpecialParams,

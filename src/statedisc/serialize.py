@@ -97,7 +97,8 @@ def ensemble_from_json(data) -> Ensemble:
     return Ensemble(states, np.array(data["priors"], dtype=float))
 
 
-_IDENTIFY = re.compile("identify:(0|[1-9][0-9]*)")
+#: An index of at most 18 digits, which ``int`` reads whatever its digit limit.
+_IDENTIFY = re.compile("identify:(0|[1-9][0-9]{0,17})")
 
 
 def label_to_json(label: OutcomeLabel) -> str:

@@ -135,15 +135,7 @@ class Ensemble:
         dim = states[0].dim
         if any(s.dim != dim for s in states):
             raise DimensionMismatchError("ensemble states live on different spaces")
-        p = np.array(self.priors, dtype=float).reshape(-1)
-        if p.shape[0] != len(states):
-            raise DimensionMismatchError(
-                f"{len(states)} states but {p.shape[0]} priors"
-            )
-        if not priors_ok(p):
-            raise InvariantViolationError(
-                f"priors {p.tolist()!r} are not non-negative summing to 1"
-            )
+        p = validate_priors(self.priors, len(states))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", _freeze(p))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,8 @@ MIXED = [
     "--priors",
     "0.3,0.3,0.4",
 ]
+#: ``sweep`` takes no value for the parameter it sweeps.
+SWEEP_MIXED = ["sweep", "--scheme", "mixed-special", "--priors", "0.3,0.3,0.4"]
 
 
 #: The flags of each kind's input in ``golden.json``.
@@ -134,18 +137,18 @@ def test_usage_errors_exit_1(capsys):
         ["frobnicate"],
         ["validate", "--scheme", "mixed-special", "--priors", "0.3,0.3,0.4"],
         ["run", "--scheme", "mixed-special", "--gamma", "0.5", "--priors", "x,y,z"],
-        ["sweep"] + MIXED + ["--grid", "gamma=0.1:0.7"],
+        SWEEP_MIXED + ["--grid", "gamma=0.1:0.7"],
         ["dump", "--format", "csv"] + MIXED,
         # Non-finite grid bounds and steps.
         ["compare", "--theorem", "2.1", "--gamma-grid", "0:nan:0.1"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "nan:0.5:0.1"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "0:inf:0.1"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.5:inf"],
-        ["sweep"] + MIXED + ["--grid", "gamma=0:nan:0.1"],
+        SWEEP_MIXED + ["--grid", "gamma=0:nan:0.1"],
         # Grids too large to list, or to compare in memory.
         ["compare", "--theorem", "2.1", "--gamma-grid", "0:1e300:1e-300"],
         ["compare", "--theorem", "2.1", "--gamma-grid=-1e308:1e308:1"],
-        ["sweep"] + MIXED + ["--grid", "gamma=0:1e300:1e-300"],
+        SWEEP_MIXED + ["--grid", "gamma=0:1e300:1e-300"],
         ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.7:1e-9"],
         ["compare", "--theorem", "3.1", "--gamma-grid", "0.1:0.2:0.1",
          "--prior-step", "1e-4"],
@@ -153,9 +156,6 @@ def test_usage_errors_exit_1(capsys):
         code, out, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert err.startswith("usage error: "), argv
-
-
-SWEEP_MIXED = ["sweep"] + MIXED
 
 
 @pytest.mark.parametrize(
@@ -328,7 +328,7 @@ def test_simulate_csv_counts(capsys):
 
 
 def test_sweep_csv_and_summary(capsys):
-    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.1:0.7:0.1"]
+    argv = SWEEP_MIXED + ["--grid", "gamma=0.1:0.7:0.1"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     lines = out.splitlines()
@@ -358,7 +358,7 @@ def test_sweep_json_rows_match_csv_rows(capsys):
 
 
 def test_sweep_skips_out_of_domain_points(capsys):
-    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.5:0.9:0.1"]
+    argv = SWEEP_MIXED + ["--grid", "gamma=0.5:0.9:0.1"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     assert err.strip() == "points: 3  skipped: 2"
@@ -377,7 +377,7 @@ def test_sweep_writes_each_row_as_it_is_built(capsys, monkeypatch, fmt):
             seen.append((len(built), piece))
 
     monkeypatch.setattr(cli, "_write_output", write)
-    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.5:0.9:0.1", "--format", fmt]
+    argv = SWEEP_MIXED + ["--grid", "gamma=0.5:0.9:0.1", "--format", fmt]
     code, _, err = run_cli(capsys, argv)
     assert code == 0 and err.strip() == "points: 3  skipped: 2"
     # Row k goes out once point k is built, before point k + 1 is.
@@ -390,14 +390,14 @@ def test_sweep_writes_each_row_as_it_is_built(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt, empty", [("csv", "gamma,p0,p1,p2,analytic_success,"
                                          "brute_force_success\n"), ("json", "[]\n")])
 def test_sweep_of_only_skipped_points_writes_the_empty_table(capsys, fmt, empty):
-    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.8:0.9:0.1", "--format", fmt]
+    argv = SWEEP_MIXED + ["--grid", "gamma=0.8:0.9:0.1", "--format", fmt]
     assert run_cli(capsys, argv) == (0, empty, "points: 0  skipped: 2\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
 def test_empty_sweep_grid_writes_nothing(capsys, tmp_path, extra):
     out = tmp_path / "rows.csv"
-    argv = ["sweep"] + MIXED + ["--grid", "gamma=0.5:0.1:0.1"] + extra
+    argv = SWEEP_MIXED + ["--grid", "gamma=0.5:0.1:0.1"] + extra
     code, stdout, err = run_cli(capsys, argv)
     assert (code, stdout, err) == (1, "", "usage error: empty gamma grid\n")
     code, _, _ = run_cli(capsys, argv + ["--output", str(out)])
@@ -440,7 +440,8 @@ def test_each_built_scheme_evaluates_the_pipeline_once(capsys, monkeypatch,
     if command == "sweep":
         # Points outside the domain are rejected before any state exists.
         param = SCHEME_KINDS[kind].sweepable[0]
-        argv += ["--grid", f"{param}=0.05:0.95:0.1"]
+        at = argv.index("--" + param)
+        argv = argv[:at] + argv[at + 2 :] + ["--grid", f"{param}=0.05:0.95:0.1"]
     else:
         argv += COUNTED_COMMANDS[command]
     code, _, err = run_cli(capsys, argv)
@@ -477,7 +478,7 @@ def test_compare_theorem21_grid(capsys):
 def test_grid_values_are_rounded_only_to_undo_roundoff(capsys, grid, first, last):
     for argv in (["compare", "--theorem", "2.1", "--gamma-grid", grid,
                   "--prior-step", "0.5"],
-                 ["sweep"] + MIXED + ["--grid", f"gamma={grid}"]):
+                 SWEEP_MIXED + ["--grid", f"gamma={grid}"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 0 and "skipped: 0" in err
         gammas = [line.split(",")[0] for line in out.splitlines()[1:]]
@@ -720,3 +721,140 @@ def test_readme_lists_each_schemes_flags():
         row = f"| `{name}` | `{flags}` | {kind.n_priors} |"
         sweepable = f" `{' '.join(kind.sweepable)}` |" if kind.sweepable else " |"
         assert row + sweepable in readme, name
+
+
+def test_readme_lists_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for command, keys in cli._COMMAND_FLAGS.items():
+        flags = " ".join("--" + key.replace("_", "-") for key in keys)
+        assert f"| `{command}` | `{flags}` |" in readme, command
+
+
+#: The flags each command reads besides ``--config``; ``scheme`` stands for
+#: ``--scheme``, ``--priors``, the kind's inputs and, where the kind has
+#: trivial boundaries, ``--allow-trivial``.
+READS = {
+    "validate": {"scheme", "output"},
+    "run": {"scheme", "output", "format"},
+    "dump": {"scheme", "output"},
+    "simulate": {"scheme", "output", "format", "n", "seed", "shards"},
+    "sweep": {"scheme", "output", "format", "grid"},
+    "compare": {"output", "format", "theorem", "gamma_grid", "prior_step", "p2_min"},
+}
+TRIVIAL = {"mixed-special", "mixed-general"}
+#: A value each flag reads; ``--allow-trivial`` takes none.
+FLAG_VALUES = {
+    "scheme": "rra", "priors": "0.3,0.3,0.4", "allow_trivial": None,
+    "overlap": "0.28", "c_plus": "0.7", "c_minus": "0.4", "gamma": "0.5",
+    "alpha": "0.2", "x0": "0.6", "x1": "0.6", "g01": "0.06", "g12": "0.3",
+    "g20": "0.2", "output": "-", "format": "csv", "n": "10", "seed": "1",
+    "shards": "1", "grid": "gamma=0.1:0.2:0.1", "theorem": "2.1",
+    "gamma_grid": "0.1:0.2:0.1", "prior_step": "0.5", "p2_min": "0",
+}
+COMPARE = ["compare", "--theorem", "2.1", "--gamma-grid", "0.1:0.2:0.1",
+           "--prior-step", "0.5"]
+
+
+def _valid_argv(command, kind):
+    """A run of ``command`` on ``kind`` that exits 0, and the flags it reads."""
+    if command == "compare":
+        return COMPARE, READS[command]
+    reads = READS[command] | {"priors", *SCHEME_KINDS[kind].inputs}
+    reads |= {"allow_trivial"} if kind in TRIVIAL else set()
+    argv = [command, "--scheme", kind, *GOLDEN_FLAGS[kind]]
+    if command == "simulate":
+        argv += ["--n", "10"]
+    if command == "sweep":
+        param = SCHEME_KINDS[kind].sweepable[0]
+        at = argv.index("--" + param)
+        argv = argv[:at] + argv[at + 2 :] + ["--grid", f"{param}=0.05:0.95:0.1"]
+        reads.remove(param)
+    return argv, reads
+
+
+UNREAD_CASES = [
+    (command, kind, key)
+    for command in READS
+    for kind in (["-"] if command == "compare" else sorted(SCHEME_KINDS))
+    if command != "sweep" or SCHEME_KINDS[kind].sweepable
+    for key in FLAG_VALUES
+    if key not in _valid_argv(command, kind)[1]
+]
+
+
+def test_every_unread_flag_is_a_usage_error(capsys):
+    # A run that exits 0, plus one flag that the command or the scheme
+    # kind does not read, exits 1 with one usage line naming that flag.
+    assert len(UNREAD_CASES) > 200
+    for command, kind, key in UNREAD_CASES:
+        argv, _ = _valid_argv(command, kind)
+        assert run_cli(capsys, argv)[0] == 0, argv
+        flag = "--" + key.replace("_", "-")
+        extra = [flag] if FLAG_VALUES[key] is None else [flag, FLAG_VALUES[key]]
+        code, out, err = run_cli(capsys, argv + extra)
+        assert (code, out) == (1, ""), (argv, extra, err)
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert flag in err, (argv, extra, err)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEME_KINDS))
+def test_every_unread_config_param_is_a_usage_error(capsys, tmp_path, kind):
+    # The config-file twin: a params key the kind lacks, a params kind that
+    # names another scheme, and allow_trivial for a kind without trivial
+    # boundaries.
+    argv, reads = _valid_argv("run", kind)
+    values = {k: FLAG_VALUES[k] for k in SCHEME_KINDS[kind].inputs}
+    job = {"command": "run", "scheme": kind, "params": values,
+           "priors": argv[argv.index("--priors") + 1]}
+    path = tmp_path / "job.json"
+    edits = [({"params": {**values, key: "0.1"}}, key)
+             for key in ("gamma", "alpha", "x0", "x1", "overlap", "c_plus",
+                         "c_minus", "g01", "g12", "g20", "beta") if key not in reads]
+    edits.append(({"params": {**values, "kind": "telepathy"}}, "kind"))
+    if kind not in TRIVIAL:
+        edits.append(({"allow_trivial": True}, "allow_trivial"))
+    for edit, key in edits:
+        path.write_text(json.dumps({**job, **edit}))
+        code, out, err = run_cli(capsys, ["--config", str(path)])
+        flag = "--" + key.replace("_", "-")
+        assert (code, out, err) == (1, "", f"usage error: scheme {kind} takes no {flag}\n")
+    path.write_text(json.dumps({**job, "params": {**values, "kind": kind}}))
+    assert run_cli(capsys, ["--config", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--scheme", "mixed-special", "--gam", "0.5", "--pri", "0.3,0.3,0.4",
+      "--form", "csv"], "--gam"),
+    (["compare", "--theorem", "2.1", "--gamma-grid", "0.5:0.5:1", "--prior-step",
+      "0.5", "--scheme", "rra", "--alpha", "3", "--allow-trivial"], "--scheme"),
+    (["dump", "--scheme", "mixed-special", "--gamma", "0.5", "--priors",
+      "0.3,0.3,0.4", "--alpha", "0.9", "--x0", "3", "--format", "json"], "--format"),
+    (["validate", "--scheme", "zero-aux", "--g01", "0.06", "--g12", "0.3",
+      "--g20", "0.2", "--priors", "0.3,0.3,0.4", "--format", "csv",
+      "--allow-trivial"], "--format"),
+    (["dump", "--scheme", "mixed-special", "--gamma", "0.5", "--priors",
+      "0.3,0.3,0.4", "--alpha", "0.9", "--x0", "3"], "--alpha"),
+    (["simulate", "--scheme", "zero-aux", *GOLDEN_FLAGS["zero-aux"], "--n", "10",
+      "--allow-trivial"], "--allow-trivial"),
+    # The grid wins no more over a value for the swept parameter.
+    (SWEEP_MIXED + ["--gamma", "0.9", "--grid", "gamma=0.1:0.2:0.1"], "--gamma"),
+    # No flag is read from a prefix of its name.
+    (COMPARE[:5] + ["--prior-s", "0.5"], "--prior-s"),
+    (COMPARE + ["--p2", "0.5"], "--p2"),
+    (SWEEP_MIXED + ["--gr", "gamma=0.1:0.2:0.1"], "--gr"),
+])
+def test_flags_exiting_0_before_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "") and err.count("\n") == 1, err
+    assert err.startswith("usage error: ") and flag in err, err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_flags_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    shown = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    keys = READS[command] - {"scheme"}
+    if "scheme" in READS[command]:
+        keys |= {"scheme", "priors", "allow_trivial", *cli._INPUT_TYPES}
+    assert shown == {"--help", "--config", *("--" + k.replace("_", "-") for k in keys)}

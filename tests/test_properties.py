@@ -450,10 +450,11 @@ SWEEPABLE = sorted(k for k, v in SCHEME_KINDS.items() if v.sweepable)
 @given(st.sampled_from(SWEEPABLE), st.data())
 def test_sweep_flags_never_traceback(kind, data):
     argv = ["sweep", "--scheme", kind, "--priors", "0.3,0.3,0.4"]
-    for key in SCHEME_KINDS[kind].inputs:  # each a real number
-        value = data.draw(st.one_of(any_float, st.floats(-1.0, 1.0)), label=key)
-        argv.append(f"--{key}={value!r}")
     param = data.draw(st.sampled_from(SCHEME_KINDS[kind].sweepable), label="param")
+    for key in SCHEME_KINDS[kind].inputs:  # each a real number
+        if key != param:  # the grid gives the swept one
+            value = data.draw(st.one_of(any_float, st.floats(-1.0, 1.0)), label=key)
+            argv.append(f"--{key}={value!r}")
     slots = (st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0))
     grid = [data.draw(st.one_of(usual, any_float), label="grid") for usual in slots]
     argv.append(f"--grid={param}=" + ":".join(map(repr, grid)))

@@ -120,7 +120,7 @@ def test_scheme_loader_rejects_nan_priors():
     # NaN passed both the priors test and the pipeline-vs-analytic test.
     data = serialize.scheme_to_json(build_mixed_special(0.5, (0.3, 0.3, 0.4)))
     data["ensemble"]["priors"] = [float("nan")] * 3
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         serialize.scheme_from_json(json.loads(json.dumps(data)))
 
 
@@ -286,6 +286,10 @@ def test_tampered_scheme_arrays_fail_as_before(path, value, error):
     # The inconclusive outcome relabelled: every state still has one outcome.
     (["povm", "labels", 3], "identify:7", LabelMismatchError,
      "label identifies state 7, ensemble has 3"),
+    # Past int()'s default digit limit, not a raw ValueError.
+    *(pytest.param(["povm", "labels", 1], "identify:" + "1" * digits,
+                   LabelMismatchError, "unknown outcome", id=f"{digits}-digits")
+      for digits in (4301, 5000)),
 ])
 def test_malformed_scheme_fields_raise(path, value, error, message):
     data = _mixed_special_json()

@@ -6,6 +6,7 @@ from statedisc.errors import (
     InvariantViolationError,
     NotHermitianError,
     NotPsdError,
+    ParamOutOfRangeError,
 )
 from statedisc.states import (
     DensityMatrix,
@@ -46,7 +47,7 @@ def test_density_matrix_pure():
 
 def test_ensemble_checks_priors_and_dims():
     k0, k1 = Ket(np.eye(2)[0]), Ket(np.eye(2)[1])
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         Ensemble(states=(k0, k1), priors=(0.7, 0.7))
     with pytest.raises(DimensionMismatchError):
         Ensemble(states=(k0, Ket(np.eye(3)[0])), priors=(0.5, 0.5))
@@ -60,9 +61,9 @@ def test_ensemble_checks_priors_and_dims():
 )
 def test_ensemble_and_gram_spec_reject_non_finite_priors(priors):
     k0, k1 = Ket(np.eye(2)[0]), Ket(np.eye(2)[1])
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         Ensemble(states=(k0, k1), priors=priors)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         states_from_gram(np.eye(2), priors)
 
 
@@ -102,7 +103,7 @@ def test_states_from_gram_rejects_bad_shape_and_diagonal():
         states_from_gram(np.array([[0.5, 0.0], [0.0, 1.0]]), (0.5, 0.5))
     with pytest.raises(NotHermitianError):
         states_from_gram(np.array([[1.0, 0.5], [0.1, 1.0]]), (0.5, 0.5))
-    with pytest.raises(DimensionMismatchError, match="3 states but 2 priors"):
+    with pytest.raises(DimensionMismatchError, match="expected 3 priors, got 2"):
         states_from_gram(np.eye(3), priors=(0.5, 0.5))
 
 
@@ -115,7 +116,7 @@ def test_states_from_gram_checks_the_overlaps_before_the_priors():
         states_from_gram(g, (np.nan, 0.5, 0.5))
     with pytest.raises(NotHermitianError):
         states_from_gram(np.array([[1.0, 0.5], [0.1, 1.0]]), (0.7, 0.7))
-    with pytest.raises(InvariantViolationError, match="priors"):
+    with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         states_from_gram(np.eye(2), (0.7, 0.7))
 
 
