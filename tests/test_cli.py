@@ -414,6 +414,16 @@ def test_sweep_missing_an_input_writes_nothing(capsys, argv, missing):
     assert run_cli(capsys, ["sweep", *argv]) == (1, "", f"usage error: {missing}\n")
 
 
+def _sweep_argv(kind):
+    """``sweep`` of ``kind``'s first sweepable input over 0.05..0.95, with
+    the kind's golden flags but that input's."""
+    param = SCHEME_KINDS[kind].sweepable[0]
+    flags = GOLDEN_FLAGS[kind]
+    at = flags.index("--" + param)
+    return ["sweep", "--scheme", kind, *flags[:at], *flags[at + 2 :],
+            "--grid", f"{param}=0.05:0.95:0.1"]
+
+
 #: Extra flags of each command whose pipeline evaluations are counted.
 COUNTED_COMMANDS = {
     "run": [], "run csv": ["--format", "csv"], "validate": [], "dump": [],
@@ -436,14 +446,12 @@ def test_each_built_scheme_evaluates_the_pipeline_once(capsys, monkeypatch,
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(measurement, "pure_confusion", counted)
-    argv = [command.split()[0], "--scheme", kind, *GOLDEN_FLAGS[kind]]
     if command == "sweep":
         # Points outside the domain are rejected before any state exists.
-        param = SCHEME_KINDS[kind].sweepable[0]
-        at = argv.index("--" + param)
-        argv = argv[:at] + argv[at + 2 :] + ["--grid", f"{param}=0.05:0.95:0.1"]
+        argv = _sweep_argv(kind)
     else:
-        argv += COUNTED_COMMANDS[command]
+        argv = [command.split()[0], "--scheme", kind, *GOLDEN_FLAGS[kind],
+                *COUNTED_COMMANDS[command]]
     code, _, err = run_cli(capsys, argv)
     assert code == 0, err
     built = int(err.split()[1]) if command == "sweep" else 1
@@ -761,15 +769,11 @@ def _valid_argv(command, kind):
         return COMPARE, READS[command]
     reads = READS[command] | {"priors", *SCHEME_KINDS[kind].inputs}
     reads |= {"allow_trivial"} if kind in TRIVIAL else set()
-    argv = [command, "--scheme", kind, *GOLDEN_FLAGS[kind]]
-    if command == "simulate":
-        argv += ["--n", "10"]
     if command == "sweep":
-        param = SCHEME_KINDS[kind].sweepable[0]
-        at = argv.index("--" + param)
-        argv = argv[:at] + argv[at + 2 :] + ["--grid", f"{param}=0.05:0.95:0.1"]
-        reads.remove(param)
-    return argv, reads
+        reads.remove(SCHEME_KINDS[kind].sweepable[0])
+        return _sweep_argv(kind), reads
+    argv = [command, "--scheme", kind, *GOLDEN_FLAGS[kind]]
+    return argv + (["--n", "10"] if command == "simulate" else []), reads
 
 
 UNREAD_CASES = [
