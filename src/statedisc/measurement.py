@@ -9,7 +9,6 @@ property tests check on every unambiguous builder.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +68,14 @@ class Povm:
         dim = elements[0].shape[0]
         square = [m.shape == (dim, dim) for m in elements] + [False]
         stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
+        _check_positive(stack)  # an earlier element's failure comes first
         if len(stack) < len(elements):
-            _check_positive(stack)  # an earlier element's failure comes first
             raise DimensionMismatchError("POVM elements differ in dimension")
-        res = _completeness(stack.shape, stack.tobytes())
+        res = linalg.frobenius(stack.sum(axis=0) - np.eye(dim))
+        if res > tol.COMPLETE:
+            raise InvariantViolationError(
+                f"POVM completeness residual {res:.3e} > {tol.COMPLETE}"
+            )
         stack.setflags(write=False)
         object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "labels", labels)
@@ -108,20 +111,6 @@ def _check_positive(stack: np.ndarray):
                 f"Hermiticity residual {herm[k]:.3e} exceeds {tol.HERMITIAN}"
             )
         raise NotPsdError(f"POVM element eigenvalue {low[k]:.3e}")
-
-
-@functools.lru_cache(maxsize=64)
-def _completeness(shape: tuple, data: bytes) -> float:
-    """Completeness residual of a stack of checked square elements, cached by
-    its bytes: a stack seen before (a reloaded POVM) gets the same answer."""
-    stack = np.frombuffer(data, dtype=np.complex128).reshape(shape)
-    _check_positive(stack)
-    res = linalg.frobenius(stack.sum(axis=0) - np.eye(shape[1]))
-    if res > tol.COMPLETE:
-        raise InvariantViolationError(
-            f"POVM completeness residual {res:.3e} > {tol.COMPLETE}"
-        )
-    return res
 
 
 def _identify_outcomes(povm: Povm, n: int) -> np.ndarray:

@@ -24,11 +24,12 @@ Builders
 The four coupled builders share one flagged-ancilla recipe (the layout of
 Roa, Retamal and Alid-Vaccarezza, PRL 107, 080401, 2011).  A builder
 validates its parameters and supplies the ensemble, the domain vectors and
-each image's system parts with the ancilla in |0> and |1>, one identifying
-vector per state, and the closed form, all in system space.  The recipe
-embeds them and owns the rest: the coupling completes domain -> images,
-outcome k is identifying vector k with the ancilla in |0>, the ancilla in
-|1> flags the inconclusive outcome, and it returns the validated scheme.
+each image's system parts with the ancilla in |0> and |1>, all in system
+space, the closed form, and one of three POVMs made at import.  In each,
+outcome k is an identifying vector k with the ancilla in |0> and the
+ancilla in |1> flags the inconclusive outcome.  The recipe embeds the
+images, completes domain -> images to the coupling, and returns the
+validated scheme.
 
 ``SCHEME_KINDS`` is the one table of these kinds: the command line and the
 JSON codec derive everything they know about a kind from it.
@@ -193,43 +194,45 @@ def _proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, np.conj(vec))
 
 
-def _plus_minus(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    plus = np.zeros(dim, dtype=np.complex128)
-    plus[0] = plus[1] = _HALF_SQRT2
-    minus = np.zeros(dim, dtype=np.complex128)
-    minus[0] = _HALF_SQRT2
-    minus[1] = -_HALF_SQRT2
-    return plus, minus
+#: e0, e1, e2 of C^3, and |+>, |-> in its first two coordinates; the
+#: first two entries of each are the C^2 vector of that name.
+_E0, _E1, _E2 = np.eye(3, dtype=np.complex128)
+_PLUS, _MINUS = _HALF_SQRT2 * (_E0 + _E1), _HALF_SQRT2 * (_E0 - _E1)
 
 
-@functools.lru_cache(maxsize=8)
-def _flagged_povm(identify: bytes, dim: int) -> Povm:
-    """The flagged recipe's POVM for the identifying vectors of these
-    complex128 bytes, built once per set.  Outcome k projects the system onto
-    vector k with the ancilla in |0>; the last, ``inconclusive``, is the
-    ancilla in |1>.  It keeps kron for the ``-0.0`` that ``dump`` prints."""
-    vectors = np.frombuffer(identify, dtype=np.complex128).reshape(-1, dim)
-    flag0, flag1 = (_proj(e) for e in np.eye(2, dtype=np.complex128))
-    elements = [np.kron(_proj(vec), flag0) for vec in vectors]
-    labels = [OutcomeLabel.identify(k) for k in range(len(vectors))]
+def _flagged_povm(*identify: np.ndarray) -> Povm:
+    """The flagged recipe's POVM for these identifying vectors.  Outcome k
+    projects the system onto vector k with the ancilla in |0>; the last,
+    ``inconclusive``, is the ancilla in |1>.  It keeps kron for the ``-0.0``
+    that ``dump`` prints."""
+    flag0, flag1 = _proj(_E0[:2]), _proj(_E1[:2])
+    elements = [np.kron(_proj(vec), flag0) for vec in identify]
+    labels = [OutcomeLabel.identify(k) for k in range(len(identify))]
     return Povm(
-        (*elements, np.kron(np.eye(dim), flag1)),
+        (*elements, np.kron(np.eye(len(identify[0])), flag1)),
         (*labels, OutcomeLabel.inconclusive()),
     )
 
 
+#: The flagged recipe's three layouts: rra's |+>, |-> in C^2, the mixed
+#: schemes' |+>, |->, e2 and the unambiguous family's e0, e1, e2.
+_RRA_POVM = _flagged_povm(_PLUS[:2], _MINUS[:2])
+_MIXED_POVM = _flagged_povm(_PLUS, _MINUS, _E2)
+_UNAMBIGUOUS_POVM = _flagged_povm(_E0, _E1, _E2)
+
+
 def _flagged_scheme(
-    ensemble: Ensemble, domain, images, identify, analytic: float,
+    ensemble: Ensemble, domain, images, povm: Povm, analytic: float,
     params: SchemeParams, branch_note: str = "",
 ) -> Scheme:
     """The flagged-ancilla recipe shared by the four coupled builders.
 
     The coupling sends each system vector ``domain[k]``, with the ancilla
     in |0>, to ``a0 (x) |0> + a1 (x) |1>`` for ``(a0, a1) = images[k]`` (a
-    branch may be 0); the POVM is :func:`_flagged_povm` of ``identify``.
+    branch may be 0); ``povm`` is the layout of :func:`_flagged_povm` whose
+    identifying vectors the images use.
     """
     dim = ensemble.dim
-    povm = _flagged_povm(np.array(identify, dtype=np.complex128).tobytes(), dim)
     # pairs[0, k] and pairs[1, k] are domain[k] and images[k] in kron's layout.
     pairs = np.zeros((2, len(images), dim, 2), dtype=np.complex128)
     for k, (d, (a0, a1)) in enumerate(zip(domain, images)):
@@ -286,8 +289,8 @@ def build_rra(
             f"but <psi_minus|psi_plus> = {overlap!r}"
         )
 
-    fail = np.eye(2, dtype=np.complex128)[0]  # a failure leaves the system in |0>
-    plus, minus = _plus_minus(2)
+    fail = _E0[:2]  # a failure leaves the system in |0>
+    plus, minus = _PLUS[:2], _MINUS[:2]
     images = [
         (_snapped_sqrt(1.0 - abs(c_plus) ** 2) * plus, c_plus * fail),
         (_snapped_sqrt(1.0 - abs(c_minus) ** 2) * minus, c_minus * fail),
@@ -295,7 +298,7 @@ def build_rra(
     analytic = 1.0 - p[0] * abs(c_plus) ** 2 - p[1] * abs(c_minus) ** 2
     return _flagged_scheme(
         Ensemble((psi_plus, psi_minus), p),
-        (psi_plus.amplitudes, psi_minus.amplitudes), images, (plus, minus),
+        (psi_plus.amplitudes, psi_minus.amplitudes), images, _RRA_POVM,
         analytic, RraParams(c_plus=c_plus, c_minus=c_minus),
     )
 
@@ -367,21 +370,19 @@ def _mixed_scheme(
     branches whose ancilla-|1> interference term carries ``c = sqrt(c2)``.
     Outcomes: +, -, and the third state, each with the ancilla in |0>.
     """
-    _, e1s, e2s = np.eye(3, dtype=np.complex128)
     u0, u1, u2 = (s.amplitudes for s in ensemble.states)
     scale = np.sqrt(1.0 - gamma**2)
     psi0 = (u0 - gamma * u2) / scale
     psi1 = (u1 - gamma * u2) / scale
     c, r = _mixed_amplitudes(c2)
-    plus, minus = _plus_minus(3)
     domain = [u2, psi0, psi1]
-    images = [(e2s, 0.0), (r * plus, np.conj(c) * e1s), (r * minus, c * e1s)]
+    images = [(_E2, 0.0), (r * _PLUS, np.conj(c) * _E1), (r * _MINUS, c * _E1)]
     if r == 0.0:
         # |c| = 1 makes psi1 a multiple of psi0 (and its image of psi0's),
         # so only the independent pair is pinned; linearity carries the rest.
         domain, images = domain[:2], images[:2]
     return _flagged_scheme(
-        ensemble, domain, images, (plus, minus, e2s), analytic, params, branch_note
+        ensemble, domain, images, _MIXED_POVM, analytic, params, branch_note
     )
 
 
@@ -516,19 +517,18 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
         )
 
     ens = states_from_gram(_three_state_gram(0.0, gamma, gamma), p)
-    e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
     a0 = np.sqrt(x0)
     a1 = np.sqrt(x1)
     ap0 = gamma / a0 if x0 > 0.0 else 0.0
     ap1 = gamma / a1 if x1 > 0.0 else 0.0
     images = [
-        (np.sqrt(max(0.0, 1.0 - x0)) * e0s, a0 * e0s),
-        (np.sqrt(max(0.0, 1.0 - x1)) * e1s, a1 * e1s),
-        (np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * e2s, ap0 * e0s + ap1 * e1s),
+        (np.sqrt(max(0.0, 1.0 - x0)) * _E0, a0 * _E0),
+        (np.sqrt(max(0.0, 1.0 - x1)) * _E1, a1 * _E1),
+        (np.sqrt(max(0.0, 1.0 - ap0**2 - ap1**2)) * _E2, ap0 * _E0 + ap1 * _E1),
     ]
     analytic = 1.0 - p[0] * x0 - p[1] * x1 - p[2] * (ap0**2 + ap1**2)
     return _flagged_scheme(
-        ens, [s.amplitudes for s in ens.states], images, (e0s, e1s, e2s),
+        ens, [s.amplitudes for s in ens.states], images, _UNAMBIGUOUS_POVM,
         analytic, UnambiguousSpecialParams(gamma=gamma, x0=x0, x1=x1),
     )
 
@@ -746,17 +746,15 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
     if _mixed_amplitudes((alpha - gamma**2) / (1.0 - gamma**2))[1] == 0.0:
         b2 = 0.0
     weight = q * mu2
-    plus, minus = _plus_minus(3)
-    e0s, e1s, e2s = np.eye(3, dtype=np.complex128)
-    cross = np.outer(e0s, np.conj(e2s)) + np.outer(e2s, np.conj(e0s))
+    cross = np.outer(_E0, np.conj(_E2)) + np.outer(_E2, np.conj(_E0))
     sys_part = (
-        0.5 * q * b2 * (_proj(plus) + _proj(minus))
-        + (q * gamma**2 + float(p[2])) * _proj(e2s)
+        0.5 * q * b2 * (_proj(_PLUS) + _proj(_MINUS))
+        + (q * gamma**2 + float(p[2])) * _proj(_E2)
         + _HALF_SQRT2 * q * gamma * np.sqrt(b2) * cross
     ) / (1.0 - weight)
 
     z = np.sqrt(np.complex128((alpha - gamma**2) * b2))
-    e0a, e1a = np.eye(2, dtype=np.complex128)
+    e0a, e1a = _E0[:2], _E1[:2]
     anc_part = (
         mu2 * _proj(e1a)
         + _HALF_SQRT2 * z * np.outer(e0a, np.conj(e1a))
@@ -775,7 +773,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
     for prior, wvec in zip(p, _coupled_vectors(scheme)):
         rho_pipe += prior * np.outer(wvec, np.conj(wvec))
     recon = (1.0 - weight) * np.kron(sys_part, _proj(e0a))
-    recon = recon + weight * np.kron(_proj(e1s), anc_part)
+    recon = recon + weight * np.kron(_proj(_E1), anc_part)
     residual = linalg.frobenius(rho_pipe - recon)
     if residual > tol.DECOMPOSITION:
         raise InvariantViolationError(

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from statedisc import measurement
 from statedisc.errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -124,6 +127,19 @@ def test_povm_elements_are_one_read_only_stack():
     assert np.array_equal(sum(p.elements), np.eye(2))
     elements[1][0][0] = 1.0  # the POVM holds its own copy
     assert p.elements[1, 0, 0] == 0.0
+
+
+def test_every_povm_checks_its_own_stack():
+    elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    labels = projective_povm(2).labels
+    with mock.patch.object(
+        measurement, "_check_positive", wraps=measurement._check_positive
+    ) as check:
+        residuals = [Povm(elements, labels).completeness_residual for _ in range(3)]
+    assert check.call_count == 3 and residuals == [0.0] * 3
+    elements[1] = np.diag([0.0, 1.0 + 1e-6])  # the same shape, checked again
+    with pytest.raises(InvariantViolationError, match="completeness residual"):
+        Povm(elements, labels)
 
 
 def test_confusion_matrix_rows_sum_to_one():

@@ -237,6 +237,19 @@ def test_mixed_general_near_gamma_one_builds_or_rejects_before_synthesis(k):
 # ---------------------------------------------------------------------- rra
 
 
+def test_flagged_builders_share_their_layouts_povm():
+    povms = [
+        build_rra(*schemes._rra_kets(0.3), [0.5, 0.5], 0.5, 0.6).povm,
+        build_mixed_special(0.5, [0.3, 0.3, 0.4]).povm,
+        build_mixed_general(0.5, 0.1, [0.3, 0.3, 0.4]).povm,
+        build_unambiguous_special(0.5, 0.6, 0.6, [0.3, 0.3, 0.4]).povm,
+    ]
+    layouts = [schemes._RRA_POVM, schemes._MIXED_POVM, schemes._MIXED_POVM,
+               schemes._UNAMBIGUOUS_POVM]
+    assert all(a is b for a, b in zip(povms, layouts))
+    assert all(not p.elements.flags.writeable for p in layouts)
+
+
 def test_rra_symmetric_qubits():
     plus, minus = rra_pair(0.36)
     s = build_rra(plus, minus, (0.5, 0.5), 0.6, 0.6)
