@@ -160,16 +160,19 @@ def _config_value(key: str, value, convert, choices=None):
 
 def _read_config(path: str, flags) -> dict:
     """The config file, each value read the way its flag in ``flags`` reads
-    it.  A null counts as absent; a flag the command lacks is not read."""
+    it.  A null counts as absent; a flag the command lacks is not read, nor
+    is ``params`` without the scheme flags or ``grid`` without a grid flag."""
     cfg = {k: v for k, v in _load_config(path).items() if v is not None}
-    params = cfg["params"] = _config_value("params", cfg.get("params") or {}, dict)
+    params = cfg["params"] = (_config_value("params", cfg.get("params") or {}, dict)
+                              if "scheme" in flags else {})
     for key, (convert, choices) in _SCALAR_FLAGS.items():
         where = params if key in _INPUT_TYPES else cfg
         if key in flags and where.get(key) is not None:
             where[key] = _config_value(key, where[key], convert, choices)
     if "priors" in flags and "priors" in cfg:
         cfg["priors"] = _config_value("priors", cfg["priors"], _parse_priors)
-    if not isinstance(cfg.get("grid", {}), dict):
+    grid = cfg.get("grid", {}) if {"grid", "gamma_grid"} & flags.keys() else {}
+    if not isinstance(grid, dict):
         raise UsageError("config grid must be a JSON object")
     if "allow_trivial" in flags and not isinstance(cfg.get("allow_trivial", False), bool):
         raise UsageError("config allow_trivial must be true or false")
@@ -436,6 +439,9 @@ def _compare_blocks(theorem: str, gammas, rows: np.ndarray):
 def _cmd_compare(cfg: dict) -> int:
     theorem = _need(cfg, "theorem", "compare")
     grid = cfg.get("grid") or {}
+    unread = [key for key in grid if key != "gamma"]
+    if unread:
+        raise UsageError(f"compare takes no grid {unread[0]}")
     if "gamma" not in grid:
         raise UsageError("compare requires --gamma-grid MIN:MAX:STEP")
     n_gammas = _range_spec(grid["gamma"], "gamma")[2]

@@ -650,6 +650,9 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
         (compare, {"p2_min": [1]}, "p2_min"),
         (compare, {"theorem": 2.1}, "theorem"),
         (compare, {"grid": [1]}, "grid"),
+        # A compare grid holds only gamma.
+        (compare, {"grid": {**compare["grid"],
+                            "alpha": {"min": 5, "max": 1, "step": 1}}}, "grid alpha"),
         (simulate, {"n": "x"}, "n"),
         (simulate, {"seed": 1.5e400}, "seed"),  # JSON Infinity
         # A whole-number flag takes an integral float, never a truncation.
@@ -701,6 +704,20 @@ def test_config_values_convert_like_their_flags(capsys, tmp_path):
     assert code == 0, err
     flags = ["simulate"] + MIXED + ["--n", "1000", "--seed", "7"]
     assert out == run_cli(capsys, flags)[1]
+
+    # Nor is params read without the scheme flags, or grid without a grid flag.
+    compare = {"command": "compare", "theorem": "2.1", "prior_step": 0.5,
+               "grid": {"gamma": {"min": 0.1, "max": 0.2, "step": 0.1}}}
+    for job, flags in (
+        ({**compare, "params": [1]}, ["compare", "--theorem", "2.1",
+                                      "--prior-step", "0.5", "--gamma-grid", "0.1:0.2:0.1"]),
+        ({"command": "run", "scheme": "mixed-special", "params": {"gamma": 0.5},
+          "priors": [0.3, 0.3, 0.4], "grid": [1]}, ["run"] + MIXED),
+    ):
+        path.write_text(json.dumps(job))
+        code, out, err = run_cli(capsys, ["--config", str(path)])
+        assert code == 0, (job, err)
+        assert out == run_cli(capsys, flags)[1]
 
 
 def test_config_priors_text_reads_like_the_flag(capsys, tmp_path):
