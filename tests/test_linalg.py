@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -275,6 +278,13 @@ def test_vecdot_rows_and_row_products_are_bitwise_per_row():
     assert bad == 0, (
         f"np.vecdot rows differ from np.vdot in {bad} cases: {_library()}"
     )
+
+
+def test_declared_numpy_floor_has_vecdot():
+    # linalg and measurement call np.vecdot, which numpy 2.0 introduced.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=([0-9.]+)"', text)[1]
+    assert tuple(map(int, floor.split(".")[:2])) >= (2, 0), floor
 
 
 def test_inline_norm_is_bitwise_numpy_norm():
