@@ -62,6 +62,7 @@ from .states import (
     _HALF_SQRT2,
     Ensemble,
     Ket,
+    _freeze,
     states_from_gram,
     validate_priors,
 )
@@ -194,10 +195,10 @@ def _proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, np.conj(vec))
 
 
-#: e0, e1, e2 of C^3, and |+>, |-> in its first two coordinates; the
-#: first two entries of each are the C^2 vector of that name.
-_E0, _E1, _E2 = np.eye(3, dtype=np.complex128)
-_PLUS, _MINUS = _HALF_SQRT2 * (_E0 + _E1), _HALF_SQRT2 * (_E0 - _E1)
+#: e0, e1, e2 of C^3, and |+>, |-> in its first two coordinates, read-only;
+#: the first two entries of each are the C^2 vector of that name.
+_E0, _E1, _E2 = _freeze(np.eye(3, dtype=np.complex128))
+_PLUS, _MINUS = _freeze(_HALF_SQRT2 * np.array([_E0 + _E1, _E0 - _E1]))
 
 
 def _flagged_povm(*identify: np.ndarray) -> Povm:
