@@ -79,6 +79,8 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     h = as_cmatrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got {h.shape}")
+    if h.shape[0] == 0:
+        raise DimensionMismatchError(f"expected a non-empty matrix, got {h.shape}")
     res = frobenius(h - dag(h))
     if res > tol.HERMITIAN:
         raise NotHermitianError(f"Hermiticity residual {res:.3e} exceeds {tol.HERMITIAN}")
@@ -140,6 +142,8 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     for v in (*dom, *img):
         if v.shape[0] != dim:
             raise DimensionMismatchError(f"vector length {v.shape[0]} != dim {dim}")
+    if dim < 1:
+        raise DimensionMismatchError(f"dim {dim} < 1")
 
     m = len(dom)
     # The Gram gap and the action residual only gate, so they are stacked.

@@ -9,6 +9,7 @@ property tests check on every unambiguous builder.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,19 @@ class OutcomeLabel:
 
     index: int | None = None
 
+    def __post_init__(self):
+        index = self.index
+        if index is not None:  # numpy integers are indices, booleans are not
+            if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+                raise LabelMismatchError(f"identify index {index!r} is not an integer")
+            if index < 0:
+                raise LabelMismatchError(f"identify index {index} is negative")
+            object.__setattr__(self, "index", operator.index(index))
+
     @classmethod
     def identify(cls, index: int) -> "OutcomeLabel":
-        if index < 0:
-            raise LabelMismatchError(f"identify index {index} is negative")
+        if index is None:
+            raise LabelMismatchError("identify index None is not an integer")
         return cls(index)
 
     @classmethod
@@ -66,6 +76,8 @@ class Povm:
                 f"{len(elements)} elements but {len(labels)} labels"
             )
         dim = elements[0].shape[0]
+        if dim == 0:
+            raise DimensionMismatchError(f"empty POVM element {elements[0].shape}")
         square = [m.shape == (dim, dim) for m in elements] + [False]
         stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
         _check_positive(stack)  # an earlier element's failure comes first
@@ -157,7 +169,7 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
 
 def confusion_matrix(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     """Matrix with entry (i, x) = Tr(M_x |u_i><u_i|); rows sum to 1."""
-    return pure_confusion([s.amplitudes for s in ensemble.states], povm)
+    return pure_confusion(ensemble.states, povm)
 
 
 def unambiguity_check(ensemble: Ensemble, povm: Povm) -> tuple[bool, float]:

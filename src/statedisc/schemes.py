@@ -63,6 +63,7 @@ from .states import (
     Ensemble,
     Ket,
     _freeze,
+    ensemble_density,
     states_from_gram,
     validate_priors,
 )
@@ -174,15 +175,12 @@ class Scheme:
 
 def _coupled_vectors(scheme: Scheme) -> np.ndarray:
     """Rows ``U (u_i (x) |0>)``: the states times U's ancilla-|0> columns."""
-    states = np.array([s.amplitudes for s in scheme.ensemble.states])
-    return (scheme.coupling[:, :: scheme.ancilla_dim] @ states.T).T
+    return (scheme.coupling[:, :: scheme.ancilla_dim] @ scheme.ensemble.states.T).T
 
 
 def coupled_ensemble(scheme: Scheme) -> Ensemble:
     """The coupled states as an ensemble on the joint space."""
-    return Ensemble(
-        tuple(Ket(w) for w in _coupled_vectors(scheme)), scheme.ensemble.priors
-    )
+    return Ensemble(_coupled_vectors(scheme), scheme.ensemble.priors)
 
 
 def scheme_confusion(scheme: Scheme) -> np.ndarray:
@@ -297,9 +295,9 @@ def build_rra(
         (_snapped_sqrt(1.0 - abs(c_minus) ** 2) * minus, c_minus * fail),
     ]
     analytic = 1.0 - p[0] * abs(c_plus) ** 2 - p[1] * abs(c_minus) ** 2
+    ens = Ensemble((psi_plus.amplitudes, psi_minus.amplitudes), p)
     return _flagged_scheme(
-        Ensemble((psi_plus, psi_minus), p),
-        (psi_plus.amplitudes, psi_minus.amplitudes), images, _RRA_POVM,
+        ens, ens.states, images, _RRA_POVM,
         analytic, RraParams(c_plus=c_plus, c_minus=c_minus),
     )
 
@@ -371,7 +369,7 @@ def _mixed_scheme(
     branches whose ancilla-|1> interference term carries ``c = sqrt(c2)``.
     Outcomes: +, -, and the third state, each with the ancilla in |0>.
     """
-    u0, u1, u2 = (s.amplitudes for s in ensemble.states)
+    u0, u1, u2 = ensemble.states
     scale = np.sqrt(1.0 - gamma**2)
     psi0 = (u0 - gamma * u2) / scale
     psi1 = (u1 - gamma * u2) / scale
@@ -529,7 +527,7 @@ def build_unambiguous_special(gamma: float, x0: float, x1: float, priors) -> Sch
     ]
     analytic = 1.0 - p[0] * x0 - p[1] * x1 - p[2] * (ap0**2 + ap1**2)
     return _flagged_scheme(
-        ens, [s.amplitudes for s in ens.states], images, _UNAMBIGUOUS_POVM,
+        ens, ens.states, images, _UNAMBIGUOUS_POVM,
         analytic, UnambiguousSpecialParams(gamma=gamma, x0=x0, x1=x1),
     )
 
@@ -596,7 +594,7 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
             f"vectors, at 1 - |g|^2 = {min(room):.3e}, exceeds {tol.ORTHOGONAL}"
         )
     ens = states_from_gram(gram, p)
-    u0, u1, u2 = (s.amplitudes for s in ens.states)
+    u0, u1, u2 = ens.states
     psi0 = (u0 - g20 * u2) / np.sqrt(room[0])
     psi1 = (u1 - np.conj(g12) * u2) / np.sqrt(room[1])
     if abs(np.conj(psi0) @ psi1) > tol.ORTHOGONAL:
@@ -604,17 +602,9 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
 
     pi0 = _proj(psi0)
     pi1 = _proj(psi1)
-    povm = Povm(
-        elements=(pi0, pi1, np.eye(3) - pi0 - pi1),
-        labels=(
-            OutcomeLabel.identify(0),
-            OutcomeLabel.identify(1),
-            OutcomeLabel.identify(2),
-        ),
-    )
-    analytic = float(
-        p[0] * (1.0 - abs(g20) ** 2) + p[1] * (1.0 - abs(g12) ** 2) + p[2]
-    )
+    labels = tuple(map(OutcomeLabel.identify, range(3)))
+    povm = Povm((pi0, pi1, np.eye(3) - pi0 - pi1), labels)
+    analytic = float(p[0] * room[0] + p[1] * room[1] + p[2])
     posterior = zero_aux_posterior(g12, g20, p)
     return Scheme(
         ensemble=ens,
@@ -770,9 +760,7 @@ def separable_decomposition(scheme: Scheme) -> SeparableDecomposition:
         if abs(tr - 1.0) > tol.PART_TRACE:
             raise InvariantViolationError(f"{name} part trace {tr!r} differs from 1")
 
-    rho_pipe = np.zeros((6, 6), dtype=np.complex128)
-    for prior, wvec in zip(p, _coupled_vectors(scheme)):
-        rho_pipe += prior * np.outer(wvec, np.conj(wvec))
+    rho_pipe = ensemble_density(coupled_ensemble(scheme)).matrix
     recon = (1.0 - weight) * np.kron(sys_part, _proj(e0a))
     recon = recon + weight * np.kron(_proj(_E1), anc_part)
     residual = linalg.frobenius(rho_pipe - recon)

@@ -22,7 +22,7 @@ from .errors import LabelMismatchError, ParamOutOfRangeError
 from .measurement import OutcomeLabel, Povm
 from .montecarlo import SimResult
 from .schemes import SCHEME_KINDS, Scheme, SchemeParams
-from .states import Ensemble, Ket
+from .states import Ensemble
 
 CSV_HEADER = (
     "gamma,alpha,p0,p1,p2,p_mixed,reference_kind,p_una_reference,margin,verdict"
@@ -63,10 +63,6 @@ def _regular_pairs(rows, ndim: int):
     return a.astype(np.float64).view(np.complex128)[..., 0]
 
 
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return _pairs_to_json(np.asarray(v).ravel())
-
-
 def vector_from_json(rows) -> np.ndarray:
     a = _regular_pairs(rows, 1)
     if a is None:
@@ -86,15 +82,11 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def ensemble_to_json(ens: Ensemble) -> dict:
-    return {
-        "states": [vector_to_json(s.amplitudes) for s in ens.states],
-        "priors": [float(p) for p in ens.priors],
-    }
+    return {"states": _pairs_to_json(ens.states), "priors": ens.priors.tolist()}
 
 
 def ensemble_from_json(data) -> Ensemble:
-    states = tuple(Ket(vector_from_json(v)) for v in data["states"])
-    return Ensemble(states, np.array(data["priors"], dtype=float))
+    return Ensemble((vector_from_json(v) for v in data["states"]), data["priors"])
 
 
 #: An index of at most 18 digits, which ``int`` reads whatever its digit limit.

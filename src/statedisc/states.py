@@ -63,6 +63,17 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
     return (p >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= tol.PRIORS)
 
 
+def _unit_vector(v) -> np.ndarray:
+    """``v`` as a finite, non-empty complex128 vector of norm 1."""
+    a = linalg.as_cvector(v)
+    if a.shape[0] < 1:
+        raise DimensionMismatchError("empty state vector")
+    norm = linalg.frobenius(a)
+    if abs(norm - 1.0) > tol.NORM:
+        raise InvariantViolationError(f"ket norm {norm!r} differs from 1")
+    return _freeze(a)
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Unit vector in C^dim."""
@@ -70,21 +81,11 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = linalg.as_cvector(self.amplitudes)
-        if a.shape[0] < 1:
-            raise DimensionMismatchError("empty state vector")
-        norm = linalg.frobenius(a)
-        if abs(norm - 1.0) > tol.NORM:
-            raise InvariantViolationError(f"ket norm {norm!r} differs from 1")
-        object.__setattr__(self, "amplitudes", _freeze(a))
+        object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def density(self) -> np.ndarray:
-        """Outer product |k><k| as a bare matrix."""
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -118,39 +119,39 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, ket: Ket) -> "DensityMatrix":
-        return cls(ket.density())
+        return cls(np.outer(ket.amplitudes, np.conj(ket.amplitudes)))
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States with prior probabilities, all on one space."""
+    """States with prior probabilities, all on one space; ``states`` is one
+    read-only (n, dim) stack, row i state i, each row checked as a Ket."""
 
-    states: tuple[Ket, ...]
+    states: np.ndarray
     priors: np.ndarray
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
+        rows = [_unit_vector(v) for v in self.states]
+        if not rows:
             raise DimensionMismatchError("ensemble needs at least one state")
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatchError("ensemble states live on different spaces")
-        p = validate_priors(self.priors, len(states))
-        object.__setattr__(self, "states", states)
+        p = validate_priors(self.priors, len(rows))
+        object.__setattr__(self, "states", _freeze(np.array(rows)))
         object.__setattr__(self, "priors", _freeze(p))
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[1]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.states.shape[0]
 
 
 def states_from_gram(overlaps, priors) -> Ensemble:
-    """Synthesize kets in C^n realizing the requested overlaps, with priors.
+    """Synthesize states in C^n realizing the requested overlaps, with priors.
 
-    ``overlaps[i, j]`` is the required ``<u_i|u_j>``.  The i-th ket is the
+    ``overlaps[i, j]`` is the required ``<u_i|u_j>``.  State i is the
     conjugated i-th row of the matrix's triangular PSD factor, which fixes
     the phase convention (real non-negative diagonal pivots).  Raises
     :class:`NotHermitianError` or :class:`NotPsdError` when the overlaps
@@ -161,12 +162,12 @@ def states_from_gram(overlaps, priors) -> Ensemble:
     diagonal = np.diagonal(np.asarray(overlaps, dtype=np.complex128))
     if np.abs(diagonal - 1.0).max() > tol.DENSITY:
         raise InvariantViolationError("overlap matrix diagonal must be 1")
-    return Ensemble(tuple(map(Ket, rows)), priors)
+    return Ensemble(rows, priors)
 
 
 def ensemble_density(ensemble: Ensemble) -> DensityMatrix:
     """Average state ``sum_i p_i |u_i><u_i|``."""
     rho = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
-    for p, s in zip(ensemble.priors, ensemble.states):
-        rho += p * s.density()
+    for p, u in zip(ensemble.priors, ensemble.states):
+        rho += p * np.outer(u, np.conj(u))
     return DensityMatrix(rho)

@@ -54,3 +54,19 @@ def test_param_flags_match_the_parent_set():
     common = {"command", "config", "scheme", "priors", "allow_trivial",
               "output", "format"}
     assert set(args) - common == PARENT_PARAM_KEYS
+
+
+def test_readme_tests_section_names_every_golden_file():
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("\n## Tests\n")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `tests/golden"):
+            rows[cells[0].strip("`")] = cells[-1].strip("`")
+    for path in sorted((root / "tests").glob("golden*.json")):
+        name = f"tests/{path.name}"
+        assert name in rows, f"README's Tests section leaves out {name}"
+        # The test the row names reads the file.
+        assert path.name in (root / rows[name]).read_text(), name

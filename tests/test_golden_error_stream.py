@@ -25,9 +25,11 @@ points below the command line; ``golden_cli_stream.json`` pins
 
 Each call runs with every warning raised as an error.  Per input the
 outcome is the exception's class and message, or ``ok`` and the sha256
-of what it built: the ``scheme_to_json`` text of a scheme, the
-``ensemble_to_json`` text of an ensemble, and the ``povm_to_json`` text
-and completeness residual of a POVM.  The file pins, per stream, one
+of what it built: the ``scheme_to_json`` text of a scheme, the bytes of
+an ensemble's state stack and priors, and the bytes of a POVM's element
+stack with its labels and completeness residual.  One outcome has moved
+since capture, by the stated rule of ``EMPTY_GRAM``: 0 x 0 overlap
+matrices, which now raise a domain error.  The file pins, per stream, one
 sha256 over its inputs, one digest of the outcomes of each
 chunk of 256 inputs and the count of each outcome class.  On a mismatch
 the test names the chunk and prints its inputs with their current
@@ -74,6 +76,16 @@ UNREACHED = {
     "InvalidGamma": "raised only by analysis.max_unambiguous_symmetric_grid, "
                     "which no stream calls",
 }
+
+#: The one declared move since capture.  An empty matrix now raises
+#: DimensionMismatchError in linalg.hermitian_eig, where the file holds
+#: the raw ValueError numpy raised from psd_cholesky: the new outcome of a
+#: 0 x 0 overlap matrix, and the one the file pins for it.  The 1 x 0 and
+#: 0 x 1 matrices keep their "expected square matrix" outcome.
+EMPTY_GRAM = (
+    ("DimensionMismatchError", "expected a non-empty matrix, got (0, 0)"),
+    ("ValueError", "zero-size array to reduction operation minimum which has no identity"),
+)
 
 NAN, INF = float("nan"), float("inf")
 WILD_REAL = [NAN, INF, -INF, 1e308, -1e308, 5e-324, -5e-324,
@@ -363,7 +375,7 @@ def gram_inputs() -> list:
 def gram_outcome(arg) -> str:
     _, g, priors = arg
     ens = states_from_gram(g, priors)
-    rows = np.array([s.amplitudes for s in ens.states])
+    rows = np.array(ens.states)
     return hashlib.sha256(rows.tobytes() + ens.priors.tobytes()).hexdigest()
 
 
@@ -486,15 +498,24 @@ def streams() -> dict:
 
 
 def run_stream(call, inputs: list) -> list:
-    """The outcome of each input, with every warning raised as an error."""
+    """The outcome of each input, with every warning raised as an error.
+
+    A ``states_from_gram`` input whose overlap matrix is 0 x 0 must raise
+    ``EMPTY_GRAM[0]``; its outcome is then the ``EMPTY_GRAM[1]`` the file
+    was captured with.  Every other outcome is the call's own.
+    """
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for arg in inputs:
             try:
-                out.append(("ok", call(arg)))
+                outcome = ("ok", call(arg))
             except Exception as exc:  # every class is an outcome to pin
-                out.append((type(exc).__name__, str(exc)))
+                outcome = (type(exc).__name__, str(exc))
+            if call is gram_outcome and np.shape(arg[1]) == (0, 0):
+                assert outcome == EMPTY_GRAM[0], f"{input_text(arg)} -> {outcome}"
+                outcome = EMPTY_GRAM[1]
+            out.append(outcome)
     return out
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from statedisc import linalg
+from statedisc.measurement import OutcomeLabel, Povm
+from statedisc.states import DensityMatrix, states_from_gram
 from statedisc.errors import (
     DimensionMismatchError,
     GramMismatchError,
@@ -24,6 +26,28 @@ def random_psd(rng, n, rank=None):
     rank = n if rank is None else rank
     f = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     return f @ f.conj().T
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: states_from_gram(np.zeros((0, 0)), []),
+         "expected a non-empty matrix, got (0, 0)"),
+        (lambda: linalg.psd_cholesky(np.zeros((0, 0))),
+         "expected a non-empty matrix, got (0, 0)"),
+        (lambda: DensityMatrix(np.zeros((0, 0))),
+         "expected a non-empty matrix, got (0, 0)"),
+        (lambda: Povm((np.zeros((0, 0)),), (OutcomeLabel.identify(0),)),
+         "empty POVM element (0, 0)"),
+        (lambda: linalg.isometry_completion([], [], 0), "dim 0 < 1"),
+    ],
+    ids=["states_from_gram", "psd_cholesky", "DensityMatrix", "Povm",
+         "isometry_completion"],
+)
+def test_an_empty_matrix_is_a_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatchError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_as_cvector_coerces_and_flattens():

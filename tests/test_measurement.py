@@ -19,7 +19,7 @@ from statedisc.measurement import (
     unambiguity_check,
 )
 from statedisc.schemes import build_mixed_special
-from statedisc.states import Ensemble, Ket
+from statedisc.states import Ensemble
 
 
 def projective_povm(dim, labels=None):
@@ -30,8 +30,8 @@ def projective_povm(dim, labels=None):
 
 def two_state_ensemble(theta, priors=(0.5, 0.5)):
     # symmetric pair about |0>, overlap cos(2 theta)
-    a = Ket(np.array([np.cos(theta), np.sin(theta)]))
-    b = Ket(np.array([np.cos(theta), -np.sin(theta)]))
+    a = np.array([np.cos(theta), np.sin(theta)])
+    b = np.array([np.cos(theta), -np.sin(theta)])
     return Ensemble(states=(a, b), priors=priors)
 
 
@@ -40,6 +40,37 @@ def test_outcome_label_forms():
     assert str(OutcomeLabel.inconclusive()) == "inconclusive"
     assert OutcomeLabel.identify(0).is_identify
     assert not OutcomeLabel.inconclusive().is_identify
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (1.5, "identify index 1.5 is not an integer"),
+        (True, "identify index True is not an integer"),
+        (np.True_, "identify index np.True_ is not an integer"),
+        (None, "identify index None is not an integer"),
+        ("2", "identify index '2' is not an integer"),
+        (np.float64(2.0), "identify index np.float64(2.0) is not an integer"),
+        (-1, "identify index -1 is negative"),
+        (np.int64(-1), "identify index -1 is negative"),
+    ],
+    ids=["fraction", "bool", "numpy-bool", "none", "text", "numpy-float",
+         "negative", "numpy-negative"],
+)
+def test_outcome_label_takes_only_a_non_negative_integer(index, message):
+    for make in (OutcomeLabel.identify, OutcomeLabel):
+        if index is None and make is OutcomeLabel:
+            continue  # OutcomeLabel(None) is the inconclusive label
+        with pytest.raises(LabelMismatchError) as info:
+            make(index)
+        assert str(info.value) == message
+
+
+def test_outcome_label_reads_a_numpy_integer_as_an_int():
+    label = OutcomeLabel.identify(np.int64(2))
+    assert type(label.index) is int and label == OutcomeLabel.identify(2)
+    assert str(label) == "identify:2"
+    assert OutcomeLabel(None) == OutcomeLabel.inconclusive()
 
 
 def test_povm_validation():

@@ -34,7 +34,7 @@ from statedisc.schemes import (
     xu_max_unambiguous,
     zero_aux_posterior,
 )
-from statedisc.states import Ensemble, Ket, inner
+from statedisc.states import Ensemble, Ket
 
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -98,7 +98,7 @@ def test_mixed_special_inconclusive_never_fires_on_third_state():
 def test_mixed_special_coupled_state_structure():
     gamma = 0.5
     s = build_mixed_special(gamma, (0.3, 0.3, 0.4))
-    w0, w1, w2 = (k.amplitudes for k in coupled_ensemble(s).states)
+    w0, w1, w2 = coupled_ensemble(s).states
     b = np.sqrt(1.0 - 2.0 * gamma**2)
     # third coupled state is |2>|0a> exactly
     want2 = np.zeros(6, dtype=complex)
@@ -493,8 +493,8 @@ def test_zero_aux_complex_overlaps():
     assert s.analytic_success == pytest.approx(want, abs=1e-10)
     # coupled states keep the requested overlaps
     e = coupled_ensemble(s)
-    assert inner(e.states[1], e.states[2]) == pytest.approx(g12, abs=1e-10)
-    assert inner(e.states[2], e.states[0]) == pytest.approx(g20, abs=1e-10)
+    assert np.vdot(e.states[1], e.states[2]) == pytest.approx(g12, abs=1e-10)
+    assert np.vdot(e.states[2], e.states[0]) == pytest.approx(g20, abs=1e-10)
 
 
 def test_zero_aux_degenerate_posterior_denominator():
@@ -581,8 +581,8 @@ def test_coupled_states_and_ensemble_agree():
     s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
     e = coupled_ensemble(s)
     for u, k in zip(s.ensemble.states, e.states):
-        w = s.coupling @ np.kron(u.amplitudes, [1.0, 0.0])  # U (u_i (x) |0>)
-        assert np.linalg.norm(w - k.amplitudes) < 1e-12
+        w = s.coupling @ np.kron(u, [1.0, 0.0])  # U (u_i (x) |0>)
+        assert np.linalg.norm(w - k) < 1e-12
     assert tuple(e.priors) == pytest.approx((0.3, 0.3, 0.4))
 
 

@@ -46,11 +46,11 @@ def test_density_matrix_pure():
 
 
 def test_ensemble_checks_priors_and_dims():
-    k0, k1 = Ket(np.eye(2)[0]), Ket(np.eye(2)[1])
+    k0, k1 = np.eye(2)
     with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         Ensemble(states=(k0, k1), priors=(0.7, 0.7))
     with pytest.raises(DimensionMismatchError):
-        Ensemble(states=(k0, Ket(np.eye(3)[0])), priors=(0.5, 0.5))
+        Ensemble(states=(k0, np.eye(3)[0]), priors=(0.5, 0.5))
     e = Ensemble(states=(k0, k1), priors=(0.25, 0.75))
     assert e.dim == 2
     assert len(e) == 2
@@ -60,7 +60,7 @@ def test_ensemble_checks_priors_and_dims():
     "priors", [(np.nan, np.nan), (np.nan, 0.5), (np.inf, -np.inf), (0.5, np.nan)]
 )
 def test_ensemble_and_gram_spec_reject_non_finite_priors(priors):
-    k0, k1 = Ket(np.eye(2)[0]), Ket(np.eye(2)[1])
+    k0, k1 = np.eye(2)
     with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
         Ensemble(states=(k0, k1), priors=priors)
     with pytest.raises(ParamOutOfRangeError, match="priors must be non-negative"):
@@ -76,7 +76,7 @@ def test_states_from_gram_reproduces_overlaps():
         e = states_from_gram(g, (1 / 3, 1 / 3, 1 / 3))
         for i in range(3):
             for j in range(3):
-                assert inner(e.states[i], e.states[j]) == pytest.approx(
+                assert np.vdot(e.states[i], e.states[j]) == pytest.approx(
                     g[i, j], abs=1e-10
                 )
 
@@ -86,8 +86,8 @@ def test_states_from_gram_rank_deficient():
     g = np.array([[1, 0, gamma], [0, 1, gamma], [gamma, gamma, 1]])
     e = states_from_gram(g, (1 / 3, 1 / 3, 1 / 3))
     # the third state lies exactly in the span of the first two
-    v = e.states[2].amplitudes
-    recon = gamma * e.states[0].amplitudes + gamma * e.states[1].amplitudes
+    v = e.states[2]
+    recon = gamma * e.states[0] + gamma * e.states[1]
     # <u0|u1> = 0, so the expansion coefficients are just the overlaps
     assert np.linalg.norm(v - recon) < 1e-10
 
@@ -120,8 +120,49 @@ def test_states_from_gram_checks_the_overlaps_before_the_priors():
         states_from_gram(np.eye(2), (0.7, 0.7))
 
 
+@pytest.mark.parametrize("form", ["rows", "array"])
+def test_ensemble_states_are_one_read_only_stack(form):
+    rows = [np.array([1.0, 0.0]), np.array([0.6, 0.8j])]
+    e = Ensemble(rows if form == "rows" else np.array(rows), (0.25, 0.75))
+    assert isinstance(e.states, np.ndarray)
+    assert e.states.shape == (2, 2) and e.states.dtype == np.complex128
+    assert not e.states.flags.writeable
+    assert np.array_equal(e.states, np.array(rows, dtype=np.complex128))
+    assert (e.dim, len(e)) == (2, 2)
+    with pytest.raises(ValueError):
+        e.states[0, 0] = 0.0
+
+
+#: Ensemble's checks in order, each case failing the first of them with the
+#: messages rows wrapped in Ket objects gave before the stack.
+ENSEMBLE_CHECKS = [
+    ([[np.nan, 0.0], []], (0.5, 0.5),
+     InvariantViolationError, "vector has non-finite entries"),
+    ([[], [2.0, 0.0]], (0.5, 0.5), DimensionMismatchError, "empty state vector"),
+    ([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0, 0.0]], (0.5, 0.5),
+     InvariantViolationError, "ket norm 2.0 differs from 1"),
+    ([[1.0, 0.0], [1.0, 0.0, 0.0]], (0.7, 0.7),
+     DimensionMismatchError, "ensemble states live on different spaces"),
+    ([], (0.7, 0.7), DimensionMismatchError, "ensemble needs at least one state"),
+    (np.eye(2), (0.2, 0.3, 0.5), DimensionMismatchError, "expected 2 priors, got 3"),
+    (np.eye(2), (0.7, 0.7),
+     ParamOutOfRangeError, "priors must be non-negative and sum to 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, priors, error, message", ENSEMBLE_CHECKS,
+    ids=["non-finite", "empty-row", "not-unit-before-ragged", "ragged", "no-rows",
+         "prior-count", "bad-priors"],
+)
+def test_ensemble_checks_rows_then_count_then_priors(rows, priors, error, message):
+    with pytest.raises(error) as info:
+        Ensemble(rows, priors)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_ensemble_density_mixes_projectors():
-    e = Ensemble(states=(Ket(np.eye(2)[0]), Ket(np.eye(2)[1])), priors=(0.25, 0.75))
+    e = Ensemble(states=np.eye(2), priors=(0.25, 0.75))
     rho = ensemble_density(e)
     assert np.allclose(rho.matrix, np.diag([0.25, 0.75]))
 
