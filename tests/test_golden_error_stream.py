@@ -27,9 +27,8 @@ Each call runs with every warning raised as an error.  Per input the
 outcome is the exception's class and message, or ``ok`` and the sha256
 of what it built: the ``scheme_to_json`` text of a scheme, the bytes of
 an ensemble's state stack and priors, and the bytes of a POVM's element
-stack with its labels and completeness residual.  One outcome has moved
-since capture, by the stated rule of ``EMPTY_GRAM``: 0 x 0 overlap
-matrices, which now raise a domain error.  The file pins, per stream, one
+stack with its labels and completeness residual.  Outcomes move only by
+a rule stated here; one has, ``EMPTY_GRAM``.  The file pins, per stream, one
 sha256 over its inputs, one digest of the outcomes of each
 chunk of 256 inputs and the count of each outcome class.  On a mismatch
 the test names the chunk and prints its inputs with their current
@@ -77,11 +76,10 @@ UNREACHED = {
                     "which no stream calls",
 }
 
-#: The one declared move since capture.  An empty matrix now raises
-#: DimensionMismatchError in linalg.hermitian_eig, where the file holds
-#: the raw ValueError numpy raised from psd_cholesky: the new outcome of a
-#: 0 x 0 overlap matrix, and the one the file pins for it.  The 1 x 0 and
-#: 0 x 1 matrices keep their "expected square matrix" outcome.
+#: The one declared move since capture: (the outcome of a 0 x 0 overlap
+#: matrix now, the outcome the file pins for it).  linalg.hermitian_eig
+#: rejects the empty matrix before numpy's raw ValueError can escape.  A
+#: 1 x 0 or 0 x 1 matrix fails the square check first, as it did.
 EMPTY_GRAM = (
     ("DimensionMismatchError", "expected a non-empty matrix, got (0, 0)"),
     ("ValueError", "zero-size array to reduction operation minimum which has no identity"),
