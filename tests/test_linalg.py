@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from statedisc import linalg
-from statedisc.measurement import OutcomeLabel, Povm
-from statedisc.states import DensityMatrix, states_from_gram
 from statedisc.errors import (
     DimensionMismatchError,
     GramMismatchError,
@@ -14,6 +12,8 @@ from statedisc.errors import (
     NotHermitianError,
     NotPsdError,
 )
+from statedisc.measurement import OutcomeLabel, Povm
+from statedisc.states import DensityMatrix, states_from_gram
 
 
 def random_unitary(rng, n):
