@@ -370,40 +370,39 @@ def _check_grid_step(step) -> float:
     return float(step)
 
 
-def _row_minimum(a0, a1, cost, transpose) -> tuple[float, float, float]:
+def _row_minimum(a0, a1, cost, centre, transpose) -> tuple[float, float, float]:
     """Value and point of ``np.argmin`` of ``cost`` on the grid ``a0 x a1``.
 
     ``cost(x0, x1)`` is ``inf`` where infeasible.  Rows run along ``x1``,
     or ``x0`` if ``transpose`` (callers take the larger prior's axis, so
-    that no row is flat up to rounding); each must be feasible on a suffix
-    and convex there.  For all rows at once, bisection finds the feasible
-    start, then the first non-negative forward difference; the minimum is
-    taken over a fixed window of +-3 points around it, which absorbs rounding.
+    that few rows are flat up to rounding); each must be feasible on a
+    suffix and convex there, with its minimum at ``centre(x)`` on the row
+    with fixed value ``x``.  The cost is evaluated once, on the 8 points
+    around each row's centre.  A row whose window rises by at most
+    ``tol.ROW_FLAT`` at an edge inside the axis may hold an equal point
+    beyond, as rounding shapes it, and is searched whole.
     """
     rows, cols = (a1, a0) if transpose else (a0, a1)
-    n, x = cols.shape[0], rows[:, None]
-    if x.shape[0] == 0 or n == 0:
+    n = cols.shape[0]
+    if rows.shape[0] == 0 or n == 0:
         return np.inf, 0.0, 0.0
 
-    def at(j):
-        y = cols[np.minimum(j, n - 1)]
-        return cost(y, x) if transpose else cost(x, y)
+    def at(r, j):  # cost at columns j of rows r, and each point's mesh index
+        v = cost(cols[j], rows[r]) if transpose else cost(rows[r], cols[j])
+        return v, (j * a1.shape[0] + r if transpose else r * a1.shape[0] + j)
 
-    def first(lo, hi, hit):  # per row, first j in [lo, hi) that hits, else hi
-        for _ in range(n.bit_length()):
-            mid = np.minimum((lo + hi) // 2, n - 1)
-            ok, go = hit(mid), lo < hi
-            lo, hi = np.where(go & ~ok, mid + 1, lo), np.where(go & ok, mid, hi)
-        return lo
+    def least(v, mesh):  # the least value, and the first point of the mesh with it
+        return v.min(), int(mesh[v == v.min()].min())
 
-    row = np.arange(x.shape[0])[:, None]
-    start = first(0 * row, 0 * row + n, lambda j: at(j) < np.inf)
-    turn = first(start, 0 * row + n - 1, lambda j: at(j + 1) >= at(j))
-    window = np.clip(turn + np.arange(-3, 4), start, n - 1)
-    i, j = (window, row + 0 * window) if transpose else (row + 0 * window, window)
-    v = at(window)
-    t = np.lexsort((j.ravel(), i.ravel(), v.ravel()))[0]  # np.argmin's order
-    return float(v.flat[t]), float(a0[i.flat[t]]), float(a1[j.flat[t]])
+    r = np.arange(rows.shape[0])[:, None]
+    j = np.clip(np.searchsorted(cols, centre(rows[r])) + np.arange(-4, 4), 0, n - 1)
+    v, mesh = at(r, j)
+    low = v.min(axis=1, keepdims=True)
+    flat = (v[:, [0, -1]] <= low + tol.ROW_FLAT) & (j[:, [0, -1]] != (0, n - 1))
+    whole = r[flat.any(axis=1) & (low[:, 0] < np.inf)]  # searched one at a time
+    best, k = min([least(v, mesh)] + [least(*at(q, np.arange(n))) for q in whole])
+    i, j = divmod(k, a1.shape[0])
+    return float(best), float(a0[i]), float(a1[j])  # np.argmin's order
 
 
 def _family_grid_guard(cols: ComparisonColumns, grid_step: float) -> float:
@@ -424,10 +423,14 @@ def _family_grid_guard(cols: ComparisonColumns, grid_step: float) -> float:
         vals = 1.0 - p[0] * xx0 - p[1] * xx1 - p[2] * g2 * t
         return np.where(g2 * t <= 1.0 + tol.BOUNDARY, -vals, np.inf)
 
+    def centre(x):  # stationary point, or feasible start if later; max(p0, p1) is free
+        start = 1.0 / ((1.0 + tol.BOUNDARY) / g2 - 1.0 / x)
+        return np.fmax(np.sqrt(g2 * p[2] / max(p[0], p[1])), start)
+
     # For |gamma| < ~1.5e-154, g^2 underflows and 1/x overflows at the
     # axis start; those points are infeasible and their cost is inf anyway.
     with np.errstate(all="ignore"):
-        best_grid = -_row_minimum(axis, axis, loss, p[1] < p[0])[0]
+        best_grid = -_row_minimum(axis, axis, loss, centre, p[1] < p[0])[0]
     if best_grid > value + tol.GUARD:
         raise InvariantViolationError(
             f"grid search found {best_grid!r} above optimizer {value!r}"
@@ -566,10 +569,16 @@ def max_unambiguous_symmetric_grid(
         cost = p[0] * xx0 + p[1] * xx1 + p[2] * np.minimum(x2, 1.0)
         return np.where(feasible, cost, np.inf)
 
+    def centre(x):  # stationary point, or feasible start if later; max(p0, p1) is free
+        with np.errstate(all="ignore"):
+            g2, r = gamma**2, np.sqrt(np.float64(p[2]) / max(p[0], p[1]))
+            start = np.maximum(g2 * (x - 2.0 * gamma + 1.0) / (x - g2), g2 / x)
+            return np.fmax((g2 + gamma * np.abs(x - gamma) * r) / x, start)
+
     def best_cost(lo0, hi0, lo1, hi1, h) -> tuple[float, float, float]:
         a0 = np.minimum(np.arange(max(lo0, h), min(hi0, 1.0) + h / 2.0, h), 1.0)
         a1 = np.minimum(np.arange(max(lo1, h), min(hi1, 1.0) + h / 2.0, h), 1.0)
-        return _row_minimum(a0, a1, cost_at, p[1] < p[0])
+        return _row_minimum(a0, a1, cost_at, centre, p[1] < p[0])
 
     cost, bx0, bx1 = best_cost(0.0, 1.0, 0.0, 1.0, step)
     if not np.isfinite(cost):

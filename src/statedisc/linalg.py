@@ -32,7 +32,9 @@ def as_cmatrix(m) -> np.ndarray:
 
 def as_cvector(v) -> np.ndarray:
     """Coerce input to a finite 1-d complex128 array."""
-    a = np.array(v, dtype=np.complex128, copy=True).reshape(-1)
+    a = np.array(v, dtype=np.complex128, copy=True)
+    if a.ndim != 1:
+        raise DimensionMismatchError(f"expected a vector, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise InvariantViolationError("vector has non-finite entries")
     return a

@@ -78,6 +78,8 @@ class Povm:
         dim = elements[0].shape[0]
         if dim == 0:
             raise DimensionMismatchError(f"empty POVM element {elements[0].shape}")
+        if elements[0].shape[1] != dim:
+            raise DimensionMismatchError(f"POVM element {elements[0].shape} is not square")
         square = [m.shape == (dim, dim) for m in elements] + [False]
         stack = np.array(elements[: square.index(False)]).reshape(-1, dim, dim)
         _check_positive(stack)  # an earlier element's failure comes first

@@ -40,6 +40,7 @@ VERDICT = 1e-12  # -margin of a true verdict; band of a compared probability
 MARGIN = 1e-12  # |margin - (p_mixed - p_una_reference)| of a compared point
 XU_TIE = 1e-12  # sqrt(p2) - sqrt(p1) below which the two largest priors tie
 GUARD = 1e-5  # how far a guard-grid point may beat the family optimum
+ROW_FLAT = 2.0**-48  # window-edge cost rise up to which a grid oracle row is searched whole
 SCHUR = 1e-15  # x0 x1 - gamma^2 above which the grid oracle's floor is finite
 CLASSICAL = 1e-9  # worst block normality or commutator norm, right classicality
 SIMPLEX_STEP = 1e-9  # |n step - 1| for a prior step to divide 1 into n

@@ -440,6 +440,46 @@ def test_oracles_equal_the_dense_mesh_on_edge_priors(p):
             _guard_max(gamma, p, step)
 
 
+@pytest.mark.parametrize("gamma, step", [(4.5516220507102755e-09, 5e-3), (2.0**-24, 1e-2)])
+def test_the_guard_equals_the_dense_mesh_where_rounding_shapes_the_rows(gamma, step):
+    # Every grid value lies within a few hundred ulps of 1, so rounding, not
+    # the objective, shapes each row; a window around the stationary point
+    # alone missed the mesh's maximum by an ulp or two.
+    _guard_max(gamma, (0.0, 0.0, 1.0), step)
+
+
+#: Points per row that the row-wise kernel evaluates: its fixed window.
+WINDOW = 8
+
+
+def test_the_oracles_evaluate_one_window_per_row():
+    # A work count, not a timing: each kernel call evaluates its cost once,
+    # on at most rows x WINDOW points, so a per-row search fails on any host.
+    calls = []
+
+    def counted(a0, a1, cost, centre, transpose):
+        sizes = []
+
+        def counted_cost(x0, x1):
+            out = cost(x0, x1)
+            sizes.append(out.size)
+            return out
+
+        calls.append((len(a1 if transpose else a0), sizes))
+        return row_minimum(a0, a1, counted_cost, centre, transpose)
+
+    row_minimum = analysis._row_minimum
+    draws = list(_criterion_05_draws())[:25]
+    with mock.patch.object(analysis, "_row_minimum", counted):
+        for gamma, p in draws:
+            max_unambiguous_symmetric_grid(gamma, p)  # coarse and refine passes
+            optimize_unambiguous_special(gamma * SQRT2_INV, p)  # the guard
+    assert len(calls) == 3 * len(draws)
+    assert {rows for rows, _ in calls[::3]} == {1000}  # the coarse pass's rows
+    for rows, sizes in calls:
+        assert len(sizes) == 1 and 0 < sizes[0] <= rows * WINDOW
+
+
 # -------------------------------------------------------------- simplex grid
 
 

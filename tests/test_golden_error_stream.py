@@ -28,7 +28,7 @@ outcome is the exception's class and message, or ``ok`` and the sha256
 of what it built: the ``scheme_to_json`` text of a scheme, the bytes of
 an ensemble's state stack and priors, and the bytes of a POVM's element
 stack with its labels and completeness residual.  Outcomes move only by
-a rule stated here; one has, ``EMPTY_GRAM``.  The file pins, per stream, one
+a rule stated here; two have, ``EMPTY_GRAM`` and ``NON_SQUARE_POVM``.  The file pins, per stream, one
 sha256 over its inputs, one digest of the outcomes of each
 chunk of 256 inputs and the count of each outcome class.  On a mismatch
 the test names the chunk and prints its inputs with their current
@@ -76,13 +76,23 @@ UNREACHED = {
                     "which no stream calls",
 }
 
-#: The one declared move since capture: (the outcome of a 0 x 0 overlap
+#: The first declared move since capture: (the outcome of a 0 x 0 overlap
 #: matrix now, the outcome the file pins for it).  linalg.hermitian_eig
 #: rejects the empty matrix before numpy's raw ValueError can escape.  A
 #: 1 x 0 or 0 x 1 matrix fails the square check first, as it did.
 EMPTY_GRAM = (
     ("DimensionMismatchError", "expected a non-empty matrix, got (0, 0)"),
     ("ValueError", "zero-size array to reduction operation minimum which has no identity"),
+)
+
+#: The second: (the outcome of a POVM whose first element is not square
+#: now, with that element's shape, the outcome the file pins for it).  Povm
+#: checks that element's own shape before it compares the others with it.
+#: The Povm stream's one-element [np.ones((dim, dim + 1))] inputs move, and
+#: the scheme_from_json dumps cut by a row of their first POVM element.
+NON_SQUARE_POVM = (
+    ("DimensionMismatchError", "POVM element {} is not square"),
+    ("DimensionMismatchError", "POVM elements differ in dimension"),
 )
 
 NAN, INF = float("nan"), float("inf")
@@ -495,12 +505,24 @@ def streams() -> dict:
     return out
 
 
+def _first_povm_shape(call, arg):
+    """The shape of the first POVM element a Povm input or cut dump holds."""
+    if call is povm_outcome and arg[1]:
+        return np.shape(arg[1][0])
+    if call is load_outcome and arg[1] == "cut povm.element":
+        return np.shape(json.loads(arg[2])["povm"]["elements"][0])[:2]
+    return None
+
+
 def run_stream(call, inputs: list) -> list:
     """The outcome of each input, with every warning raised as an error.
 
     A ``states_from_gram`` input whose overlap matrix is 0 x 0 must raise
     ``EMPTY_GRAM[0]``; its outcome is then the ``EMPTY_GRAM[1]`` the file
-    was captured with.  Every other outcome is the call's own.
+    was captured with.  An outcome ``NON_SQUARE_POVM[0]`` must name the
+    shape of the input's first POVM element, and is then the
+    ``NON_SQUARE_POVM[1]`` the file was captured with.  Every other
+    outcome is the call's own.
     """
     out = []
     with warnings.catch_warnings():
@@ -513,6 +535,9 @@ def run_stream(call, inputs: list) -> list:
             if call is gram_outcome and np.shape(arg[1]) == (0, 0):
                 assert outcome == EMPTY_GRAM[0], f"{input_text(arg)} -> {outcome}"
                 outcome = EMPTY_GRAM[1]
+            shape = _first_povm_shape(call, arg)
+            if outcome == (NON_SQUARE_POVM[0][0], NON_SQUARE_POVM[0][1].format(shape)):
+                outcome = NON_SQUARE_POVM[1]
             out.append(outcome)
     return out
 

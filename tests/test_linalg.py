@@ -50,10 +50,14 @@ def test_an_empty_matrix_is_a_dimension_mismatch(call, message):
     assert str(info.value) == message
 
 
-def test_as_cvector_coerces_and_flattens():
+def test_as_cvector_coerces_and_rejects_a_non_vector():
     v = linalg.as_cvector([1, 0])
     assert v.dtype == np.complex128
-    assert linalg.as_cvector([[1, 0], [0, 1]]).shape == (4,)
+    # A matrix, a column or a scalar is not flattened into a vector.
+    for bad, ndim in (([[1, 0], [0, 1]], 2), ([[0.6], [0.8]], 2), (1.0, 0)):
+        with pytest.raises(DimensionMismatchError) as info:
+            linalg.as_cvector(bad)
+        assert str(info.value) == f"expected a vector, got ndim={ndim}"
     with pytest.raises(InvariantViolationError):
         linalg.as_cvector([np.nan, 0.0])
 

@@ -112,6 +112,16 @@ def test_povm_reports_the_first_failing_element(elements, error, message):
     assert str(info.value) == message
 
 
+def test_povm_names_a_first_element_that_is_not_square():
+    # Alone, it is not compared with itself and reported as another dimension.
+    for elements in ((np.ones((2, 3)),), (np.ones((2, 1)), np.eye(2))):
+        labels = tuple(map(OutcomeLabel.identify, range(len(elements))))
+        with pytest.raises(DimensionMismatchError) as info:
+            Povm(elements, labels)
+        shape = np.shape(elements[0])
+        assert str(info.value) == f"POVM element {shape} is not square"
+
+
 def test_identify_outcome_lookup():
     p = projective_povm(3)
     assert p.identify_outcome(1) == 1

@@ -161,6 +161,14 @@ def test_ensemble_checks_rows_then_count_then_priors(rows, priors, error, messag
     assert type(info.value) is error and str(info.value) == message
 
 
+def test_a_state_must_be_a_vector_not_a_matrix():
+    for make in (lambda: Ket([[0.6], [0.8]]),
+                 lambda: Ensemble(np.array([[[0.6, 0.8]], [[1.0, 0.0]]]), [0.5, 0.5])):
+        with pytest.raises(DimensionMismatchError) as info:
+            make()
+        assert str(info.value) == "expected a vector, got ndim=2"
+
+
 def test_ensemble_density_mixes_projectors():
     e = Ensemble(states=np.eye(2), priors=(0.25, 0.75))
     rho = ensemble_density(e)
