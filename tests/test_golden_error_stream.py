@@ -28,9 +28,9 @@ outcome is the exception's class and message, or ``ok`` and the sha256
 of what it built: the ``scheme_to_json`` text of a scheme, the bytes of
 an ensemble's state stack and priors, and the bytes of a POVM's element
 stack with its labels and completeness residual.  Outcomes move only by
-a rule stated here; two have, ``EMPTY_GRAM`` and ``NON_SQUARE_POVM``.  The file pins, per stream, one
-sha256 over its inputs, one digest of the outcomes of each
-chunk of 256 inputs and the count of each outcome class.  On a mismatch
+a rule stated here; two have, ``EMPTY_GRAM`` and ``NON_SQUARE_POVM``.
+The file pins, per stream, one sha256 over its inputs, one digest of the
+outcomes of each chunk of 256 inputs and the count of each outcome class.  On a mismatch
 the test names the chunk and prints its inputs with their current
 outcomes.  It also lists each class of ``errors.py`` that neither this
 file nor the CLI stream reaches, and why.

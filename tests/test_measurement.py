@@ -103,6 +103,10 @@ def test_povm_validation():
          DimensionMismatchError, "POVM elements differ in dimension"),
         ((np.diag([0.5, 0.5]), np.diag([0.25, 0.25]), np.diag([0.0, 0.0])),
          InvariantViolationError, "POVM completeness residual 3.536e-01 > 1e-09"),
+        # A first element that is not square is named, even when alone.
+        ((np.ones((2, 3)),), DimensionMismatchError, "POVM element (2, 3) is not square"),
+        ((np.ones((2, 1)), np.eye(2)),
+         DimensionMismatchError, "POVM element (2, 1) is not square"),
     ],
 )
 def test_povm_reports_the_first_failing_element(elements, error, message):
@@ -110,16 +114,6 @@ def test_povm_reports_the_first_failing_element(elements, error, message):
     with pytest.raises(error) as info:
         Povm(elements=elements, labels=labels)
     assert str(info.value) == message
-
-
-def test_povm_names_a_first_element_that_is_not_square():
-    # Alone, it is not compared with itself and reported as another dimension.
-    for elements in ((np.ones((2, 3)),), (np.ones((2, 1)), np.eye(2))):
-        labels = tuple(map(OutcomeLabel.identify, range(len(elements))))
-        with pytest.raises(DimensionMismatchError) as info:
-            Povm(elements, labels)
-        shape = np.shape(elements[0])
-        assert str(info.value) == f"POVM element {shape} is not square"
 
 
 def test_identify_outcome_lookup():

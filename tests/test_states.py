@@ -136,6 +136,8 @@ def test_ensemble_states_are_one_read_only_stack(form):
 #: Ensemble's checks in order, each case failing the first of them with the
 #: messages rows wrapped in Ket objects gave before the stack.
 ENSEMBLE_CHECKS = [
+    (np.array([[[0.6, 0.8]], [[1.0, 0.0]]]), (0.5, 0.5),
+     DimensionMismatchError, "expected a vector, got ndim=2"),
     ([[np.nan, 0.0], []], (0.5, 0.5),
      InvariantViolationError, "vector has non-finite entries"),
     ([[], [2.0, 0.0]], (0.5, 0.5), DimensionMismatchError, "empty state vector"),
@@ -152,8 +154,8 @@ ENSEMBLE_CHECKS = [
 
 @pytest.mark.parametrize(
     "rows, priors, error, message", ENSEMBLE_CHECKS,
-    ids=["non-finite", "empty-row", "not-unit-before-ragged", "ragged", "no-rows",
-         "prior-count", "bad-priors"],
+    ids=["matrix-rows", "non-finite", "empty-row", "not-unit-before-ragged", "ragged",
+         "no-rows", "prior-count", "bad-priors"],
 )
 def test_ensemble_checks_rows_then_count_then_priors(rows, priors, error, message):
     with pytest.raises(error) as info:
@@ -161,12 +163,10 @@ def test_ensemble_checks_rows_then_count_then_priors(rows, priors, error, messag
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_a_state_must_be_a_vector_not_a_matrix():
-    for make in (lambda: Ket([[0.6], [0.8]]),
-                 lambda: Ensemble(np.array([[[0.6, 0.8]], [[1.0, 0.0]]]), [0.5, 0.5])):
-        with pytest.raises(DimensionMismatchError) as info:
-            make()
-        assert str(info.value) == "expected a vector, got ndim=2"
+def test_a_ket_is_a_vector_not_a_column():
+    with pytest.raises(DimensionMismatchError) as info:
+        Ket([[0.6], [0.8]])
+    assert str(info.value) == "expected a vector, got ndim=2"
 
 
 def test_ensemble_density_mixes_projectors():
