@@ -83,11 +83,21 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(f"expected square matrix, got {h.shape}")
     if h.shape[0] == 0:
         raise DimensionMismatchError(f"expected a non-empty matrix, got {h.shape}")
-    res = frobenius(h - dag(h))
+    # An overflowed residual is inf, and fails; a mean that overflows, to
+    # inf or to the NaN of inf / 2 in complex division, is taken again.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = frobenius(h - dag(h))
+        sym = (h + dag(h)) / 2.0
     if res > tol.HERMITIAN:
         raise NotHermitianError(f"Hermiticity residual {res:.3e} exceeds {tol.HERMITIAN}")
-    w, v = np.linalg.eigh((h + dag(h)) / 2.0)
-    return w, v
+    return np.linalg.eigh(sym if np.isfinite(sym).all() else _halved_sum(h, dag(h)))
+
+
+def _halved_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / 2 + b / 2``: the finite mean of finite entries whose sum passes
+    the float maximum.  ``(a + b) / 2``, where finite, keeps the last bit of
+    subnormal entries."""
+    return a / 2.0 + b / 2.0
 
 
 def psd_cholesky(g) -> np.ndarray:

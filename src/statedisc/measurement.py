@@ -85,7 +85,8 @@ class Povm:
         _check_positive(stack)  # an earlier element's failure comes first
         if len(stack) < len(elements):
             raise DimensionMismatchError("POVM elements differ in dimension")
-        res = linalg.frobenius(stack.sum(axis=0) - np.eye(dim))
+        with np.errstate(over="ignore"):  # an overflowed residual is inf, and fails
+            res = linalg.frobenius(stack.sum(axis=0) - np.eye(dim))
         if res > tol.COMPLETE:
             raise InvariantViolationError(
                 f"POVM completeness residual {res:.3e} > {tol.COMPLETE}"
@@ -117,8 +118,14 @@ class Povm:
 def _check_positive(stack: np.ndarray):
     """Raise at the first element that is not Hermitian, or else not PSD."""
     adjoint = stack.conj().transpose(0, 2, 1)
-    herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
-    low = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=1)
+    # As in linalg.hermitian_eig; the NaN that an overflowed entry makes in
+    # the norm lands in the imaginary part of conj(x) * x, which it drops.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
+        sym = (stack + adjoint) / 2.0
+    if not np.isfinite(sym).all():
+        sym = linalg._halved_sum(stack, adjoint)
+    low = np.linalg.eigvalsh(sym).min(axis=1)
     for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
         if herm[k] > tol.HERMITIAN:
             raise NotHermitianError(

@@ -28,7 +28,8 @@ outcome is the exception's class and message, or ``ok`` and the sha256
 of what it built: the ``scheme_to_json`` text of a scheme, the bytes of
 an ensemble's state stack and priors, and the bytes of a POVM's element
 stack with its labels and completeness residual.  Outcomes move only by
-a rule stated here; two have, ``EMPTY_GRAM`` and ``NON_SQUARE_POVM``.
+a rule stated here; three have, ``EMPTY_GRAM``, ``NON_SQUARE_POVM`` and
+``OVERFLOW``.
 The file pins, per stream, one sha256 over its inputs, one digest of the
 outcomes of each chunk of 256 inputs and the count of each outcome class.  On a mismatch
 the test names the chunk and prints its inputs with their current
@@ -38,6 +39,7 @@ file nor the CLI stream reaches, and why.
 Write the file with ``PYTHONPATH=src python3 tests/test_golden_error_stream.py``.
 """
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -93,6 +95,18 @@ EMPTY_GRAM = (
 NON_SQUARE_POVM = (
     ("DimensionMismatchError", "POVM element {} is not square"),
     ("DimensionMismatchError", "POVM elements differ in dimension"),
+)
+
+#: The third: (the outcome of an input now when its Hermiticity residual
+#: overflowed, the form of the outcome the file pins for it).  The file
+#: was captured while an entry near the float maximum overflowed h - h^dag,
+#: its norm or the mean (h + h^dag) / 2 with a RuntimeWarning, which
+#: ``_overflow`` replays.  Now an overflowed residual is inf, and fails;
+#: a mean that overflows is taken by halves, and the input raises the
+#: domain error that follows from it: not PSD, diagonal or completeness.
+OVERFLOW = (
+    ("NotHermitianError", "Hermiticity residual inf exceeds 1e-09"),
+    ("RuntimeWarning", "overflow encountered in {}"),
 )
 
 NAN, INF = float("nan"), float("inf")
@@ -514,6 +528,42 @@ def _first_povm_shape(call, arg):
     return None
 
 
+def _dots(x):
+    return x.ravel().dot(x.ravel())
+
+
+def _overflow(call, arg):
+    """The ``OVERFLOW[1]`` outcome the file pins for a ``states_from_gram``
+    or ``Povm`` input, or None: the RuntimeWarning of the first of h -
+    h^dag, its norm (by dot products for an overlap matrix, by
+    ``np.linalg.norm`` for a POVM stack) and h + h^dag to overflow, on the
+    matrices that the Hermiticity check took."""
+    if call is gram_outcome:
+        mats, norm = [arg[1]], lambda d: _dots(d.real) + _dots(d.imag)
+    elif call is povm_outcome and arg[1] and len(arg[1]) == len(arg[2]):
+        mats, norm = arg[1], lambda d: np.linalg.norm(d, axis=(1, 2))
+    else:
+        return None
+    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    if any(m.ndim != 2 or not np.isfinite(m).all() for m in mats):
+        return None
+    shape = mats[0].shape
+    if shape[0] != shape[1] or shape[0] == 0:
+        return None
+    stack = np.array(list(itertools.takewhile(lambda m: m.shape == shape, mats)))
+    if not (np.abs(stack.view(np.float64)) >= 1e308).any():
+        return None
+    adjoint = stack.conj().transpose(0, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            norm(stack - adjoint)
+            stack + adjoint
+        except RuntimeWarning as exc:
+            return ("RuntimeWarning", str(exc))
+    return None
+
+
 def run_stream(call, inputs: list) -> list:
     """The outcome of each input, with every warning raised as an error.
 
@@ -521,8 +571,11 @@ def run_stream(call, inputs: list) -> list:
     ``EMPTY_GRAM[0]``; its outcome is then the ``EMPTY_GRAM[1]`` the file
     was captured with.  An outcome ``NON_SQUARE_POVM[0]`` must name the
     shape of the input's first POVM element, and is then the
-    ``NON_SQUARE_POVM[1]`` the file was captured with.  Every other
-    outcome is the call's own.
+    ``NON_SQUARE_POVM[1]`` the file was captured with.  An input for which
+    ``_overflow`` names an overflow of the residual must raise
+    ``OVERFLOW[0]``, and one that names an overflow of the mean another
+    domain error; its outcome is then the one ``_overflow`` names.  Every
+    other outcome is the call's own.
     """
     out = []
     with warnings.catch_warnings():
@@ -538,6 +591,14 @@ def run_stream(call, inputs: list) -> list:
             shape = _first_povm_shape(call, arg)
             if outcome == (NON_SQUARE_POVM[0][0], NON_SQUARE_POVM[0][1].format(shape)):
                 outcome = NON_SQUARE_POVM[1]
+            pinned = _overflow(call, arg)
+            if pinned == (OVERFLOW[1][0], OVERFLOW[1][1].format("add")):
+                assert outcome != OVERFLOW[0] and issubclass(
+                    getattr(errors, outcome[0], type(None)), errors.DiscriminationError
+                ), f"{input_text(arg)} -> {outcome}"
+            elif pinned is not None:
+                assert outcome == OVERFLOW[0], f"{input_text(arg)} -> {outcome}"
+            outcome = pinned or outcome
             out.append(outcome)
     return out
 

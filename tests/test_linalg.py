@@ -93,6 +93,29 @@ def test_hermitian_eig_rejects_nonhermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_takes_entries_near_the_float_maximum():
+    # h + h^dag passes the float maximum; the mean is taken by halves.
+    w, v = linalg.hermitian_eig(np.array([[1e308, 0.0], [0.0, -1e308]]))
+    assert w.tolist() == [-1e308, 1e308]
+    assert np.abs(v).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    # h - h^dag passes it too: the residual is inf, and fails.
+    with pytest.raises(NotHermitianError, match="residual inf"):
+        linalg.hermitian_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+@pytest.mark.parametrize("gram, error, message", [
+    ([[1e308 + 0j]], InvariantViolationError, "overlap matrix diagonal must be 1"),
+    ([[1.0, 1e308], [1e308, 1.0]], NotPsdError, "eigenvalue -1.000e+308 below -1e-09"),
+    ([[1.0, 1e308j], [1e308j, 1.0]], NotHermitianError,
+     "Hermiticity residual inf exceeds 1e-09"),
+])
+def test_states_from_gram_names_the_domain_error_of_huge_entries(gram, error, message):
+    # Tier-1 raises every RuntimeWarning: an overflow would escape as one.
+    with pytest.raises(error) as info:
+        states_from_gram(gram, [1.0 / len(gram)] * len(gram))
+    assert str(info.value) == message
+
+
 def test_psd_cholesky_full_rank():
     rng = np.random.default_rng(13)
     for _ in range(20):

@@ -107,6 +107,14 @@ def test_povm_validation():
         ((np.ones((2, 3)),), DimensionMismatchError, "POVM element (2, 3) is not square"),
         ((np.ones((2, 1)), np.eye(2)),
          DimensionMismatchError, "POVM element (2, 1) is not square"),
+        # Entries near the float maximum: an overflowed residual is inf,
+        # and a mean that overflows is taken by halves.
+        ((np.array([[0.0, 1e308], [-1e308, 0.0]]), np.eye(2)),
+         NotHermitianError, "Hermiticity residual inf exceeds 1e-09"),
+        ((np.array([[1.0, 1e308], [1e308, 1.0]]), np.eye(2)),
+         NotPsdError, "POVM element eigenvalue -1.000e+308"),
+        ((np.diag([1e308, 0.0]), np.diag([1e308, 1.0])),
+         InvariantViolationError, "POVM completeness residual inf > 1e-09"),
     ],
 )
 def test_povm_reports_the_first_failing_element(elements, error, message):
