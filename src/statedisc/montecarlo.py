@@ -8,23 +8,28 @@ its coupling and POVM: :func:`brute_force_success` clamps
 Sampling uses the Philox counter-based generator (numpy's implementation)
 with a fixed stream discipline, so results are reproducible bit-for-bit
 across runs, platforms, and shard splits: shard k of a run seeded with s
-(``0 <= s < 2^64``) uses the 128-bit Philox key ``(k << 64) | s`` and
-draws an (n_k, 2) uniform block in chunks of ``_CHUNK`` rows, column 0
-selecting the prepared state and column 1 the measurement outcome, both by
-inverse CDF.  Each lookup is a threshold count: the index is the number of
-cumulative sums at or below the uniform, counted one threshold column at a
-time over contiguous columns, which is the index a binary search
-(``searchsorted(side="right")``) would give.
+(``0 <= s < 2^64``) uses the 128-bit Philox key ``(k << 64) | s``, and
+its row r is the words 2r and 2r + 1 of the stream, drawn with
+``random_raw`` in chunks of ``_CHUNK`` rows.  A word w stands for the
+uniform ``(w >> 11) * 2^-53`` of ``Generator.random``; the two select the
+prepared state and the measurement outcome by inverse CDF, each index the
+number of cumulative sums c at or below the uniform, that is with
+``ceil(c * 2^53) <= w >> 11``: the index ``searchsorted(side="right")``
+gives.  Two guide tables (Chen and Asau, 1974) on a word's top
+``_GUIDE_BITS`` bits read both off: the state of the first word's bucket,
+then the cell of (state, second word's bucket).  A row whose bucket holds
+a cut, about one in a thousand, takes the exact count instead.
 
 The rows, taken shard after shard, are split into one contiguous part per
-usable core, each on its own thread.  A part starts at an even row r of
-its shard and advances the shard's Philox by r / 2 counter steps (a row
-takes two 64-bit words, a step gives four), so it draws exactly the rows
-r, r + 1, ... of the unbroken stream.  The parts' integer tallies are
-summed: they depend neither on the chunk nor on the core count.  Each part
-draws ``_CHUNK / parts`` rows at a time, so one chunk bounds the memory of
-the whole run.  In process, 10^7 trials on mixed-special take about 17 ns
-per trial on two cores, against 26 ns on one.
+usable core, each on its own thread with one Philox, re-keyed per shard.
+A part starts at an even row r of its shard and advances the shard's
+Philox by r / 2 counter steps (a row takes two 64-bit words, a step gives
+four), so it draws exactly the rows r, r + 1, ... of the unbroken stream.
+The parts' integer tallies are summed: they depend neither on the chunk,
+the table width nor the core count.  Each part draws ``_CHUNK / parts``
+rows at a time, so one chunk bounds the memory of the whole run.  In
+process, 10^7 trials on mixed-special take about 14 ns per trial on two
+cores and 19 ns on one, 7 ns of it after the draw.
 """
 from __future__ import annotations
 
@@ -43,7 +48,9 @@ from .schemes import Scheme
 
 #: Rows of the uniform block drawn at a time.
 _CHUNK = 1 << 16
-#: Most shards a run may take: each costs about 40 us, whatever its size.
+#: Top bits of a word that index the guide tables: 2^12 buckets a table.
+_GUIDE_BITS = 12
+#: Most shards a run may take: each costs about 12 us, whatever its size.
 _MAX_SHARDS = 1 << 16
 #: Most trials a run may take: a few minutes of sampling.
 _MAX_TRIALS = 1 << 34
@@ -53,9 +60,9 @@ def _workers(n: int, shards: int) -> int:
     """Threads to sample n trials in ``shards`` streams on: one per core
     this process may run on, at most one per chunk of rows, and one when
     the shards are short."""
-    # Each shard costs its thread about 35 us holding the interpreter lock,
-    # as long as sampling a sixteenth of a chunk takes: shorter shards
-    # leave threads waiting on each other.
+    # Each shard costs its thread about 12 us holding the interpreter lock,
+    # a re-key and one chunk's numpy calls, whatever its length: threads on
+    # shards shorter than a sixteenth of a chunk wait on each other.
     if n < shards * (_CHUNK >> 4):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -63,6 +70,13 @@ def _workers(n: int, shards: int) -> int:
     else:
         cores = os.cpu_count() or 1
     return min(cores, -(-n // _CHUNK))
+
+
+def _rekey(bits: np.random.Philox, state: dict, k: int) -> None:
+    """Start ``bits`` where ``Philox(key=(k << 64) | seed)`` starts, from the
+    ``state`` of a new ``Philox(key=seed)``: key (seed, k), counter 0."""
+    state["state"]["key"][1] = k
+    bits.state = state
 
 
 def _shard_of(row: int, base: int, rem: int) -> tuple[int, int]:
@@ -142,10 +156,11 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     unbiased).  Both inverse CDFs are threshold counts: the state is the
     number of cumulative priors at or below its uniform, and the outcome
     the number of that state's cumulative row entries at or below its
-    own.  Deterministic given (scheme, n, seed, shards), whatever the
-    number of cores it runs on; the default single shard is the reference
-    stream, and sharded runs remain reproducible but produce a different
-    (merged) tally.  At most 2^34 trials and 2^16 shards.
+    own, read off guide tables on the top bits of the trial's two raw
+    Philox words.  Deterministic given (scheme, n, seed, shards), whatever
+    the number of cores it runs on; the default single shard is the
+    reference stream, and sharded runs remain reproducible but produce a
+    different (merged) tally.  At most 2^34 trials and 2^16 shards.
     """
     # A fraction, NaN or infinity is out of range, never truncated.
     for name, value in (("trial count", n), ("shards", shards), ("seed", seed)):
@@ -164,12 +179,33 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
 
     conf = scheme.confusion
     n_states, n_out = conf.shape
+    n_cells = n_states * n_out
     cum_priors = np.cumsum(scheme.ensemble.priors)
     cum_rows = np.cumsum(conf / conf.sum(axis=1, keepdims=True), axis=1)
+    # The uniform of word w reaches a cut c iff w >> 11 >= ceil(c * 2^53).
     # Each last cumulative sum is 1 in exact arithmetic and a uniform is
-    # below 1, so it never counts: dropping it is forcing it to 1.
-    state_cuts = cum_priors[:-1].tolist()
-    outcome_cuts = [np.ascontiguousarray(col) for col in cum_rows[:, :-1].T]
+    # below 1, so it never counts; any cut at or above 1 becomes 2^53, which
+    # no word reaches, and any at or below 0 becomes 0, which every word does.
+    state_cuts, outcome_cuts = (
+        np.ceil(np.clip(cuts, 0.0, 1.0) * 2.0**53).astype(np.uint64)
+        for cuts in (cum_priors[:-1], cum_rows[:, :-1])
+    )
+    # Bucket b holds the words whose top _GUIDE_BITS bits are b.  A table
+    # entry is the bucket's count when all its words give one; else it is
+    # the dummy state n_states, whose row is all n_cells, the exact count.
+    size = 1 << _GUIDE_BITS
+    lo = np.arange(size, dtype=np.uint64) << (53 - _GUIDE_BITS)
+    hi = lo + ((1 << (53 - _GUIDE_BITS)) - 1)
+
+    def guide(cuts, first, scale, dirty):
+        low, high = (np.searchsorted(np.sort(cuts), e, side="right") for e in (lo, hi))
+        return np.where(low == high, first + scale * low, dirty)
+
+    state_table = guide(state_cuts, 0, size, n_states * size)
+    cell_table = np.full((n_states + 1, size), n_cells, np.min_scalar_type(n_cells))
+    for s in range(n_states):
+        cell_table[s] = guide(outcome_cuts[s], s * n_out, 1, n_cells)
+    cell_table = cell_table.ravel()
 
     base, rem = divmod(n, shards)
     workers = _workers(n, shards)
@@ -180,32 +216,41 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     bounds = [row + (row - _shard_of(row, base, rem)[1]) % 2 for row in bounds]
     # The chunk bounds the rows drawn at once by all parts together.
     step = max(1, _CHUNK // workers)
-    tallies = [np.zeros(n_states * n_out, dtype=np.int64) for _ in range(workers)]
+    tallies = [np.zeros(n_cells, dtype=np.int64) for _ in range(workers)]
     errors = []
 
     def run(w):
         row, end = bounds[w], bounds[w + 1]
         k, first = _shard_of(row, base, rem)
         try:
+            bits = np.random.Philox(key=seed)
+            start_state = bits.state  # key (seed, 0), zero counter, empty buffer
+            top = np.empty(2 * step, dtype=np.uint64)
+            index = np.empty(step, dtype=np.intp)
+            cells = np.empty(step, dtype=cell_table.dtype)
             while row < end:
                 stop = min(end, first + base + (k < rem))
-                bits = np.random.Philox(key=(k << 64) | seed)
+                _rekey(bits, start_state, k)
                 if row > first:
                     bits.advance((row - first) // 2)
-                rng = np.random.Generator(bits)
                 for start in range(row, stop, step):
-                    # Consecutive chunks are consecutive rows of one block.
-                    u = rng.random((min(step, stop - start), 2))
-                    u0, u1 = u[:, 0].copy(), u[:, 1].copy()
-                    # Each index is its count of thresholds <= u, the index
-                    # searchsorted(side="right") gives on the cumulative sums.
-                    states = np.zeros(u0.size, dtype=np.intp)
-                    for cut in state_cuts:
-                        states += cut <= u0
-                    joint = states * n_out
-                    for cuts in outcome_cuts:
-                        joint += cuts.take(states) <= u1
-                    tallies[w] += np.bincount(joint, minlength=n_states * n_out)
+                    # Consecutive chunks are consecutive rows of one stream;
+                    # row r is words 2r and 2r + 1.
+                    m = min(step, stop - start)
+                    words = bits.random_raw(2 * m)
+                    i, c = index[:m], cells[:m]
+                    # Each word's bucket, below 2^_GUIDE_BITS, read as an index.
+                    t = np.right_shift(words, 64 - _GUIDE_BITS, out=top[: 2 * m]).view(np.intp)
+                    state_table.take(t[0::2], out=i, mode="clip")
+                    i += t[1::2]
+                    cell_table.take(i, out=c, mode="clip")
+                    slow = np.flatnonzero(c == n_cells)
+                    if slow.size:
+                        u = words.reshape(m, 2)[slow] >> 11
+                        states = (u[:, :1] >= state_cuts).sum(axis=1)
+                        outcomes = (u[:, 1:] >= outcome_cuts[states]).sum(axis=1)
+                        c[slow] = states * n_out + outcomes
+                    tallies[w] += np.bincount(c, minlength=n_cells)
                 row, k, first = stop, k + 1, first + base + (k < rem)
         except Exception as exc:  # raised again on the calling thread
             errors.append(exc)

@@ -1,11 +1,14 @@
 """Property tests over the whole input domain, non-finite values included."""
 import contextlib
+import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from dense_oracles import dense_family_grid_guard, dense_symmetric_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,7 @@ from statedisc.errors import (
     GramMismatchError,
     InvariantViolationError,
 )
-from statedisc.measurement import unambiguity_check
+from statedisc.measurement import OutcomeLabel, Povm, unambiguity_check
 from statedisc.schemes import SCHEME_KINDS, coupled_ensemble, scheme_confusion
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -493,9 +496,10 @@ def test_simulate_flags_never_traceback(kind, data, n, seed, shards):
 # ---------------------------------------------------------------- simulate
 
 def _reference_counts(scheme, n, seed, shards, chunk):
-    """The tally of the binary-search sampler that the threshold counts
+    """The tally of the binary-search sampler that the guide tables
     replaced: ``searchsorted`` for the state, then a comparison sum over
-    the state's gathered cumulative row for the outcome."""
+    the state's gathered cumulative row for the outcome, on the uniforms
+    ``Generator.random`` makes of each shard's raw Philox words."""
     conf = scheme.confusion
     n_states, n_out = conf.shape
     cum_priors = np.cumsum(scheme.ensemble.priors)
@@ -505,41 +509,63 @@ def _reference_counts(scheme, n, seed, shards, chunk):
     counts = np.zeros(n_states * n_out, dtype=np.int64)
     base, rem = divmod(n, shards)
     for k in range(shards):
-        rng = np.random.Generator(np.random.Philox(key=(k << 64) | seed))
+        bits = np.random.Philox(key=(k << 64) | seed)
         n_k = base + (k < rem)
         for start in range(0, n_k, chunk):
-            u = rng.random((min(chunk, n_k - start), 2))
+            words = bits.random_raw(2 * min(chunk, n_k - start))
+            u = ((words >> 11) * 2.0**-53).reshape(-1, 2)
             states = np.searchsorted(cum_priors, u[:, 0], side="right")
             outcomes = (cum_rows[states] <= u[:, 1:]).sum(axis=1)
             counts += np.bincount(states * n_out + outcomes, minlength=counts.size)
     return counts.reshape(n_states, n_out)
 
 
-def _tie_generator(scheme, seed):
-    """A stand-in for ``np.random.Generator`` whose uniforms cycle through
-    the scheme's cumulative thresholds and their neighbours, shuffled by
-    ``seed``, so that the samplers meet uniforms equal to a threshold."""
+def _tie_philox(scheme, seed):
+    """A stand-in for ``np.random.Philox`` whose raw words cycle through
+    t(c), t(c) +- 1 and t(c) +- 2^11 for every cumulative cut c of the
+    scheme, where t(c) = ceil(c * 2^53) * 2^11 is the least word whose
+    uniform reaches c, and through the words 0 and 2^64 - 1, shuffled by
+    ``seed``: the samplers meet words on a threshold and either side of it,
+    and uniforms either side of it."""
     conf = scheme.confusion
     cuts = np.concatenate([
         np.cumsum(scheme.ensemble.priors),
         np.cumsum(conf / conf.sum(axis=1, keepdims=True), axis=1).ravel(),
         [0.0, 0.5],
     ])
-    cuts = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
-    values = np.random.default_rng(seed).permutation(cuts[(cuts >= 0.0) & (cuts < 1.0)])
+    ties = {math.ceil(c * 2**53) * 2**11 for c in cuts.tolist() if 0.0 <= c < 1.0}
+    words = {t + d for t in ties for d in (-(2**11), -1, 0, 1, 2**11)} | {0, 2**64 - 1}
+    words = np.array(sorted(w for w in words if 0 <= w < 2**64), dtype=np.uint64)
+    values = np.random.default_rng(seed).permutation(words)
 
-    class Ties:
-        def __init__(self, bit_generator):
-            # A stream split at an even row starts where its Philox
-            # counter stands, four words per counter step.
-            self._next = 4 * int(bit_generator.state["state"]["counter"][0])
-
-        def random(self, shape):
-            drawn = np.arange(self._next, self._next + 2 * shape[0]) % values.size
-            self._next += 2 * shape[0]
-            return values[drawn].reshape(shape)
+    class Ties(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            # A stream split at an even row starts where its Philox counter
+            # stands, four words per counter step; the buffer holds the
+            # words of the last step not yet drawn.
+            state = self.state
+            at = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+            super().random_raw(size, output=False)
+            return values[np.arange(at, at + size) % values.size]
 
     return Ties
+
+
+def _matches_reference(scheme, n, seed, shards, chunk, ties):
+    """Whether ``simulate``'s tally equals ``_reference_counts``', both on
+    Philox words or, with ``ties``, both on ``_tie_philox``'s."""
+    with mock.patch.object(montecarlo, "_CHUNK", chunk), contextlib.ExitStack() as stack:
+        if ties:
+            stack.enter_context(mock.patch.object(
+                np.random, "Philox", _tie_philox(scheme, seed)))
+        expected = _reference_counts(scheme, n, seed, shards, chunk)
+        counts = montecarlo.simulate(scheme, n, seed, shards).counts
+    return counts.tobytes() == expected.tobytes()
+
+
+#: (seed, shards, chunk, ties) for the guide-table cases below.
+RUNS = [(0, 1, 4097, False), (2**64 - 1, 3, 1000, False), (5, 2, 97, True),
+        (2**64 - 1, 1, 4097, True)]
 
 
 @SETTINGS
@@ -560,8 +586,8 @@ def test_threshold_counts_equal_the_binary_search_tally(
     case, chunk, chunks, offset, seed, shards, ties
 ):
     # n lies within one trial of a multiple of the chunk, and the seed
-    # takes the whole key range; with ``ties`` the uniforms are the
-    # thresholds themselves instead of Philox draws.
+    # takes the whole key range; with ``ties`` the words are the thresholds'
+    # words and their neighbours instead of Philox draws.
     kind, (values, p) = case
     try:
         scheme = SCHEME_KINDS[kind].build(values, p, False)
@@ -569,10 +595,64 @@ def test_threshold_counts_equal_the_binary_search_tally(
         return
     n = max(1, chunk * chunks + offset)
     shards = min(shards, n)
-    with mock.patch.object(montecarlo, "_CHUNK", chunk), contextlib.ExitStack() as stack:
-        if ties:
-            stack.enter_context(mock.patch.object(
-                np.random, "Generator", _tie_generator(scheme, seed)))
-        expected = _reference_counts(scheme, n, seed, shards, chunk)
-        counts = montecarlo.simulate(scheme, n, seed, shards).counts
-    assert counts.tobytes() == expected.tobytes(), (kind, values, p, n, seed, shards)
+    assert _matches_reference(scheme, n, seed, shards, chunk, ties), (
+        kind, values, p, n, seed, shards)
+
+
+@pytest.mark.parametrize("guide_bits", [1, 2])
+@pytest.mark.parametrize("kind, values, p", [
+    ("mixed-special", {"gamma": 0.5}, (0.3, 0.3, 0.4)),
+    ("zero-aux", {"g01": 0.09, "g12": 0.3, "g20": 0.3}, (1 / 3, 1 / 3, 1 / 3)),
+    ("rra", {"overlap": 0.24, "c_plus": 0.6, "c_minus": 0.4}, (0.6, 0.4)),
+])
+def test_narrow_guide_tables_match_the_reference(monkeypatch, guide_bits, kind, values, p):
+    # With 2 or 4 buckets most buckets hold a cut, so most rows take the
+    # exact count instead of the tables.
+    monkeypatch.setattr(montecarlo, "_GUIDE_BITS", guide_bits)
+    scheme = SCHEME_KINDS[kind].build(values, p, False)
+    for seed, shards, chunk, ties in RUNS:
+        assert _matches_reference(scheme, 20001, seed, shards, chunk, ties), (seed, ties)
+
+
+def _with_confusion(priors, conf):
+    """A stand-in scheme with these priors and confusion matrix, and
+    mixed-special's POVM labels: all that ``simulate`` reads of a scheme."""
+    base = SCHEME_KINDS["mixed-special"].build({"gamma": 0.5}, (0.3, 0.3, 0.4), False)
+    return SimpleNamespace(confusion=np.array(conf), povm=base.povm,
+                           ensemble=SimpleNamespace(priors=np.array(priors)))
+
+
+#: Cumulative sums on bucket edges at every width tried: multiples of
+#: 2^-12, which start a bucket, and 0.5 - 2^-53, the last uniform of one.
+#: Row 0 has a cut at 0, row 1 every cut at 1, row 2 a repeated cut; each
+#: 0 is an outcome that no trial may show.
+EDGE_CONFUSION = [[0.0, 0.25, 0.25 - 2.0**-53, 0.5 + 2.0**-53],
+                  [1.0, 0.0, 0.0, 0.0],
+                  [2.0**-12, 0.0, 0.5 - 2.0**-12, 0.5]]
+
+
+@pytest.mark.parametrize("guide_bits", [1, 2, 12, 13])
+@pytest.mark.parametrize("priors", [(0.25, 0.0, 0.75), (0.0, 0.5, 0.5), (1.0, 0.0, 0.0)])
+def test_cuts_on_bucket_edges_at_0_and_1_and_repeated(monkeypatch, guide_bits, priors):
+    monkeypatch.setattr(montecarlo, "_GUIDE_BITS", guide_bits)
+    scheme = _with_confusion(priors, EDGE_CONFUSION)
+    for seed, shards, chunk, ties in RUNS:
+        assert _matches_reference(scheme, 20001, seed, shards, chunk, ties), (seed, ties)
+    counts = montecarlo.simulate(scheme, 20001, 3).counts
+    assert not counts[np.array(EDGE_CONFUSION) == 0.0].any()
+    assert not counts[np.array(priors) == 0.0].any()
+
+
+def test_more_than_255_cells_take_a_wider_cell_index():
+    # A scheme has one outcome per POVM element, and a Scheme or a loaded
+    # file may split an element at will: mixed-special's inconclusive one
+    # in 90 parts gives 3 x 93 cells, past what an 8-bit cell holds.
+    base = SCHEME_KINDS["mixed-special"].build({"gamma": 0.5}, (0.3, 0.3, 0.4), False)
+    *identify, rest = base.povm.elements
+    weights = np.arange(1.0, 91.0) / np.arange(1.0, 91.0).sum()
+    povm = Povm((*identify, *(w * rest for w in weights)),
+                (*base.povm.labels[:-1], *[OutcomeLabel.inconclusive()] * 90))
+    scheme = dataclasses.replace(base, povm=povm)
+    assert scheme.confusion.size == 279
+    for seed, shards, chunk, ties in RUNS:
+        assert _matches_reference(scheme, 20001, seed, shards, chunk, ties), (seed, ties)

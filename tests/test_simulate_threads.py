@@ -4,7 +4,8 @@ The rows, taken shard after shard, are cut into one contiguous part per
 worker, each cut at an even row of its shard, where the shard's Philox
 stream is advanced to.  These tests patch the worker count, so a host with
 one core also takes the threaded path, and compare the tallies byte for
-byte with the single-worker run.
+byte with the single-worker run.  They also pin the numpy Philox behaviour
+that a part relies on: advancing, re-keying and the raw words' uniforms.
 """
 import os
 import subprocess
@@ -54,6 +55,17 @@ def test_split_tallies_equal_one_worker(monkeypatch, kind, workers, n, shards, c
 def test_split_holds_under_fast_thread_switching(monkeypatch):
     # Four workers on at most as many cores, switching every microsecond:
     # each worker writes only its own tally, so no update is lost.
+    _check_split_under_fast_switching(monkeypatch)
+
+
+def test_split_holds_under_fast_thread_switching_on_the_exact_count(monkeypatch):
+    # With two buckets a table, both holding a cut, every row of every
+    # worker takes the exact count.
+    monkeypatch.setattr(montecarlo, "_GUIDE_BITS", 1)
+    _check_split_under_fast_switching(monkeypatch)
+
+
+def _check_split_under_fast_switching(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 97)
     scheme = SCHEMES["mixed-special"]
     one = _counts(monkeypatch, scheme, 20001, 5, 3, 1)
@@ -78,6 +90,29 @@ def test_advance_by_half_an_even_row_starts_at_that_row(seed, shard):
         bits.advance(r // 2)
         rows = np.random.Generator(bits).random((8, 2))
         assert rows.tobytes() == whole[r:r + 8].tobytes(), r
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("shard", [0, 2**16 - 1])
+def test_a_rekeyed_philox_draws_a_new_ones_words(seed, shard):
+    # The re-key writes numpy's Philox state layout: key (seed, shard), a
+    # zero counter and an empty buffer.  Drawing first leaves a part-used
+    # buffer and a moved counter behind, which the re-key must clear.
+    bits = np.random.Philox(key=seed)
+    state = bits.state
+    bits.random_raw(7)
+    bits.advance(5)
+    montecarlo._rekey(bits, state, shard)
+    fresh = np.random.Philox(key=(shard << 64) | seed)
+    assert bits.random_raw(11).tobytes() == fresh.random_raw(11).tobytes()
+
+
+@pytest.mark.parametrize("key", [0, 7, (5 << 64) | (2**64 - 1), 2**128 - 1])
+def test_raw_words_give_the_generator_uniforms(key):
+    # The tables classify the raw words as the uniforms they stand for.
+    words = np.random.Philox(key=key).random_raw(4099)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(4099)
+    assert ((words >> 11) * 2.0**-53).tobytes() == uniforms.tobytes()
 
 
 def test_workers_follow_cores_chunks_and_shard_length(monkeypatch):
