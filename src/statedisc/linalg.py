@@ -83,21 +83,23 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(f"expected square matrix, got {h.shape}")
     if h.shape[0] == 0:
         raise DimensionMismatchError(f"expected a non-empty matrix, got {h.shape}")
-    # An overflowed residual is inf, and fails; a mean that overflows, to
-    # inf or to the NaN of inf / 2 in complex division, is taken again.
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = frobenius(h - dag(h))
-        sym = (h + dag(h)) / 2.0
+    res, mean = _residual_and_mean(h)
     if res > tol.HERMITIAN:
         raise NotHermitianError(f"Hermiticity residual {res:.3e} exceeds {tol.HERMITIAN}")
-    return np.linalg.eigh(sym if np.isfinite(sym).all() else _halved_sum(h, dag(h)))
+    return np.linalg.eigh(mean)
 
 
-def _halved_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a / 2 + b / 2``: the finite mean of finite entries whose sum passes
-    the float maximum.  ``(a + b) / 2``, where finite, keeps the last bit of
-    subnormal entries."""
-    return a / 2.0 + b / 2.0
+@np.errstate(over="ignore", invalid="ignore")
+def _residual_and_mean(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """``||h - h^dag||_F`` and ``(h + h^dag) / 2``.  Past the float maximum
+    the residual is inf, and fails, and a mean that overflows, to inf or to
+    the NaN of inf / 2 in complex division, is taken as h / 2 + h^dag / 2;
+    only there, since halving first drops the last bit of a subnormal."""
+    adjoint = dag(h)
+    mean = (h + adjoint) / 2.0
+    if not np.isfinite(mean).all():
+        mean = h / 2.0 + adjoint / 2.0
+    return frobenius(h - adjoint), mean
 
 
 def psd_cholesky(g) -> np.ndarray:

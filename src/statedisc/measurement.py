@@ -115,17 +115,19 @@ class Povm:
         return index.index(state_index)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_positive(stack: np.ndarray):
-    """Raise at the first element that is not Hermitian, or else not PSD."""
+    """Raise at the first element that is not Hermitian, or else not PSD.
+
+    Entries near the float maximum are taken as in
+    ``linalg.hermitian_eig``; the NaN that an overflow makes in the norm
+    lands in the imaginary part of conj(x) * x, which it drops."""
     adjoint = stack.conj().transpose(0, 2, 1)
-    # As in linalg.hermitian_eig; the NaN that an overflowed entry makes in
-    # the norm lands in the imaginary part of conj(x) * x, which it drops.
-    with np.errstate(over="ignore", invalid="ignore"):
-        herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
-        sym = (stack + adjoint) / 2.0
-    if not np.isfinite(sym).all():
-        sym = linalg._halved_sum(stack, adjoint)
-    low = np.linalg.eigvalsh(sym).min(axis=1)
+    herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
+    mean = (stack + adjoint) / 2.0
+    if not np.isfinite(mean).all():
+        mean = stack / 2.0 + adjoint / 2.0
+    low = np.linalg.eigvalsh(mean).min(axis=1)
     for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
         if herm[k] > tol.HERMITIAN:
             raise NotHermitianError(

@@ -496,10 +496,10 @@ def test_simulate_flags_never_traceback(kind, data, n, seed, shards):
 # ---------------------------------------------------------------- simulate
 
 def _reference_counts(scheme, n, seed, shards, chunk):
-    """The tally of the binary-search sampler that the guide tables
-    replaced: ``searchsorted`` for the state, then a comparison sum over
-    the state's gathered cumulative row for the outcome, on the uniforms
-    ``Generator.random`` makes of each shard's raw Philox words."""
+    """The tally of a plain binary-search sampler: ``searchsorted`` for the
+    state, then a comparison sum over the state's gathered cumulative row
+    for the outcome, on the uniforms ``Generator.random`` makes of each
+    shard's raw Philox words."""
     conf = scheme.confusion
     n_states, n_out = conf.shape
     cum_priors = np.cumsum(scheme.ensemble.priors)
