@@ -91,15 +91,19 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _residual_and_mean(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """``||h - h^dag||_F`` and ``(h + h^dag) / 2``.  Past the float maximum
-    the residual is inf, and fails, and a mean that overflows, to inf or to
-    the NaN of inf / 2 in complex division, is taken as h / 2 + h^dag / 2;
-    only there, since halving first drops the last bit of a subnormal."""
+    """``||h - h^dag||_F``, inf past the float maximum, so that it fails,
+    and ``_hermitian_mean(h, h^dag)``."""
     adjoint = dag(h)
-    mean = (h + adjoint) / 2.0
-    if not np.isfinite(mean).all():
-        mean = h / 2.0 + adjoint / 2.0
-    return frobenius(h - adjoint), mean
+    return frobenius(h - adjoint), _hermitian_mean(h, adjoint)
+
+
+def _hermitian_mean(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """``(a + adjoint) / 2``, or ``a / 2 + adjoint / 2`` where that
+    overflows, to inf or to the NaN of inf / 2 in complex division: halving
+    first keeps finite entries finite, but drops the last bit of a
+    subnormal.  Call it with overflow and invalid warnings off."""
+    mean = (a + adjoint) / 2.0
+    return mean if np.isfinite(mean).all() else a / 2.0 + adjoint / 2.0
 
 
 def psd_cholesky(g) -> np.ndarray:

@@ -124,10 +124,7 @@ def _check_positive(stack: np.ndarray):
     lands in the imaginary part of conj(x) * x, which it drops."""
     adjoint = stack.conj().transpose(0, 2, 1)
     herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
-    mean = (stack + adjoint) / 2.0
-    if not np.isfinite(mean).all():
-        mean = stack / 2.0 + adjoint / 2.0
-    low = np.linalg.eigvalsh(mean).min(axis=1)
+    low = np.linalg.eigvalsh(linalg._hermitian_mean(stack, adjoint)).min(axis=1)
     for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
         if herm[k] > tol.HERMITIAN:
             raise NotHermitianError(

@@ -28,8 +28,8 @@ four), so it draws exactly the rows r, r + 1, ... of the unbroken stream.
 The parts' integer tallies are summed: they depend neither on the chunk,
 the table width nor the core count.  Each part draws ``_CHUNK / parts``
 rows at a time, so one chunk bounds the memory of the whole run.  In
-process, 10^7 trials on mixed-special take about 14 ns per trial on two
-cores and 19 ns on one, 7 ns of it after the draw.
+process, 10^7 trials on mixed-special take about 12-14 ns per trial on
+two cores and 19 ns on one, 7 ns of it after the draw.
 """
 from __future__ import annotations
 
