@@ -64,6 +64,7 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed residual is inf
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -83,18 +84,11 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(f"expected square matrix, got {h.shape}")
     if h.shape[0] == 0:
         raise DimensionMismatchError(f"expected a non-empty matrix, got {h.shape}")
-    res, mean = _residual_and_mean(h)
+    adjoint = dag(h)
+    res = frobenius(h - adjoint)
     if res > tol.HERMITIAN:
         raise NotHermitianError(f"Hermiticity residual {res:.3e} exceeds {tol.HERMITIAN}")
-    return np.linalg.eigh(mean)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _residual_and_mean(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """``||h - h^dag||_F``, inf past the float maximum, so that it fails,
-    and ``_hermitian_mean(h, h^dag)``."""
-    adjoint = dag(h)
-    return frobenius(h - adjoint), _hermitian_mean(h, adjoint)
+    return np.linalg.eigh(_hermitian_mean(h, adjoint))
 
 
 def _hermitian_mean(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
