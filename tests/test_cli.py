@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from goldens import load, ok, run
 
 from statedisc import cli, measurement, serialize
 from statedisc.cli import main
@@ -25,23 +26,11 @@ SWEEP_MIXED = ["sweep", "--scheme", "mixed-special", "--priors", "0.3,0.3,0.4"]
 
 
 #: The flags of each kind's input in ``golden.json``.
-GOLDEN_FLAGS = {
-    kind: ref["flags"]
-    for kind, ref in json.loads(
-        (Path(__file__).parent / "golden.json").read_text()
-    ).items()
-}
+GOLDEN_FLAGS = {kind: ref["flags"] for kind, ref in load("golden.json").items()}
 
 
-def run_cli(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_validate_reports_residuals(capsys):
-    code, out, err = run_cli(capsys, ["validate"] + MIXED)
-    assert code == 0
+def test_validate_reports_residuals():
+    out, err = ok(["validate"] + MIXED)
     lines = out.splitlines()
     assert lines[0] == "scheme: mixed-special"
     assert lines[1].startswith("unitarity_residual:")
@@ -51,9 +40,8 @@ def test_validate_reports_residuals(capsys):
     assert lines[5] == "ok"
 
 
-def test_run_json_payload(capsys):
-    code, out, _ = run_cli(capsys, ["run"] + MIXED)
-    assert code == 0
+def test_run_json_payload():
+    out, _ = ok(["run"] + MIXED)
     payload = json.loads(out)
     assert payload["scheme"] == "mixed-special"
     assert payload["analytic_success"] == pytest.approx(0.7, abs=1e-12)
@@ -69,9 +57,8 @@ def test_run_json_payload(capsys):
     assert conf[2][2] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_run_csv_confusion_table(capsys):
-    code, out, _ = run_cli(capsys, ["run", "--format", "csv"] + MIXED)
-    assert code == 0
+def test_run_csv_confusion_table():
+    out, _ = ok(["run", "--format", "csv"] + MIXED)
     lines = out.splitlines()
     assert lines[0] == "state,identify:0,identify:1,identify:2,inconclusive"
     assert len(lines) == 4
@@ -79,9 +66,8 @@ def test_run_csv_confusion_table(capsys):
     assert lines[1].split(",")[1] == "0.5"
 
 
-def test_domain_error_exit_2(capsys):
-    code, out, err = run_cli(
-        capsys,
+def test_domain_error_exit_2():
+    code, out, err = run(
         ["run", "--scheme", "mixed-special", "--gamma", "0.9", "--priors", "0.3,0.3,0.4"],
     )
     assert code == 2
@@ -111,18 +97,18 @@ def test_domain_error_exit_2(capsys):
     ids=["negative-prior", "nan-prior", "rra-overlap-2", "prior-step-0",
          "prior-step-0.6", "prior-step-denormal", "seed-2^64", "seed-negative"],
 )
-def test_out_of_domain_inputs_exit_2(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
+def test_out_of_domain_inputs_exit_2(argv):
+    code, out, err = run(argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ParamOutOfRange: ")
 
 
-def test_trial_count_beyond_the_bound_exits_2(capsys, monkeypatch):
+def test_trial_count_beyond_the_bound_exits_2(monkeypatch):
     # Rejected before any stream is made, so it cannot run for years.
     monkeypatch.setattr("numpy.random.Generator", None)
-    code, out, err = run_cli(
-        capsys, ["simulate"] + MIXED + ["--n", "1000000000000000000"]
+    code, out, err = run(
+        ["simulate"] + MIXED + ["--n", "1000000000000000000"]
     )
     assert code == 2 and out == ""
     assert err == (
@@ -131,7 +117,7 @@ def test_trial_count_beyond_the_bound_exits_2(capsys, monkeypatch):
     )
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1():
     for argv in (
         [],
         ["frobnicate"],
@@ -153,7 +139,7 @@ def test_usage_errors_exit_1(capsys):
         ["compare", "--theorem", "3.1", "--gamma-grid", "0.1:0.2:0.1",
          "--prior-step", "1e-4"],
     ):
-        code, out, err = run_cli(capsys, argv)
+        code, out, err = run(argv)
         assert code == 1, argv
         assert err.startswith("usage error: "), argv
 
@@ -179,8 +165,8 @@ def test_usage_errors_exit_1(capsys):
          "gamma grid has more than 16777216 values"),
     ],
 )
-def test_request_errors_are_one_usage_line(capsys, argv, message):
-    code, out, err = run_cli(capsys, argv)
+def test_request_errors_are_one_usage_line(argv, message):
+    code, out, err = run(argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: " + message), err
 
@@ -205,7 +191,7 @@ def test_infinite_priors_print_only_the_error_line():
     assert proc.stderr == PRIORS_ERROR
 
 
-def test_overflowing_priors_print_only_the_error_line(capsys):
+def test_overflowing_priors_print_only_the_error_line():
     # Finite priors whose sum overflows to inf used to print NumPy's
     # overflow RuntimeWarning before the error line, and to raise it in
     # process under an error filter.
@@ -213,53 +199,45 @@ def test_overflowing_priors_print_only_the_error_line(capsys):
     proc = _run_priors_subprocess(priors)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == PRIORS_ERROR
-    code, out, err = run_cli(capsys, ["run"] + MIXED[:4] + ["--priors", priors])
+    code, out, err = run(["run"] + MIXED[:4] + ["--priors", priors])
     assert code == 2 and out == "" and err == PRIORS_ERROR
 
 
-def test_rra_at_overlap_minus_one_with_unit_amplitudes(capsys):
+def test_rra_at_overlap_minus_one_with_unit_amplitudes():
     # |c_minus|^2 rounds to 1 - 4e-13; the +/- amplitude snaps to 0 instead
     # of leaving a 6e-7 component that made the pair look independent.
     argv = ["--scheme", "rra", "--overlap", "-1", "--c-plus", "1.0000000000002",
             "--c-minus", "-0.9999999999998", "--priors", "0.5,0.5"]
-    code, _, err = run_cli(capsys, ["run"] + argv)
-    assert code == 0, err
-    code, out, err = run_cli(capsys, ["dump"] + argv)
-    assert code == 0, err
+    _, err = ok(["run"] + argv)
+    out, err = ok(["dump"] + argv)
     scheme = serialize.scheme_from_json(json.loads(out))
     assert scheme.params.kind == "rra"
     assert scheme.analytic_success == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mixed_general_near_gamma_one_names_the_lost_conditioning(capsys):
+def test_mixed_general_near_gamma_one_names_the_lost_conditioning():
     # The cancellation in (v0 - gamma v2)/sqrt(1 - gamma^2) after the
     # Cholesky cutoff dropped 1 - alpha = 4e-13 used to surface as a Gram
     # gap of 1.0 inside the coupling's completion.
     argv = ["validate", "--scheme", "mixed-general", "--gamma", "0.9999999999999",
             "--alpha", "0.9999999999995999", "--priors", "0.3,0.3,0.4"]
-    code, out, err = run_cli(capsys, argv)
+    code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ParamOutOfRange: conditioning lost: "), err
     assert " over 1 - gamma^2 = " in err, err  # the +/- amplitude snaps to 0
 
 
-def test_mixed_general_near_an_alpha_edge_names_the_lost_conditioning(capsys):
+def test_mixed_general_near_an_alpha_edge_names_the_lost_conditioning():
     # psi0 and psi1 are nearly dependent here, and their residual norm
     # magnified the synthesis error into a GramMismatch that named no cause.
     argv = ["run", "--scheme", "mixed-general", "--gamma", "0.5",
             "--alpha", "0.99999999999", "--priors", "0.3,0.3,0.4"]
-    code, out, err = run_cli(capsys, argv)
+    code, out, err = run(argv)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: ParamOutOfRange: conditioning lost: "), err
     assert "sqrt(1 - c^4)" in err, err
 
 
-GOLDEN_FLAGS = {
-    kind: ref["flags"]
-    for kind, ref in json.loads(
-        (Path(__file__).parent / "golden.json").read_text()
-    ).items()
-}
 COMPLEX_FLAGS = {
     "rra complex": ["--overlap", "-1", "--c-plus=-0.9460456088348339+0.32403349518889013j",
                     "--c-minus=0.9460456088348338-0.3240334951888901j",
@@ -270,11 +248,10 @@ COMPLEX_FLAGS = {
 
 
 @pytest.mark.parametrize("case", [*sorted(GOLDEN_FLAGS), *COMPLEX_FLAGS])
-def test_dumped_params_reload_as_a_config(capsys, tmp_path, case):
+def test_dumped_params_reload_as_a_config(tmp_path, case):
     kind = case.split()[0]
     flags = GOLDEN_FLAGS.get(case) or COMPLEX_FLAGS[case]
-    code, dumped, err = run_cli(capsys, ["dump", "--scheme", kind, *flags])
-    assert code == 0, err
+    dumped, err = ok(["dump", "--scheme", kind, *flags])
     data = json.loads(dumped)
     params = data["params"]  # complex values are the [re, im] pairs
     if kind == "rra":  # the overlap is an input, not a params field
@@ -283,15 +260,12 @@ def test_dumped_params_reload_as_a_config(capsys, tmp_path, case):
            "priors": data["ensemble"]["priors"]}
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    code, out, err = run_cli(capsys, ["--config", str(path)])
-    assert code == 0, err
+    out, err = ok(["--config", str(path)])
     assert out == dumped
 
 
-def test_complex_inputs_read_like_dump_writes_them(capsys):
-    code, out, _ = run_cli(capsys, ["dump", "--scheme", "zero-aux",
-                                    *COMPLEX_FLAGS["zero-aux complex"]])
-    assert code == 0
+def test_complex_inputs_read_like_dump_writes_them():
+    out, _ = ok(["dump", "--scheme", "zero-aux", *COMPLEX_FLAGS["zero-aux complex"]])
     assert json.loads(out)["params"] == {
         "kind": "zero-aux", "g01": [0.0, -0.06], "g12": [0.0, 0.3], "g20": [0.2, 0.0],
     }
@@ -300,26 +274,23 @@ def test_complex_inputs_read_like_dump_writes_them(capsys):
                   "--c-minus", "0.6", "--priors", "0.5,0.5"],
                  ["--scheme", "mixed-special", "--gamma", "0.5+0j",
                   "--priors", "0.3,0.3,0.4"]):
-        code, _, err = run_cli(capsys, ["run", *argv])
+        code, _, err = run(["run", *argv])
         assert code == 1 and "invalid float value" in err
 
 
-def test_simulate_json_is_deterministic(capsys):
+def test_simulate_json_is_deterministic():
     argv = ["simulate"] + MIXED + ["--n", "50000", "--seed", "42"]
-    code1, out1, _ = run_cli(capsys, argv)
-    code2, out2, _ = run_cli(capsys, argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    payload = json.loads(out1)
+    out, _ = ok(argv)
+    assert ok(argv)[0] == out
+    payload = json.loads(out)
     assert payload["n"] == 50000 and payload["seed"] == 42
     assert sum(sum(row) for row in payload["counts"]) == 50000
     assert abs(payload["empirical_success"] - 0.7) < 0.01
 
 
-def test_simulate_csv_counts(capsys):
+def test_simulate_csv_counts():
     argv = ["simulate", "--format", "csv"] + MIXED + ["--n", "1000", "--seed", "7"]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0
+    out, _ = ok(argv)
     lines = out.splitlines()
     assert lines[0] == "state,outcome,count"
     assert len(lines) == 1 + 3 * 4
@@ -327,10 +298,9 @@ def test_simulate_csv_counts(capsys):
     assert total == 1000
 
 
-def test_sweep_csv_and_summary(capsys):
+def test_sweep_csv_and_summary():
     argv = SWEEP_MIXED + ["--grid", "gamma=0.1:0.7:0.1"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
+    out, err = ok(argv)
     lines = out.splitlines()
     assert lines[0] == "gamma,p0,p1,p2,analytic_success,brute_force_success"
     assert len(lines) == 8
@@ -339,12 +309,11 @@ def test_sweep_csv_and_summary(capsys):
     assert err.strip() == "points: 7  skipped: 0"
 
 
-def test_sweep_json_rows_match_csv_rows(capsys):
+def test_sweep_json_rows_match_csv_rows():
     argv = ["sweep", "--scheme", "mixed-general", "--gamma", "0.5",
             "--priors", "0.3,0.3,0.4", "--grid", "alpha=0.0:0.6:0.05"]
-    code, csv_out, csv_err = run_cli(capsys, argv)
-    assert code == 0
-    code, json_out, json_err = run_cli(capsys, argv + ["--format", "json"])
+    csv_out, csv_err = ok(argv)
+    code, json_out, json_err = run(argv + ["--format", "json"])
     assert code == 0 and json_err == csv_err
     rows = json.loads(json_out)
     lines = csv_out.splitlines()
@@ -357,16 +326,15 @@ def test_sweep_json_rows_match_csv_rows(capsys):
         assert ",".join(map(serialize.format_float, values)) == line
 
 
-def test_sweep_skips_out_of_domain_points(capsys):
+def test_sweep_skips_out_of_domain_points():
     argv = SWEEP_MIXED + ["--grid", "gamma=0.5:0.9:0.1"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
+    out, err = ok(argv)
     assert err.strip() == "points: 3  skipped: 2"
     assert len(out.splitlines()) == 4
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_writes_each_row_as_it_is_built(capsys, monkeypatch, fmt):
+def test_sweep_writes_each_row_as_it_is_built(monkeypatch, fmt):
     built, seen = [], []
     brute = cli.brute_force_success
     monkeypatch.setattr(cli, "brute_force_success",
@@ -378,29 +346,29 @@ def test_sweep_writes_each_row_as_it_is_built(capsys, monkeypatch, fmt):
 
     monkeypatch.setattr(cli, "_write_output", write)
     argv = SWEEP_MIXED + ["--grid", "gamma=0.5:0.9:0.1", "--format", fmt]
-    code, _, err = run_cli(capsys, argv)
+    code, _, err = run(argv)
     assert code == 0 and err.strip() == "points: 3  skipped: 2"
     # Row k goes out once point k is built, before point k + 1 is.
     assert [n for n, _ in seen] == [1, 2, 3, 3]
     text = "".join(piece for _, piece in seen)
     monkeypatch.undo()
-    assert run_cli(capsys, argv)[1] == text
+    assert run(argv)[1] == text
 
 
 @pytest.mark.parametrize("fmt, empty", [("csv", "gamma,p0,p1,p2,analytic_success,"
                                          "brute_force_success\n"), ("json", "[]\n")])
-def test_sweep_of_only_skipped_points_writes_the_empty_table(capsys, fmt, empty):
+def test_sweep_of_only_skipped_points_writes_the_empty_table(fmt, empty):
     argv = SWEEP_MIXED + ["--grid", "gamma=0.8:0.9:0.1", "--format", fmt]
-    assert run_cli(capsys, argv) == (0, empty, "points: 0  skipped: 2\n")
+    assert run(argv) == (0, empty, "points: 0  skipped: 2\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
-def test_empty_sweep_grid_writes_nothing(capsys, tmp_path, extra):
+def test_empty_sweep_grid_writes_nothing(tmp_path, extra):
     out = tmp_path / "rows.csv"
     argv = SWEEP_MIXED + ["--grid", "gamma=0.5:0.1:0.1"] + extra
-    code, stdout, err = run_cli(capsys, argv)
+    code, stdout, err = run(argv)
     assert (code, stdout, err) == (1, "", "usage error: empty gamma grid\n")
-    code, _, _ = run_cli(capsys, argv + ["--output", str(out)])
+    code, _, _ = run(argv + ["--output", str(out)])
     assert code == 1 and not out.exists() and os.listdir(tmp_path) == []
 
 
@@ -410,8 +378,8 @@ def test_empty_sweep_grid_writes_nothing(capsys, tmp_path, extra):
     (["--scheme", "mixed-general", "--priors", "0.3,0.3,0.4",
       "--grid", "alpha=0.1:0.3:0.1"], "scheme mixed-general requires --gamma"),
 ])
-def test_sweep_missing_an_input_writes_nothing(capsys, argv, missing):
-    assert run_cli(capsys, ["sweep", *argv]) == (1, "", f"usage error: {missing}\n")
+def test_sweep_missing_an_input_writes_nothing(argv, missing):
+    assert run(["sweep", *argv]) == (1, "", f"usage error: {missing}\n")
 
 
 def _sweep_argv(kind):
@@ -436,8 +404,7 @@ COUNTED_COMMANDS = {
     [(c, k) for c in COUNTED_COMMANDS for k in sorted(SCHEME_KINDS)]
     + [("sweep", k) for k, kind in sorted(SCHEME_KINDS.items()) if kind.sweepable],
 )
-def test_each_built_scheme_evaluates_the_pipeline_once(capsys, monkeypatch,
-                                                       command, kind):
+def test_each_built_scheme_evaluates_the_pipeline_once(monkeypatch, command, kind):
     calls = []
     kernel = measurement.pure_confusion
 
@@ -452,13 +419,12 @@ def test_each_built_scheme_evaluates_the_pipeline_once(capsys, monkeypatch,
     else:
         argv = [command.split()[0], "--scheme", kind, *GOLDEN_FLAGS[kind],
                 *COUNTED_COMMANDS[command]]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 0, err
+    _, err = ok(argv)
     built = int(err.split()[1]) if command == "sweep" else 1
     assert built > 0 and len(calls) == built
 
 
-def test_compare_theorem21_grid(capsys):
+def test_compare_theorem21_grid():
     argv = [
         "compare",
         "--theorem",
@@ -468,8 +434,7 @@ def test_compare_theorem21_grid(capsys):
         "--prior-step",
         "0.2",
     ]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
+    out, err = ok(argv)
     lines = out.splitlines()
     assert lines[0] == serialize.CSV_HEADER
     assert len(lines) == 71  # 7 gammas x 10 admissible triples
@@ -483,28 +448,27 @@ def test_compare_theorem21_grid(capsys):
     ("6e-13:6e-13:1", "6e-13", "6e-13"),  # 12 decimals would read 1e-12
     ("0.1:0.3:0.1", "0.1", "0.3"),  # 0.1 + 2 * 0.1 is 0.30000000000000004
 ])
-def test_grid_values_are_rounded_only_to_undo_roundoff(capsys, grid, first, last):
+def test_grid_values_are_rounded_only_to_undo_roundoff(grid, first, last):
     for argv in (["compare", "--theorem", "2.1", "--gamma-grid", grid,
                   "--prior-step", "0.5"],
                  SWEEP_MIXED + ["--grid", f"gamma={grid}"]):
-        code, out, err = run_cli(capsys, argv)
+        code, out, err = run(argv)
         assert code == 0 and "skipped: 0" in err
         gammas = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert (gammas[0], gammas[-1]) == (first, last)
 
 
-def test_compare_summary_counts_skips_per_code(capsys):
+def test_compare_summary_counts_skips_per_code():
     argv = ["compare", "--theorem", "2.1", "--gamma-grid", "0:0.8:0.2",
             "--prior-step", "0.5"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
+    out, err = ok(argv)
     # gammas 0 and 0.8 are outside (0, 1/sqrt(2)]; 3 triples have p2 >= 1/3
     assert err.strip() == (
         "points: 9  failures: 0  min margin: 0.08  skipped: 6 (GammaOutOfRange: 6)"
     )
 
 
-def test_compare_json_format(capsys):
+def test_compare_json_format():
     argv = [
         "compare",
         "--theorem",
@@ -516,25 +480,22 @@ def test_compare_json_format(capsys):
         "--format",
         "json",
     ]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
+    out, err = ok(argv)
     payload = json.loads(out)
     assert all(rec["verdict"] is True for rec in payload)
     assert all(rec["alpha"] == rec["gamma"] for rec in payload)
 
 
-def test_dump_round_trips_through_loader(capsys):
-    code, out, _ = run_cli(capsys, ["dump"] + MIXED)
-    assert code == 0
+def test_dump_round_trips_through_loader():
+    out, _ = ok(["dump"] + MIXED)
     scheme = serialize.scheme_from_json(json.loads(out))
     assert scheme.analytic_success == pytest.approx(0.7, abs=1e-12)
     assert scheme.params.kind == "mixed-special"
 
 
-def test_output_file_is_written_atomically(capsys, tmp_path):
+def test_output_file_is_written_atomically(tmp_path):
     target = tmp_path / "out.json"
-    code, out, _ = run_cli(capsys, ["run"] + MIXED + ["--output", str(target)])
-    assert code == 0
+    out, _ = ok(["run"] + MIXED + ["--output", str(target)])
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["analytic_success"] == pytest.approx(0.7, abs=1e-12)
@@ -556,14 +517,14 @@ OUTPUT_COMMANDS = {
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
-def test_unwritable_output_is_one_usage_line(capsys, tmp_path, command, where):
+def test_unwritable_output_is_one_usage_line(tmp_path, command, where):
     target = tmp_path / "out"
     if where == "missing-directory":
         target = tmp_path / "absent" / "out"
     else:
         target.mkdir()  # the temp file goes next to it, into tmp_path
     argv = OUTPUT_COMMANDS[command] + ["--output", str(target)]
-    code, out, err = run_cli(capsys, argv)
+    code, out, err = run(argv)
     assert code == 1
     assert out == ""
     assert err.startswith(f"usage error: cannot write --output {target}: ")
@@ -589,7 +550,7 @@ def test_compare_memory_does_not_grow_with_the_grid(monkeypatch):
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
-def test_config_file_supplies_command_and_params(capsys, tmp_path):
+def test_config_file_supplies_command_and_params(tmp_path):
     cfg = {
         "command": "run",
         "scheme": "mixed-special",
@@ -598,12 +559,11 @@ def test_config_file_supplies_command_and_params(capsys, tmp_path):
     }
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, ["--config", str(path)])
-    assert code == 0
+    out, _ = ok(["--config", str(path)])
     assert json.loads(out)["analytic_success"] == pytest.approx(0.7, abs=1e-12)
 
 
-def test_cli_flags_override_config(capsys, tmp_path):
+def test_cli_flags_override_config(tmp_path):
     cfg = {
         "scheme": "mixed-special",
         "params": {"gamma": 0.3},
@@ -611,26 +571,25 @@ def test_cli_flags_override_config(capsys, tmp_path):
     }
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, ["run", "--config", str(path), "--gamma", "0.5"])
-    assert code == 0
+    out, _ = ok(["run", "--config", str(path), "--gamma", "0.5"])
     payload = json.loads(out)
     assert payload["params"]["gamma"] == 0.5
     assert payload["analytic_success"] == pytest.approx(0.7, abs=1e-12)
 
 
-def test_config_errors_are_usage_errors(capsys, tmp_path):
+def test_config_errors_are_usage_errors(tmp_path):
     missing = tmp_path / "nope.json"
-    code, _, err = run_cli(capsys, ["run", "--config", str(missing)])
+    code, _, err = run(["run", "--config", str(missing)])
     assert code == 1 and err.startswith("usage error: ")
 
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
-    code, _, err = run_cli(capsys, ["run", "--config", str(bad)])
+    code, _, err = run(["run", "--config", str(bad)])
     assert code == 1 and "JSON object" in err
 
     no_command = tmp_path / "nc.json"
     no_command.write_text("{}")
-    code, _, err = run_cli(capsys, ["--config", str(no_command)])
+    code, _, err = run(["--config", str(no_command)])
     assert code == 1 and "names no command" in err
 
     # Each value is read with its flag's converter or choices, and a value
@@ -686,12 +645,12 @@ def test_config_errors_are_usage_errors(capsys, tmp_path):
     ):
         path = tmp_path / "edited.json"
         path.write_text(json.dumps({**base, **edit}))
-        code, out, err = run_cli(capsys, ["--config", str(path)])
+        code, out, err = run(["--config", str(path)])
         assert code == 1 and out == "", edit
         assert err.startswith("usage error: ") and key in err, (edit, err)
 
 
-def test_config_values_convert_like_their_flags(capsys, tmp_path):
+def test_config_values_convert_like_their_flags(tmp_path):
     # A float trial count and numeric strings convert as the flags' own
     # converters read them; a null reads as absent, and a value for a flag
     # simulate lacks is not read.
@@ -700,10 +659,9 @@ def test_config_values_convert_like_their_flags(capsys, tmp_path):
            "n": 1e3, "seed": "7", "shards": None, "prior_step": "abc"}
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    code, out, err = run_cli(capsys, ["--config", str(path)])
-    assert code == 0, err
+    out, err = ok(["--config", str(path)])
     flags = ["simulate"] + MIXED + ["--n", "1000", "--seed", "7"]
-    assert out == run_cli(capsys, flags)[1]
+    assert out == run(flags)[1]
 
     # Nor is params read without the scheme flags, or grid without a grid flag.
     compare = {"command": "compare", "theorem": "2.1", "prior_step": 0.5,
@@ -715,26 +673,25 @@ def test_config_values_convert_like_their_flags(capsys, tmp_path):
           "priors": [0.3, 0.3, 0.4], "grid": [1]}, ["run"] + MIXED),
     ):
         path.write_text(json.dumps(job))
-        code, out, err = run_cli(capsys, ["--config", str(path)])
+        code, out, err = run(["--config", str(path)])
         assert code == 0, (job, err)
-        assert out == run_cli(capsys, flags)[1]
+        assert out == run(flags)[1]
 
 
-def test_config_priors_text_reads_like_the_flag(capsys, tmp_path):
+def test_config_priors_text_reads_like_the_flag(tmp_path):
     job = {"command": "run", "scheme": "mixed-special",
            "params": {"gamma": 0.5}, "priors": "0.3,0.3,0.4"}
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    code, out, err = run_cli(capsys, ["--config", str(path)])
-    assert code == 0, err
-    assert out == run_cli(capsys, ["run"] + MIXED)[1]
+    out, err = ok(["--config", str(path)])
+    assert out == run(["run"] + MIXED)[1]
 
     # Text is split at commas, never read one character at a time.
     job = {"command": "run", "scheme": "rra",
            "params": {"overlap": 0.36, "c_plus": 0.6, "c_minus": 0.6},
            "priors": "11"}
     path.write_text(json.dumps(job))
-    code, out, err = run_cli(capsys, ["--config", str(path)])
+    code, out, err = run(["--config", str(path)])
     assert code == 1 and out == ""
     assert err == "usage error: scheme rra takes 2 priors, got 1\n"
 
@@ -803,23 +760,23 @@ UNREAD_CASES = [
 ]
 
 
-def test_every_unread_flag_is_a_usage_error(capsys):
+def test_every_unread_flag_is_a_usage_error():
     # A run that exits 0, plus one flag that the command or the scheme
     # kind does not read, exits 1 with one usage line naming that flag.
     assert len(UNREAD_CASES) > 200
     for command, kind, key in UNREAD_CASES:
         argv, _ = _valid_argv(command, kind)
-        assert run_cli(capsys, argv)[0] == 0, argv
+        assert run(argv)[0] == 0, argv
         flag = "--" + key.replace("_", "-")
         extra = [flag] if FLAG_VALUES[key] is None else [flag, FLAG_VALUES[key]]
-        code, out, err = run_cli(capsys, argv + extra)
+        code, out, err = run(argv + extra)
         assert (code, out) == (1, ""), (argv, extra, err)
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
         assert flag in err, (argv, extra, err)
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEME_KINDS))
-def test_every_unread_config_param_is_a_usage_error(capsys, tmp_path, kind):
+def test_every_unread_config_param_is_a_usage_error(tmp_path, kind):
     # The config-file twin: a params key the kind lacks, a params kind that
     # names another scheme, and allow_trivial for a kind without trivial
     # boundaries.
@@ -836,11 +793,11 @@ def test_every_unread_config_param_is_a_usage_error(capsys, tmp_path, kind):
         edits.append(({"allow_trivial": True}, "allow_trivial"))
     for edit, key in edits:
         path.write_text(json.dumps({**job, **edit}))
-        code, out, err = run_cli(capsys, ["--config", str(path)])
+        code, out, err = run(["--config", str(path)])
         flag = "--" + key.replace("_", "-")
         assert (code, out, err) == (1, "", f"usage error: scheme {kind} takes no {flag}\n")
     path.write_text(json.dumps({**job, "params": {**values, "kind": kind}}))
-    assert run_cli(capsys, ["--config", str(path)])[0] == 0
+    assert run(["--config", str(path)])[0] == 0
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -864,8 +821,8 @@ def test_every_unread_config_param_is_a_usage_error(capsys, tmp_path, kind):
     (COMPARE + ["--p2", "0.5"], "--p2"),
     (SWEEP_MIXED + ["--gr", "gamma=0.1:0.2:0.1"], "--gr"),
 ])
-def test_flags_exiting_0_before_are_usage_errors(capsys, argv, flag):
-    code, out, err = run_cli(capsys, argv)
+def test_flags_exiting_0_before_are_usage_errors(argv, flag):
+    code, out, err = run(argv)
     assert (code, out) == (1, "") and err.count("\n") == 1, err
     assert err.startswith("usage error: ") and flag in err, err
 

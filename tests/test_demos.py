@@ -5,17 +5,13 @@ of that text is compared with the stored one.  The demos are seeded, so
 their output is fixed; a demo that prints differently has changed what
 the library computes or how it formats it.
 """
-import contextlib
-import hashlib
-import io
-import json
 import runpy
-from pathlib import Path
 
+import goldens
 import pytest
 
-DEMOS = Path(__file__).parent.parent / "demos"
-GOLDEN = json.loads((Path(__file__).parent / "golden_demos.json").read_text())
+DEMOS = goldens.HERE.parent / "demos"
+GOLDEN = goldens.load("golden_demos.json")
 
 
 def test_every_demo_is_pinned():
@@ -24,7 +20,5 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_demo_output(name):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(DEMOS / name), run_name="__main__")
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
+    _, out, _ = goldens.captured(runpy.run_path, str(DEMOS / name), run_name="__main__")
+    goldens.same(goldens.sha(out), GOLDEN[name], f"the {name} stdout sha256")

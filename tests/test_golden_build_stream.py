@@ -12,22 +12,15 @@ sha256 of the readouts ``run`` and ``validate`` print (pipeline success,
 unitarity and completeness residuals, the confusion matrix), for the
 built scheme and for the scheme reloaded from that JSON text.
 """
-import hashlib
 import json
-from pathlib import Path
 
+import goldens
 import pytest
 
 from statedisc import serialize
 from statedisc.schemes import SCHEME_KINDS
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_build_stream.json").read_text())
-
-COMPLEX_INPUTS = {"c_plus", "c_minus", "g01", "g12", "g20"}
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+GOLDEN = goldens.load("golden_build_stream.json")
 
 
 def _readout(s) -> str:
@@ -36,7 +29,7 @@ def _readout(s) -> str:
 
 
 def _pins(s, text: str) -> tuple:
-    return _sha(text), repr(s.pipeline_success), _sha(_readout(s))
+    return goldens.sha(text), repr(s.pipeline_success), goldens.sha(_readout(s))
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
@@ -44,16 +37,12 @@ def test_build_and_reload_stream(kind):
     build = SCHEME_KINDS[kind].build
     assert len(GOLDEN[kind]) >= 60
     for k, ref in enumerate(GOLDEN[kind]):
-        values = {
-            name: serialize.complex_from_json(v) if name in COMPLEX_INPUTS else v
-            for name, v in ref["values"].items()
-        }
-        scheme = build(values, ref["priors"], ref["allow_trivial"])
+        scheme = build(goldens.decode(ref["values"]), ref["priors"], ref["allow_trivial"])
         text = json.dumps(serialize.scheme_to_json(scheme))
         want = (ref["json_sha256"], ref["pipeline_success"], ref["readout_sha256"])
-        assert _pins(scheme, text) == want, f"{kind} draw {k} built"
+        goldens.same(_pins(scheme, text), want, f"{kind} draw {k} built")
         reloaded = serialize.scheme_from_json(json.loads(text))
         again = json.dumps(serialize.scheme_to_json(reloaded))
         want = (ref["reload_json_sha256"], ref["reload_pipeline_success"],
                 ref["reload_readout_sha256"])
-        assert _pins(reloaded, again) == want, f"{kind} draw {k} reloaded"
+        goldens.same(_pins(reloaded, again), want, f"{kind} draw {k} reloaded")

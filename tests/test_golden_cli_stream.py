@@ -14,36 +14,21 @@ required flag is sometimes left out.
 Per argv the outcome is the exit code and the sha256 of stdout and of
 stderr.  The file pins one sha256 over the argv of the whole stream, one
 digest of the outcomes of each chunk of 256 argv, the count of each exit
-code, and the count of each ``error: <Code>`` line.  On a mismatch the
-test names the chunk and prints its argv with their current outcomes.
+code, and the count of each ``error: <Code>`` line.
 
 Write the file with ``PYTHONPATH=src python3 tests/test_golden_cli_stream.py``.
 """
-import contextlib
-import hashlib
-import io
 import json
 import random
 from collections import Counter
-from pathlib import Path
 
-from statedisc import cli
+import goldens
 
-PATH = Path(__file__).parent / "golden_cli_stream.json"
+from statedisc.schemes import SCHEME_KINDS
+
+PATH = goldens.HERE / "golden_cli_stream.json"
 SEED = 2026
 PER_COMMAND = 256
-CHUNK = 256
-
-#: n_priors, inputs, sweepable inputs and whether --allow-trivial is read,
-#: per scheme kind.
-KINDS = {
-    "rra": (2, ("overlap", "c_plus", "c_minus"), (), False),
-    "mixed-special": (3, ("gamma",), ("gamma",), True),
-    "mixed-general": (3, ("gamma", "alpha"), ("gamma", "alpha"), True),
-    "unambiguous-special": (3, ("gamma", "x0", "x1"), ("gamma", "x0", "x1"), False),
-    "zero-aux": (3, ("g01", "g12", "g20"), (), False),
-}
-COMPLEX = {"c_plus", "c_minus", "g01", "g12", "g20"}
 #: Wild text for any number flag.
 WILD_REAL = ["nan", "NaN", "inf", "-inf", "Infinity", "1e308", "-1e308", "1e999",
              "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-320", "2", "-3",
@@ -58,20 +43,9 @@ ACTIONS = ("validate", "run", "dump", "simulate", "sweep", "compare")
 
 def _near(rng: random.Random, kind: str) -> dict:
     """Inputs near one that builds, from which a wild value may stand out."""
-    u = [rng.uniform(0.6, 1.3) for _ in range(3)]
-    if kind == "rra":  # overlap = c_plus c_minus
-        c_plus, c_minus = 0.7 * u[0] * rng.choice((1, -1)), 0.4 * u[1]
-        values = {"overlap": c_plus * c_minus, "c_plus": c_plus, "c_minus": c_minus}
-    elif kind == "zero-aux":  # g01 = conj(g12 g20)
-        g12 = 0.3 * u[0] * complex(1.0, rng.uniform(-0.3, 0.3))
-        g20 = 0.2 * u[1] * complex(1.0, rng.uniform(-0.3, 0.3))
-        values = {"g01": (g12 * g20).conjugate(), "g12": g12, "g20": g20}
-    else:
-        base = {"gamma": 0.5, "alpha": 0.2, "x0": 0.6, "x1": 0.6}
-        values = {k: base[k] * u[i] for i, k in enumerate(KINDS[kind][1])}
-    n_priors = KINDS[kind][0]
-    raw = [rng.uniform(0.6, 1.4) * p for p in ((0.6, 0.4) if n_priors == 2
-                                                else (0.3, 0.3, 0.4))]
+    values = goldens.near_values(rng, kind)
+    centre = (0.6, 0.4) if SCHEME_KINDS[kind].n_priors == 2 else (0.3, 0.3, 0.4)
+    raw = [rng.uniform(0.6, 1.4) * p for p in centre]
     text = {k: repr(v) for k, v in values.items()}
     text["priors"] = ",".join(repr(p / sum(raw)) for p in raw)
     if rng.random() < 0.2:
@@ -103,7 +77,7 @@ def _complex(rng: random.Random, radius: float) -> str:
 
 
 def _input(rng: random.Random, key: str) -> str:
-    if key in COMPLEX:
+    if goldens.INPUT_TYPES[key] is complex:
         return _complex(rng, 1.2 if key.startswith("c_") else 0.5)
     lo, hi = {"gamma": (-1.0, 1.0), "alpha": (-1.0, 1.0), "x0": (-0.2, 1.2),
               "x1": (-0.2, 1.2), "overlap": (-1.1, 1.1)}[key]
@@ -146,19 +120,19 @@ def _flag(argv: list, key: str, value: str, rng: random.Random):
 
 
 def _scheme_flags(rng: random.Random, argv: list, kind: str, skip=()):
-    n_priors, inputs, _, trivial = KINDS[kind]
+    spec = SCHEME_KINDS[kind]
     if rng.random() < 0.5:
         near = _near(rng, kind)
         optional = [(k, v) for k, v in near.items() if k not in skip]
     else:
-        optional = [("priors", _priors(rng, n_priors))]
-        optional += [(k, _input(rng, k)) for k in inputs if k not in skip]
+        optional = [("priors", _priors(rng, spec.n_priors))]
+        optional += [(k, _input(rng, k)) for k in spec.inputs if k not in skip]
     rng.shuffle(optional)
     if rng.random() < 0.08:
         optional.pop()  # leave a required flag out
     for key, value in optional:
         _flag(argv, key, value, rng)
-    if trivial and rng.random() < 0.3:
+    if spec.trivial and rng.random() < 0.3:
         argv.append("--allow-trivial")
 
 
@@ -175,17 +149,17 @@ def make_argv(rng: random.Random, command: str) -> list:
         if rng.random() < 0.4:
             _flag(argv, "p2_min", _real(rng, -0.1, 1.0), rng)
     elif command == "sweep":
-        sweepable = [k for k, v in KINDS.items() if v[2]]
-        kind = rng.choice(sweepable * 4 + list(KINDS))
+        sweepable = [k for k, v in SCHEME_KINDS.items() if v.sweepable]
+        kind = rng.choice(sweepable * 4 + list(SCHEME_KINDS))
         _flag(argv, "scheme", kind, rng)
-        params = KINDS[kind][2] or KINDS[kind][1]
+        params = SCHEME_KINDS[kind].sweepable or SCHEME_KINDS[kind].inputs
         param = rng.choice(params) if rng.random() < 0.92 else "alpha"
         _scheme_flags(rng, argv, kind, skip=(param,))
         _flag(argv, "grid", f"{param}={_range(rng, -1.0, 1.0, 4)}", rng)
     else:
-        kind = rng.choice(list(KINDS)) if rng.random() < 0.97 else "mixed"
+        kind = rng.choice(list(SCHEME_KINDS)) if rng.random() < 0.97 else "mixed"
         _flag(argv, "scheme", kind, rng)
-        _scheme_flags(rng, argv, kind if kind in KINDS else "mixed-special")
+        _scheme_flags(rng, argv, kind if kind in SCHEME_KINDS else "mixed-special")
         if command == "simulate":
             _flag(argv, "n", _int(rng, 1, 500), rng)
             if rng.random() < 0.7:
@@ -205,49 +179,36 @@ def stream() -> list:
             for _ in range(PER_COMMAND) for command in ACTIONS]
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def outcome(argv: list) -> tuple:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, _sha(out.getvalue()), _sha(err.getvalue()), err.getvalue()
-
-
-def summarize(argvs: list) -> dict:
-    outcomes = [outcome(argv) for argv in argvs]
-    codes = Counter(str(code) for code, *_ in outcomes)
-    errors = Counter(err.split(":")[1].strip() for code, _, _, err in outcomes
-                     if code == 2)
+def summarize(argvs: list, results: list) -> dict:
+    """The file's summary of ``argvs`` and their ``goldens.run`` results."""
+    codes = Counter(str(code) for code, _, _ in results)
+    errors = Counter(err.split(":")[1].strip() for code, _, err in results if code == 2)
     return {
         "seed": SEED,
-        "argv_sha256": _sha(json.dumps(argvs)),
-        "chunk_sha256": [
-            _sha(json.dumps([o[:3] for o in outcomes[i : i + CHUNK]]))
-            for i in range(0, len(outcomes), CHUNK)
-        ],
+        "argv_sha256": goldens.sha(json.dumps(argvs)),
+        "chunk_sha256": goldens.chunk_sha256(_pinned(results)),
         "exit_codes": dict(sorted(codes.items())),
         "error_codes": dict(sorted(errors.items())),
     }
 
 
+def _pinned(results: list) -> list:
+    """Each result as the file pins it: exit code, stdout and stderr sha256."""
+    return [(code, goldens.sha(out), goldens.sha(err)) for code, out, err in results]
+
+
 def test_cli_stream():
-    golden = json.loads(PATH.read_text())
+    golden = goldens.load(PATH.name)
     argvs = stream()
     assert len(argvs) >= 1500
-    assert _sha(json.dumps(argvs)) == golden["argv_sha256"], "the argv stream moved"
-    now = summarize(argvs)
-    for k, (want, got) in enumerate(zip(golden["chunk_sha256"], now["chunk_sha256"])):
-        if want != got:
-            lines = []
-            for argv in argvs[k * CHUNK : (k + 1) * CHUNK]:
-                code, _, _, err = outcome(argv)
-                lines.append(f"{argv} -> {code} {err!r}")
-            raise AssertionError(f"chunk {k} moved:\n" + "\n".join(lines))
-    assert now == golden
+    goldens.same(goldens.sha(json.dumps(argvs)), golden["argv_sha256"], "the argv stream")
+    results = [goldens.run(argv) for argv in argvs]
+    goldens.check_chunks("the CLI stream", golden["chunk_sha256"], _pinned(results),
+                         lambda i: f"{argvs[i]} -> {results[i][0]} {results[i][2]!r}")
+    goldens.same(summarize(argvs, results), golden, "the CLI stream summary")
 
 
 if __name__ == "__main__":
-    PATH.write_text(json.dumps(summarize(stream()), indent=1) + "\n")
+    argvs = stream()
+    PATH.write_text(json.dumps(summarize(argvs, [goldens.run(a) for a in argvs]), indent=1)
+                    + "\n")

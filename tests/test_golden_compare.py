@@ -9,11 +9,10 @@ inputs) it holds every record's and every skipped point's field values.
 Field values are compared through ``json.dumps``, which writes floats
 with ``repr``: equal text is equal bits, ``-0.0`` and NaN included.
 """
-import hashlib
 import json
 import re
-from pathlib import Path
 
+import goldens
 import numpy as np
 import pytest
 
@@ -21,19 +20,17 @@ from statedisc import cli
 from statedisc.montecarlo import sweep
 from statedisc.serialize import CSV_HEADER
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_compare.json").read_text())
+GOLDEN = goldens.load("golden_compare.json")
 PER_CODE = re.compile(r"^ \(((?:\w+: \d+)(?:, \w+: \d+)*)\)$")
 
 
 @pytest.mark.parametrize("case", GOLDEN["cli"], ids=lambda c: c["name"])
-def test_compare_stdout_and_summary(capsys, case):
-    code = cli.main(list(case["argv"]))
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == case["stdout_sha256"]
+def test_compare_stdout_and_summary(case):
+    out, err = goldens.ok(case["argv"])
+    goldens.same(goldens.sha(out), case["stdout_sha256"], f"the {case['name']} stdout sha256")
     # The fields of the summary are unchanged; per-code skip counts follow
     # them when points were skipped.
-    summary = captured.err.strip()
+    summary = err.strip()
     assert summary.startswith(case["summary"])
     skipped = int(case["summary"].rsplit("skipped: ", 1)[1])
     rest = summary[len(case["summary"]):]
@@ -65,51 +62,44 @@ def test_sweep_records_and_skipped(check):
          grid.error(i).code]
         for i in np.flatnonzero(grid.code).tolist()
     ]
-    assert json.dumps(records) == json.dumps(ref["records"])
-    assert json.dumps(skipped) == json.dumps(ref["skipped"])
+    goldens.same(json.dumps(records), json.dumps(ref["records"]), f"the {check} records")
+    goldens.same(json.dumps(skipped), json.dumps(ref["skipped"]), f"the {check} skipped points")
 
 
 #: Block sizes of one point, a size that divides no row, and the whole grid.
 BLOCKS = [1, 7, 2**30]
 
 
-def _compare(capsys, argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    return captured.out, captured.err
-
-
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("case", GOLDEN["cli"], ids=lambda c: c["name"])
-def test_block_edges_do_not_change_output(capsys, monkeypatch, case, block):
-    want = _compare(capsys, case["argv"])
+def test_block_edges_do_not_change_output(monkeypatch, case, block):
+    want = goldens.ok(case["argv"])
     monkeypatch.setattr(cli, "_BLOCK", block)
-    out, err = _compare(capsys, case["argv"])
-    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+    out, err = goldens.ok(case["argv"])
+    goldens.same(goldens.sha(out), case["stdout_sha256"], f"the {case['name']} stdout sha256")
     assert err.startswith(case["summary"])
     assert (out, err) == want
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-def test_block_edges_do_not_change_the_output_file(capsys, monkeypatch, tmp_path,
-                                                   block):
+def test_block_edges_do_not_change_the_output_file(monkeypatch, tmp_path, block):
     case = GOLDEN["cli"][1]
     monkeypatch.setattr(cli, "_BLOCK", block)
     target = tmp_path / "out"
-    out, err = _compare(capsys, case["argv"] + ["--output", str(target)])
+    out, err = goldens.ok(case["argv"] + ["--output", str(target)])
     assert out == ""
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == case["stdout_sha256"]
+    goldens.same(goldens.sha(target.read_bytes()), case["stdout_sha256"],
+                 f"the {case['name']} output file sha256")
     assert err.startswith(case["summary"])
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("fmt, want", [("json", "[]\n"), ("csv", CSV_HEADER + "\n")])
-def test_a_grid_with_every_point_skipped(capsys, monkeypatch, fmt, want, block):
+def test_a_grid_with_every_point_skipped(monkeypatch, fmt, want, block):
     monkeypatch.setattr(cli, "_BLOCK", block)
-    out, err = _compare(capsys, ["compare", "--theorem", "3.1", "--gamma-grid",
-                                 "1:1.2:0.1", "--format", fmt])
+    out, err = goldens.ok(["compare", "--theorem", "3.1", "--gamma-grid",
+                           "1:1.2:0.1", "--format", fmt])
     assert out == want
     assert err == (
         "points: 0  failures: 0  min margin: n/a  skipped: 426 (InvalidGamma: 426)\n"

@@ -25,28 +25,24 @@ points below the command line; ``golden_cli_stream.json`` pins
 
 Each call runs with every warning raised as an error.  Per input the
 outcome is the exception's class and message, or ``ok`` and the sha256
-of what it built: the ``scheme_to_json`` text of a scheme, the bytes of
-an ensemble's state stack and priors, and the bytes of a POVM's element
-stack with its labels and completeness residual.  Outcomes move only by
-a rule stated here; three have, ``EMPTY_GRAM``, ``NON_SQUARE_POVM`` and
-``OVERFLOW``.
+of what it built: a scheme's ``scheme_to_json`` text, an ensemble's state
+stack and priors, a POVM's element stack, labels and completeness
+residual.  Outcomes move only by the rules ``goldens.declared`` states.
 The file pins, per stream, one sha256 over its inputs, one digest of the
-outcomes of each chunk of 256 inputs and the count of each outcome class.  On a mismatch
-the test names the chunk and prints its inputs with their current
-outcomes.  It also lists each class of ``errors.py`` that neither this
-file nor the CLI stream reaches, and why.
+outcomes of each chunk of 256 inputs and the count of each outcome class,
+and lists each class of ``errors.py`` that neither this file nor the CLI
+stream reaches, and why.
 
 Write the file with ``PYTHONPATH=src python3 tests/test_golden_error_stream.py``.
 """
-import hashlib
-import itertools
+import functools
 import json
 import math
 import random
 import warnings
 from collections import Counter
-from pathlib import Path
 
+import goldens
 import numpy as np
 
 from statedisc import errors, serialize
@@ -54,10 +50,8 @@ from statedisc.measurement import OutcomeLabel, Povm
 from statedisc.schemes import SCHEME_KINDS
 from statedisc.states import states_from_gram
 
-HERE = Path(__file__).parent
-PATH = HERE / "golden_error_stream.json"
+PATH = goldens.HERE / "golden_error_stream.json"
 SEED = 2022
-CHUNK = 256
 PER_KIND = 1024
 LOADS = 1280
 GRAMS = 6144
@@ -78,37 +72,6 @@ UNREACHED = {
                     "which no stream calls",
 }
 
-#: The first declared move since capture: (the outcome of a 0 x 0 overlap
-#: matrix now, the outcome the file pins for it).  linalg.hermitian_eig
-#: rejects the empty matrix before numpy's raw ValueError can escape.  A
-#: 1 x 0 or 0 x 1 matrix fails the square check first, as it did.
-EMPTY_GRAM = (
-    ("DimensionMismatchError", "expected a non-empty matrix, got (0, 0)"),
-    ("ValueError", "zero-size array to reduction operation minimum which has no identity"),
-)
-
-#: The second: (the outcome of a POVM whose first element is not square
-#: now, with that element's shape, the outcome the file pins for it).  Povm
-#: checks that element's own shape before it compares the others with it.
-#: The Povm stream's one-element [np.ones((dim, dim + 1))] inputs move, and
-#: the scheme_from_json dumps cut by a row of their first POVM element.
-NON_SQUARE_POVM = (
-    ("DimensionMismatchError", "POVM element {} is not square"),
-    ("DimensionMismatchError", "POVM elements differ in dimension"),
-)
-
-#: The third: (the outcome of an input now when its Hermiticity residual
-#: overflowed, the form of the outcome the file pins for it).  The file
-#: was captured while an entry near the float maximum overflowed h - h^dag,
-#: its norm or the mean (h + h^dag) / 2 with a RuntimeWarning, which
-#: ``_overflow`` replays.  Now an overflowed residual is inf, and fails;
-#: a mean that overflows is taken by halves, and the input raises the
-#: domain error that follows from it: not PSD, diagonal or completeness.
-OVERFLOW = (
-    ("NotHermitianError", "Hermiticity residual inf exceeds 1e-09"),
-    ("RuntimeWarning", "overflow encountered in {}"),
-)
-
 NAN, INF = float("nan"), float("inf")
 WILD_REAL = [NAN, INF, -INF, 1e308, -1e308, 5e-324, -5e-324,
              2.2250738585072014e-308, 1e-320, 1e16, -1e-16, 2.0, -3.0,
@@ -119,30 +82,11 @@ WILD_COMPLEX = [complex(NAN, NAN), complex(INF, 0.0), 0.5j, 0.3 + 0.4j,
                 0.99999999999999 + 0j, complex(0.3, NAN)]
 #: Complex values handed to a real input.
 COMPLEX_FOR_REAL = [0.5 + 0j, 0.3j, 0.5 + 1e-17j, complex(NAN, 0.0), -0.2 + 0j]
-COMPLEX_INPUTS = {"c_plus", "c_minus", "g01", "g12", "g20"}
 WINDOWS = {"gamma": (-1.0, 1.0), "alpha": (-1.0, 1.0), "x0": (-0.2, 1.2),
            "x1": (-0.2, 1.2), "overlap": (-1.1, 1.1)}
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 # -- builders -----------------------------------------------------------------
-
-def _near(rng: random.Random, kind: str) -> dict:
-    """Inputs near one that builds."""
-    u = [rng.uniform(0.6, 1.3) for _ in range(3)]
-    if kind == "rra":  # overlap = c_plus c_minus
-        c_plus, c_minus = 0.7 * u[0] * rng.choice((1, -1)), 0.4 * u[1]
-        return {"overlap": c_plus * c_minus, "c_plus": c_plus, "c_minus": c_minus}
-    if kind == "zero-aux":  # g01 = conj(g12 g20)
-        g12 = 0.3 * u[0] * complex(1.0, rng.uniform(-0.3, 0.3))
-        g20 = 0.2 * u[1] * complex(1.0, rng.uniform(-0.3, 0.3))
-        return {"g01": (g12 * g20).conjugate(), "g12": g12, "g20": g20}
-    base = {"gamma": 0.5, "alpha": 0.2, "x0": 0.6, "x1": 0.6}
-    return {k: base[k] * u[i] for i, k in enumerate(SCHEME_KINDS[kind].inputs)}
-
 
 def _real(rng: random.Random, lo: float, hi: float):
     roll = rng.random()
@@ -201,7 +145,7 @@ def build_inputs(kind: str) -> list:
                                      else ((0.5, 0.5, 0.0), (1.0, 0.0, 0.0),
                                            (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))))
         elif roll < 0.2:
-            values = _near(rng, kind)
+            values = goldens.near_values(rng, kind)
             if rng.random() < 0.3:
                 key = rng.choice(sorted(values))
                 values[key] = rng.choice(WILD_REAL + WILD_COMPLEX)
@@ -213,7 +157,7 @@ def build_inputs(kind: str) -> list:
         else:
             values = {
                 k: _complex(rng, 1.2 if k.startswith("c_") else 0.5)
-                if k in COMPLEX_INPUTS else _real(rng, *WINDOWS[k])
+                if goldens.INPUT_TYPES[k] is complex else _real(rng, *WINDOWS[k])
                 for k in spec.inputs
             }
             priors = _priors(rng, spec.n_priors)
@@ -224,22 +168,19 @@ def build_inputs(kind: str) -> list:
 def build_outcome(kind: str, arg) -> str:
     values, priors, trivial = arg
     scheme = SCHEME_KINDS[kind].build(dict(values), list(priors), trivial)
-    return _sha(json.dumps(serialize.scheme_to_json(scheme)))
+    return goldens.sha(json.dumps(serialize.scheme_to_json(scheme)))
 
 
 # -- scheme_from_json ---------------------------------------------------------
 
 def _base_dumps() -> list:
     """Dump text of every eighth ``golden_build_stream.json`` draw per kind."""
-    golden = json.loads((HERE / "golden_build_stream.json").read_text())
+    golden = goldens.load("golden_build_stream.json")
     texts = []
     for kind in sorted(golden):
         for ref in golden[kind][::8]:
-            values = {
-                k: serialize.complex_from_json(v) if k in COMPLEX_INPUTS else v
-                for k, v in ref["values"].items()
-            }
-            scheme = SCHEME_KINDS[kind].build(values, ref["priors"], ref["allow_trivial"])
+            scheme = SCHEME_KINDS[kind].build(goldens.decode(ref["values"]), ref["priors"],
+                                              ref["allow_trivial"])
             texts.append(json.dumps(serialize.scheme_to_json(scheme)))
     return texts
 
@@ -337,7 +278,7 @@ def load_inputs() -> list:
 
 def load_outcome(arg) -> str:
     scheme = serialize.scheme_from_json(json.loads(arg[2]))
-    return _sha(json.dumps(serialize.scheme_to_json(scheme)))
+    return goldens.sha(json.dumps(serialize.scheme_to_json(scheme)))
 
 
 # -- states_from_gram ---------------------------------------------------------
@@ -398,7 +339,7 @@ def gram_outcome(arg) -> str:
     _, g, priors = arg
     ens = states_from_gram(g, priors)
     rows = np.array(ens.states)
-    return hashlib.sha256(rows.tobytes() + ens.priors.tobytes()).hexdigest()
+    return goldens.sha(rows.tobytes(), ens.priors.tobytes())
 
 
 # -- Povm ---------------------------------------------------------------------
@@ -415,6 +356,11 @@ def _complete(rng: random.Random, dim: int) -> list:
         else:
             elements.append(m)
     return elements
+
+
+#: Labels are values; each stack shares them.
+_identify = functools.cache(OutcomeLabel.identify)
+_INCONCLUSIVE = OutcomeLabel.inconclusive()
 
 
 def povm_inputs() -> list:
@@ -455,8 +401,8 @@ def povm_inputs() -> list:
         elif roll < 0.68:
             elements = rng.choice(([], [elements[0][0]], [np.ones((dim, dim + 1))]))
             what = "shape"
-        labels = [OutcomeLabel.identify(i) if rng.random() < 0.7
-                  else OutcomeLabel.inconclusive() for i in range(len(elements))]
+        labels = [_identify(i) if rng.random() < 0.7 else _INCONCLUSIVE
+                  for i in range(len(elements))]
         if rng.random() < 0.05:
             labels = labels[:-1] if labels and rng.random() < 0.5 else labels * 2
             what += ", label count"
@@ -468,7 +414,7 @@ def povm_outcome(arg) -> str:
     _, elements, labels = arg
     povm = Povm(tuple(elements), tuple(labels))
     tail = repr((list(map(str, povm.labels)), povm.completeness_residual))
-    return hashlib.sha256(povm.elements.tobytes() + tail.encode()).hexdigest()
+    return goldens.sha(povm.elements.tobytes(), tail)
 
 
 # -- the streams --------------------------------------------------------------
@@ -488,24 +434,30 @@ def input_text(arg) -> str:
     return repr(_plain(arg))
 
 
-def _feed(digest, value):
-    """Add ``value`` to ``digest``: arrays by their bytes, the rest by repr."""
-    if isinstance(value, np.ndarray):
-        digest.update(repr((value.dtype.str, value.shape)).encode())
-        digest.update(value.tobytes())
-    elif isinstance(value, (list, tuple)):
-        digest.update(b"[")
-        for item in value:
-            _feed(digest, item)
-        digest.update(b"]")
-    else:
-        digest.update(repr(_plain(value)).encode())
+@functools.cache
+def _header(dtype: str, shape: tuple) -> bytes:
+    return repr((dtype, shape)).encode()
+
+
+def _pieces(items, out: list) -> list:
+    """``out`` with the digest pieces of the list or tuple ``items`` added:
+    its items in brackets, an array by its dtype, shape and bytes, a list
+    or tuple in turn by its items, and anything else by its repr, a label
+    by the repr of its text."""
+    out.append(b"[")
+    for item in items:
+        if isinstance(item, np.ndarray):
+            out += (_header(item.dtype.str, item.shape), item.tobytes())
+        elif isinstance(item, (list, tuple)):
+            _pieces(item, out)
+        else:
+            out.append(repr(str(item) if isinstance(item, OutcomeLabel) else item))
+    out.append(b"]")
+    return out
 
 
 def inputs_sha256(inputs: list) -> str:
-    digest = hashlib.sha256()
-    _feed(digest, inputs)
-    return digest.hexdigest()
+    return goldens.sha(*_pieces(inputs, []))
 
 
 def streams() -> dict:
@@ -519,97 +471,23 @@ def streams() -> dict:
     return out
 
 
-def _first_povm_shape(call, arg):
-    """The shape of the first POVM element a Povm input or cut dump holds."""
-    if call is povm_outcome and arg[1]:
-        return np.shape(arg[1][0])
-    if call is load_outcome and arg[1] == "cut povm.element":
-        return np.shape(json.loads(arg[2])["povm"]["elements"][0])[:2]
-    return None
-
-
-def _dots(x):
-    return x.ravel().dot(x.ravel())
-
-
-def _overflow(call, arg):
-    """The ``OVERFLOW[1]`` outcome the file pins for a ``states_from_gram``
-    or ``Povm`` input, or None: the RuntimeWarning of the first of h -
-    h^dag, its norm (by dot products for an overlap matrix, by
-    ``np.linalg.norm`` for a POVM stack) and h + h^dag to overflow, on the
-    matrices that the Hermiticity check took."""
-    if call is gram_outcome:
-        mats, norm = [arg[1]], lambda d: _dots(d.real) + _dots(d.imag)
-    elif call is povm_outcome and arg[1] and len(arg[1]) == len(arg[2]):
-        mats, norm = arg[1], lambda d: np.linalg.norm(d, axis=(1, 2))
-    else:
-        return None
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    if any(m.ndim != 2 or not np.isfinite(m).all() for m in mats):
-        return None
-    shape = mats[0].shape
-    if shape[0] != shape[1] or shape[0] == 0:
-        return None
-    stack = np.array(list(itertools.takewhile(lambda m: m.shape == shape, mats)))
-    if not (np.abs(stack.view(np.float64)) >= 1e308).any():
-        return None
-    adjoint = stack.conj().transpose(0, 2, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            norm(stack - adjoint)
-            stack + adjoint
-        except RuntimeWarning as exc:
-            return ("RuntimeWarning", str(exc))
-    return None
-
-
-def run_stream(call, inputs: list) -> list:
-    """The outcome of each input, with every warning raised as an error.
-
-    A ``states_from_gram`` input whose overlap matrix is 0 x 0 must raise
-    ``EMPTY_GRAM[0]``; its outcome is then the ``EMPTY_GRAM[1]`` the file
-    was captured with.  An outcome ``NON_SQUARE_POVM[0]`` must name the
-    shape of the input's first POVM element, and is then the
-    ``NON_SQUARE_POVM[1]`` the file was captured with.  An input for which
-    ``_overflow`` names an overflow of the residual must raise
-    ``OVERFLOW[0]``, and one that names an overflow of the mean another
-    domain error; its outcome is then the one ``_overflow`` names.  Every
-    other outcome is the call's own.
-    """
+def run_stream(name: str, call, inputs: list) -> list:
+    """The outcome the file pins for each input, warnings raised as errors."""
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for arg in inputs:
             try:
-                outcome = ("ok", call(arg))
+                out.append(("ok", call(arg)))
             except Exception as exc:  # every class is an outcome to pin
-                outcome = (type(exc).__name__, str(exc))
-            if call is gram_outcome and np.shape(arg[1]) == (0, 0):
-                assert outcome == EMPTY_GRAM[0], f"{input_text(arg)} -> {outcome}"
-                outcome = EMPTY_GRAM[1]
-            shape = _first_povm_shape(call, arg)
-            if outcome == (NON_SQUARE_POVM[0][0], NON_SQUARE_POVM[0][1].format(shape)):
-                outcome = NON_SQUARE_POVM[1]
-            pinned = _overflow(call, arg)
-            if pinned == (OVERFLOW[1][0], OVERFLOW[1][1].format("add")):
-                assert outcome != OVERFLOW[0] and issubclass(
-                    getattr(errors, outcome[0], type(None)), errors.DiscriminationError
-                ), f"{input_text(arg)} -> {outcome}"
-            elif pinned is not None:
-                assert outcome == OVERFLOW[0], f"{input_text(arg)} -> {outcome}"
-            outcome = pinned or outcome
-            out.append(outcome)
-    return out
+                out.append((type(exc).__name__, str(exc)))
+    return goldens.declared(name, inputs, out, input_text)
 
 
 def summarize(inputs: list, outcomes: list) -> dict:
     return {
         "inputs_sha256": inputs_sha256(inputs),
-        "chunk_sha256": [
-            _sha(json.dumps(outcomes[i : i + CHUNK]))
-            for i in range(0, len(outcomes), CHUNK)
-        ],
+        "chunk_sha256": goldens.chunk_sha256(outcomes),
         "outcomes": dict(sorted(Counter(o[0] for o in outcomes).items())),
     }
 
@@ -623,7 +501,7 @@ def _domain_codes() -> set:
 def capture() -> dict:
     golden = {"seed": SEED, "streams": {}}
     for name, (inputs, call) in streams().items():
-        golden["streams"][name] = summarize(inputs, run_stream(call, inputs))
+        golden["streams"][name] = summarize(inputs, run_stream(name, call, inputs))
     golden["unreached"] = UNREACHED
     return golden
 
@@ -635,17 +513,13 @@ def test_error_stream():
     for name, (inputs, call) in streams().items():
         want = golden["streams"][name]
         total += len(inputs)
-        outcomes = run_stream(call, inputs)
+        outcomes = run_stream(name, call, inputs)
         now = summarize(inputs, outcomes)
-        assert now["inputs_sha256"] == want["inputs_sha256"], f"the {name} inputs moved"
-        for k, (digest, got) in enumerate(zip(want["chunk_sha256"], now["chunk_sha256"])):
-            if got != digest:
-                lines = [f"{input_text(arg)} -> {o}" for arg, o in
-                         zip(inputs[k * CHUNK : (k + 1) * CHUNK],
-                             outcomes[k * CHUNK : (k + 1) * CHUNK])]
-                raise AssertionError(f"{name} chunk {k} moved:\n" + "\n".join(lines))
-        assert now == want
-    cli = json.loads((HERE / "golden_cli_stream.json").read_text())
+        goldens.same(now["inputs_sha256"], want["inputs_sha256"], f"the {name} inputs")
+        goldens.check_chunks(name, want["chunk_sha256"], outcomes,
+                             lambda i: f"{input_text(inputs[i])} -> {outcomes[i]}")
+        goldens.same(now, want, f"the {name} summary")
+    cli = goldens.load("golden_cli_stream.json")
     assert total + sum(cli["exit_codes"].values()) >= 20000
     reached = set(cli["error_codes"])
     for stream in golden["streams"].values():

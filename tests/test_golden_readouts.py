@@ -12,10 +12,8 @@ The same inputs check the stored readout of each built scheme against a
 fresh, independent run of the pipeline on its operators.
 """
 import dataclasses
-import hashlib
-import json
-from pathlib import Path
 
+import goldens
 import numpy as np
 import pytest
 
@@ -23,43 +21,24 @@ from statedisc import cli, linalg, measurement, schemes
 from statedisc.montecarlo import brute_force_success
 from statedisc.schemes import SCHEME_KINDS
 
-HERE = Path(__file__).parent
-READOUTS = json.loads((HERE / "golden_readouts.json").read_text())
+READOUTS = goldens.load("golden_readouts.json")
+#: The flags of every input of ``golden.json`` and ``golden_branches.json``.
+INPUTS = {case: flags for case, (flags, _) in goldens.dump_inputs().items()}
 #: The pinned readouts of each golden input, with their extra flags.
 COMMANDS = {"run": [], "run csv": ["--format", "csv"], "validate": []}
-
-
-def golden_inputs() -> dict:
-    """Flags of every input of the dump goldens, each naming its scheme."""
-    kinds = json.loads((HERE / "golden.json").read_text())
-    branches = json.loads((HERE / "golden_branches.json").read_text())
-    inputs = {k: ["--scheme", k, *ref["flags"]] for k, ref in kinds.items()}
-    inputs.update((k, ref["flags"]) for k, ref in branches.items())
-    return inputs
-
-
-def _cli(capsys, argv):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    return captured
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def readout_argvs() -> dict:
     """The argv of each pinned ``run``/``validate`` readout, by case name."""
     return {
         f"{label} {name}": [label.split()[0], *flags, *extra]
-        for name, flags in golden_inputs().items()
+        for name, flags in INPUTS.items()
         for label, extra in COMMANDS.items()
     }
 
 
 def test_every_golden_input_and_sweepable_kind_is_pinned():
-    assert len(golden_inputs()) == 17
+    assert len(INPUTS) == 17
     pinned = {k: ref["argv"] for k, ref in READOUTS["commands"].items()}
     assert pinned == readout_argvs()
     swept = {ref["argv"][ref["argv"].index("--scheme") + 1]
@@ -68,18 +47,19 @@ def test_every_golden_input_and_sweepable_kind_is_pinned():
 
 
 @pytest.mark.parametrize("case", sorted(READOUTS["commands"]))
-def test_command_stdout_bytes(capsys, case):
+def test_command_stdout_bytes(case):
     ref = READOUTS["commands"][case]
-    assert _sha(_cli(capsys, ref["argv"]).out) == ref["stdout_sha256"]
+    out, _ = goldens.ok(ref["argv"])
+    goldens.same(goldens.sha(out), ref["stdout_sha256"], f"the {case} stdout sha256")
 
 
 @pytest.mark.parametrize("case", sorted(READOUTS["sweep"]))
-def test_sweep_stdout_bytes_and_summary(capsys, case):
+def test_sweep_stdout_bytes_and_summary(case):
     ref = READOUTS["sweep"][case]
     for fmt in ("csv", "json"):
-        captured = _cli(capsys, [*ref["argv"], "--format", fmt])
-        assert _sha(captured.out) == ref[f"{fmt}_sha256"]
-        assert captured.err == ref["stderr"]
+        out, err = goldens.ok([*ref["argv"], "--format", fmt])
+        goldens.same(goldens.sha(out), ref[f"{fmt}_sha256"], f"the {case} {fmt} sha256")
+        assert err == ref["stderr"]
 
 
 def _scheme(flags) -> schemes.Scheme:
@@ -87,9 +67,9 @@ def _scheme(flags) -> schemes.Scheme:
     return cli._build_scheme(cli._merge_config(args))
 
 
-@pytest.mark.parametrize("case", sorted(golden_inputs()))
+@pytest.mark.parametrize("case", sorted(INPUTS))
 def test_stored_readout_is_a_fresh_pipeline_run_bit_for_bit(case):
-    s = _scheme(golden_inputs()[case])
+    s = _scheme(INPUTS[case])
     fresh = measurement.pure_confusion(schemes._coupled_vectors(s), s.povm)
     assert s.confusion.shape == fresh.shape
     assert s.confusion.tobytes() == fresh.tobytes()

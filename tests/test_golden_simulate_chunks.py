@@ -9,44 +9,42 @@ JSON.  Floats round-trip through JSON exactly, so comparing parsed values
 is comparing bytes.
 """
 import json
-from pathlib import Path
 
+import goldens
 import pytest
 
-from statedisc import cli, montecarlo
+from statedisc import montecarlo
 from statedisc.schemes import build_mixed_special
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_simulate_chunks.json").read_text())
+GOLDEN = goldens.load("golden_simulate_chunks.json")
 CASES = GOLDEN["cases"]
 
 
-def _simulate(capsys, case):
-    argv = ["simulate", "--scheme", case["kind"], *case["flags"],
-            "--n", str(case["n"]), "--seed", str(case["seed"]),
-            "--shards", str(case["shards"])]
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    return json.loads(captured.out)
+def _id(case) -> str:
+    return f"{case['kind']}-n{case['n']}-s{case['shards']}-seed{case['seed']}"
+
+
+def _check_tallies(case, what=""):
+    out, _ = goldens.ok(["simulate", "--scheme", case["kind"], *case["flags"],
+                         "--n", str(case["n"]), "--seed", str(case["seed"]),
+                         "--shards", str(case["shards"])])
+    goldens.same(json.loads(out), case["simulate"], f"the {_id(case)} tallies{what}")
 
 
 def test_golden_chunk_matches_the_constant():
     assert GOLDEN["chunk"] == montecarlo._CHUNK
 
 
-@pytest.mark.parametrize(
-    "case", CASES,
-    ids=[f"{c['kind']}-n{c['n']}-s{c['shards']}-seed{c['seed']}" for c in CASES],
-)
-def test_tallies_around_chunk_edges(capsys, case):
-    assert _simulate(capsys, case) == case["simulate"]
+@pytest.mark.parametrize("case", CASES, ids=_id)
+def test_tallies_around_chunk_edges(case):
+    _check_tallies(case)
 
 
 @pytest.mark.parametrize("chunk", [1000, 4097])
-def test_golden_tallies_do_not_depend_on_the_chunk(capsys, monkeypatch, chunk):
+def test_golden_tallies_do_not_depend_on_the_chunk(monkeypatch, chunk):
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     for case in CASES:
-        assert _simulate(capsys, case) == case["simulate"]
+        _check_tallies(case, f" at chunk {chunk}")
 
 
 @pytest.mark.parametrize("shards", [1, 3])

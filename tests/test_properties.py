@@ -1,7 +1,6 @@
 """Property tests over the whole input domain, non-finite values included."""
 import contextlib
 import dataclasses
-import io
 import json
 import math
 from types import SimpleNamespace
@@ -10,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from dense_oracles import dense_family_grid_guard, dense_symmetric_grid
+from goldens import run
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -118,18 +118,11 @@ def test_row_wise_oracles_equal_the_dense_mesh(gamma, overlap, p, refine):
     ), args
 
 
-def _main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
-
-
 def _compare(argv):
     # A lower point bound keeps each drawn run small; grids above it take
     # the same usage-error path as grids above the real bound.
     with mock.patch.object(cli, "MAX_COMPARE_POINTS", 20_000):
-        return _main(argv)
+        return run(argv)
 
 
 @SETTINGS
@@ -143,9 +136,9 @@ def _compare(argv):
 def test_compare_gamma_grid_never_tracebacks(theorem, slot, value, other):
     parts = [other, other + 0.3, 0.1]
     parts[slot] = value
-    code, err = _compare(["compare", "--theorem", theorem,
-                          "--gamma-grid=" + ":".join(repr(v) for v in parts),
-                          "--prior-step", "0.5"])
+    code, _, err = _compare(["compare", "--theorem", theorem,
+                             "--gamma-grid=" + ":".join(repr(v) for v in parts),
+                             "--prior-step", "0.5"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -153,8 +146,8 @@ def test_compare_gamma_grid_never_tracebacks(theorem, slot, value, other):
 @SETTINGS
 @given(st.sampled_from(["2.1", "3.1"]), any_float)
 def test_compare_prior_step_never_tracebacks(theorem, step):
-    code, err = _compare(["compare", "--theorem", theorem,
-                          "--gamma-grid", "0.1:0.2:0.1", "--prior-step", repr(step)])
+    code, _, err = _compare(["compare", "--theorem", theorem,
+                             "--gamma-grid", "0.1:0.2:0.1", "--prior-step", repr(step)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -440,7 +433,7 @@ def _builder_commands(draw):
 @example(["validate", "--scheme", "zero-aux", "--g01", "0.5", "--g12", "0",
           "--g20", "0", "--priors", "0.3,0.3,0.4"])
 def test_builder_flags_never_traceback(argv):
-    code, err = _main(argv)
+    code, _, err = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert "np." not in err, err
@@ -464,7 +457,7 @@ def test_sweep_flags_never_traceback(kind, data):
     # A lower bound keeps each drawn grid small; grids above it take the
     # same usage-error path as grids above the real bound.
     with mock.patch.object(cli, "MAX_COMPARE_POINTS", 24):
-        code, err = _main(argv)
+        code, _, err = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -488,7 +481,7 @@ def _number_text(usual, lo=None, hi=None):
 def test_simulate_flags_never_traceback(kind, data, n, seed, shards):
     argv = _builder_argv("simulate", kind, data.draw)
     argv += [f"--n={n}", f"--seed={seed}", f"--shards={shards}"]
-    code, err = _main(argv)
+    code, _, err = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
