@@ -107,8 +107,8 @@ def _openblas_core() -> str:
             corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return (corename() or b"unknown").decode()
     return "unknown"
 
 
