@@ -514,7 +514,7 @@ def right_classicality_check(
     """
     if isinstance(rho, DensityMatrix):
         rho = rho.matrix
-    rho = linalg.as_cmatrix(rho)
+    rho = linalg.as_complex(rho, 2)
     if dim_system < 1 or dim_ancilla < 1:
         raise DimensionMismatchError("factor dimensions must be positive")
     if rho.shape != (dim_system * dim_ancilla, dim_system * dim_ancilla):

@@ -67,7 +67,7 @@ class Povm:
     completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        elements = tuple(linalg.as_cmatrix(m) for m in self.elements)
+        elements = tuple(linalg.as_complex(m, 2) for m in self.elements)
         labels = tuple(self.labels)
         if not elements:
             raise DimensionMismatchError("POVM needs at least one element")
@@ -120,10 +120,9 @@ def _check_positive(stack: np.ndarray):
     """Raise at the first element that is not Hermitian, or else not PSD.
 
     Entries near the float maximum are taken as in
-    ``linalg.hermitian_eig``; the NaN that an overflow makes in the norm
-    lands in the imaginary part of conj(x) * x, which it drops."""
+    ``linalg.hermitian_eig``: an overflowed residual is inf."""
     adjoint = stack.conj().transpose(0, 2, 1)
-    herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
+    herm = linalg._frobenius_each(stack - adjoint)
     low = np.linalg.eigvalsh(linalg._hermitian_mean(stack, adjoint)).min(axis=1)
     for k in np.flatnonzero((herm > tol.HERMITIAN) | (low < -tol.PSD))[:1]:
         if herm[k] > tol.HERMITIAN:
@@ -159,7 +158,7 @@ def pure_confusion(vectors, povm: Povm) -> np.ndarray:
             f"POVM dim {povm.dim} vs state vectors of shape {w.shape}"
         )
     # Each test is written so that NaN fails it.
-    norms = np.sqrt(np.vecdot(w, w).real)
+    norms = linalg._frobenius_each(w)
     if not np.abs(norms - 1.0).max() <= tol.NORM:
         raise InvariantViolationError(f"state norms {norms!r} differ from 1")
     conf = np.einsum("id,xde,ie->ix", w.conj(), povm.elements, w).real

@@ -137,7 +137,7 @@ class Scheme:
     def __post_init__(self):
         if self.ancilla_dim < 1:
             raise DimensionMismatchError(f"ancilla dim {self.ancilla_dim} < 1")
-        u = linalg.as_cmatrix(self.coupling)
+        u = linalg.as_complex(self.coupling, 2)
         joint = self.ensemble.dim * self.ancilla_dim
         if u.shape != (joint, joint):
             raise DimensionMismatchError(

@@ -50,35 +50,19 @@ def _pairs_to_json(a) -> list:
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
-def _regular_pairs(rows, ndim: int):
+def _pairs_from_json(rows, ndim: int) -> np.ndarray:
     """Complex array of ``ndim`` dimensions from nested ``[re, im]`` pairs,
-    bits kept, or ``None`` unless they are only numbers in that shape: the
-    loaders then go pair by pair and raise as ``complex_from_json`` does."""
+    bits kept.  Unless they are only numbers in that shape, it reads each
+    row with ``ndim - 1``, down to pair by pair, and raises as
+    ``complex_from_json`` does."""
     try:
         a = np.array(rows)
     except (TypeError, ValueError):  # ragged
-        return None
-    if a.dtype.kind not in "biuf" or a.shape[ndim:] != (2,):
-        return None
-    return a.astype(np.float64).view(np.complex128)[..., 0]
-
-
-def vector_from_json(rows) -> np.ndarray:
-    a = _regular_pairs(rows, 1)
-    if a is None:
-        a = np.array([complex_from_json(p) for p in rows], dtype=np.complex128)
-    return a
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return _pairs_to_json(m)
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    a = _regular_pairs(rows, 2)
-    if a is None:
-        a = np.array([vector_from_json(row) for row in rows], dtype=np.complex128)
-    return a
+        a = None
+    if a is not None and a.dtype.kind in "biuf" and a.shape[ndim:] == (2,):
+        return a.astype(np.float64).view(np.complex128)[..., 0]
+    read = complex_from_json if ndim == 1 else (lambda r: _pairs_from_json(r, ndim - 1))
+    return np.array([read(r) for r in rows], dtype=np.complex128)
 
 
 def ensemble_to_json(ens: Ensemble) -> dict:
@@ -86,7 +70,7 @@ def ensemble_to_json(ens: Ensemble) -> dict:
 
 
 def ensemble_from_json(data) -> Ensemble:
-    return Ensemble((vector_from_json(v) for v in data["states"]), data["priors"])
+    return Ensemble((_pairs_from_json(v, 1) for v in data["states"]), data["priors"])
 
 
 #: An index of at most 18 digits, which ``int`` reads whatever its digit limit.
@@ -117,7 +101,7 @@ def povm_to_json(povm: Povm) -> dict:
 
 def povm_from_json(data) -> Povm:
     return Povm(
-        elements=tuple(matrix_from_json(e) for e in data["elements"]),
+        elements=tuple(_pairs_from_json(e, 2) for e in data["elements"]),
         labels=tuple(label_from_json(t) for t in data["labels"]),
     )
 
@@ -154,7 +138,7 @@ def scheme_to_json(scheme: Scheme) -> dict:
     return {
         "ensemble": ensemble_to_json(scheme.ensemble),
         "ancilla_dim": scheme.ancilla_dim,
-        "coupling": matrix_to_json(scheme.coupling),
+        "coupling": _pairs_to_json(scheme.coupling),
         "povm": povm_to_json(scheme.povm),
         "analytic_success": scheme.analytic_success,
         "params": params_to_json(scheme.params),
@@ -171,7 +155,7 @@ def scheme_from_json(data) -> Scheme:
     return Scheme(
         ensemble=ensemble_from_json(data["ensemble"]),
         ancilla_dim=ancilla_dim,
-        coupling=matrix_from_json(data["coupling"]),
+        coupling=_pairs_from_json(data["coupling"], 2),
         povm=povm_from_json(data["povm"]),
         analytic_success=float(data["analytic_success"]),
         params=params_from_json(data["params"]),

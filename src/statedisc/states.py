@@ -65,7 +65,7 @@ def priors_ok(p: np.ndarray) -> np.ndarray:
 
 def _unit_vector(v) -> np.ndarray:
     """``v`` as a finite, non-empty complex128 vector of norm 1."""
-    a = linalg.as_cvector(v)
+    a = linalg.as_complex(v, 1)
     if a.shape[0] < 1:
         raise DimensionMismatchError("empty state vector")
     norm = linalg.frobenius(a)
@@ -102,7 +102,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_cmatrix(self.matrix)
+        m = linalg.as_complex(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
         w, _ = linalg.hermitian_eig(m)  # raises NotHermitianError beyond tol.HERMITIAN

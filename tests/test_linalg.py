@@ -1,6 +1,8 @@
 import re
+import warnings
 from pathlib import Path
 
+import goldens
 import numpy as np
 import pytest
 
@@ -50,21 +52,25 @@ def test_an_empty_matrix_is_a_dimension_mismatch(call, message):
     assert str(info.value) == message
 
 
-def test_as_cvector_coerces_and_rejects_a_non_vector():
-    v = linalg.as_cvector([1, 0])
+def test_as_complex_coerces_a_vector_and_rejects_another_rank():
+    v = linalg.as_complex([1, 0], 1)
     assert v.dtype == np.complex128
     # A matrix, a column or a scalar is not flattened into a vector.
     for bad, ndim in (([[1, 0], [0, 1]], 2), ([[0.6], [0.8]], 2), (1.0, 0)):
         with pytest.raises(DimensionMismatchError) as info:
-            linalg.as_cvector(bad)
+            linalg.as_complex(bad, 1)
         assert str(info.value) == f"expected a vector, got ndim={ndim}"
-    with pytest.raises(InvariantViolationError):
-        linalg.as_cvector([np.nan, 0.0])
+    with pytest.raises(InvariantViolationError, match="^vector has non-finite entries$"):
+        linalg.as_complex([np.nan, 0.0], 1)
 
 
-def test_as_cmatrix_rejects_wrong_ndim():
-    with pytest.raises(DimensionMismatchError):
-        linalg.as_cmatrix(np.zeros(3))
+def test_as_complex_rejects_a_matrix_of_another_rank():
+    m = linalg.as_complex([[1, 0], [0, 1j]], 2)
+    assert m.dtype == np.complex128 and m.shape == (2, 2)
+    with pytest.raises(DimensionMismatchError, match="^expected a matrix, got ndim=1$"):
+        linalg.as_complex(np.zeros(3), 2)
+    with pytest.raises(InvariantViolationError, match="^matrix has non-finite entries$"):
+        linalg.as_complex([[np.inf, 0.0]], 2)
 
 
 def test_dag_and_frobenius():
@@ -355,6 +361,42 @@ def test_inline_norm_is_bitwise_numpy_norm():
     assert bad == 0, (
         f"the inline norm differs from np.linalg.norm in {bad} cases: {_library()}"
     )
+
+
+def _stacks(rng, count):
+    """Stacks of every shape the package measures by item: (n, dim) rows of
+    state vectors or action residuals, (K, d, d) POVM stacks and their
+    Hermiticity residuals, with entries from 1e-12 to 1e2."""
+    for _ in range(count):
+        n, d = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        shape = (n, d) if rng.random() < 0.5 else (n, d, d)
+        x = 10.0 ** rng.uniform(-12, 2) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        if x.ndim == 3 and rng.random() < 0.5:
+            x = x - x.conj().transpose(0, 2, 1)
+        yield x
+
+
+def test_the_stacked_norm_is_frobenius_of_each_item():
+    rng = np.random.default_rng(187)
+    got, want = [], []
+    for x in _stacks(rng, 1000):
+        got += linalg._frobenius_each(x).tolist()
+        want += [linalg.frobenius(item) for item in x]
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    goldens.same(bad[:3], [], f"the stacked norm, which differs from frobenius in "
+                             f"{len(bad)} of {len(want)} items: the first misses")
+
+
+def test_the_stacked_norm_of_huge_entries_is_inf_without_a_warning():
+    big = np.full((2, 3, 3), complex(1e308, -1e308))
+    big[1] = 1e308 * np.eye(3)
+    rows = np.array([[1e308, 1e308, 0.0], [0.0, 1.7e308j, 1.7e308]], dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):  # as the callers run it
+            for x in (big, big - big.conj().transpose(0, 2, 1) * 1j, rows):
+                assert np.isposinf(linalg._frobenius_each(x)).all()
+                assert all(linalg.frobenius(item) == np.inf for item in x)
 
 
 def test_broadcast_kron_is_bitwise_kron_with_negative_zeros():

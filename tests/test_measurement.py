@@ -1,9 +1,10 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from statedisc import measurement
+from statedisc import linalg, measurement, tol
 from statedisc.errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -122,6 +123,46 @@ def test_povm_reports_the_first_failing_element(elements, error, message):
     with pytest.raises(error) as info:
         Povm(elements=elements, labels=labels)
     assert str(info.value) == message
+
+
+def _near_the_hermitian_gate(rng, count):
+    """Matrices whose Hermiticity residual lies within a few ulps of
+    ``tol.HERMITIAN``: a diagonal in [0.2, 0.8] plus a random part, whose
+    off-diagonal entries and imaginary diagonal are scaled to the gate and
+    then by 1 + k ulp, so that both checks' residual matrices are equal and
+    only the norm decides.  ``M`` and ``I - M`` then pass every other check."""
+    for _ in range(count):
+        d = int(rng.integers(2, 9))
+        e = 10.0 ** rng.uniform(-13, -9) * (rng.normal(size=(d, d))
+                                            + 1j * rng.normal(size=(d, d)))
+        m = np.diag(rng.uniform(0.2, 0.8, d)) + e
+        diagonal = np.diag(np.diag(m).real)
+        scale = tol.HERMITIAN / linalg.frobenius(m - m.conj().T)
+        for k in range(-4, 5):
+            yield diagonal + (m - diagonal) * (scale * (1 + k * 2.0 ** -52))
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except NotHermitianError:
+        return False
+    return True
+
+
+def test_povm_and_hermitian_eig_agree_at_the_hermitian_gate():
+    rng = np.random.default_rng(188)
+    labels = (OutcomeLabel.identify(0), OutcomeLabel.inconclusive())
+    verdicts, split = Counter(), []
+    for m in _near_the_hermitian_gate(rng, 400):
+        eig = _accepts(lambda: linalg.hermitian_eig(m))
+        povm = _accepts(lambda: Povm((m, np.eye(len(m)) - m), labels))
+        verdicts[eig] += 1
+        if eig != povm:
+            split.append(linalg.frobenius(m - m.conj().T))
+    assert verdicts[True] > 500 and verdicts[False] > 500  # both sides of the gate
+    assert not split, (f"{len(split)} of {sum(verdicts.values())} matrices split, "
+                       f"residuals {split[:3]}")
 
 
 def test_identify_outcome_lookup():

@@ -39,10 +39,10 @@ def test_scalar_and_array_round_trips():
     z = 0.3 - 1.7j
     assert serialize.complex_from_json(through_json(serialize.complex_to_json(z))) == z
     v = np.array([1.0, 0.5j, -0.25 + 0.125j])
-    back = serialize.vector_from_json(through_json(serialize._pairs_to_json(v)))
+    back = serialize._pairs_from_json(through_json(serialize._pairs_to_json(v)), 1)
     assert np.array_equal(back, v)
     m = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-    back = serialize.matrix_from_json(through_json(serialize.matrix_to_json(m)))
+    back = serialize._pairs_from_json(through_json(serialize._pairs_to_json(m)), 2)
     assert np.array_equal(back, m)
 
 
@@ -209,9 +209,9 @@ MALFORMED_PAIRS = [
                          ids=[c[0] for c in MALFORMED_PAIRS])
 def test_malformed_pairs_raise_as_pair_by_pair(name, rows, error):
     with pytest.raises(error):
-        serialize.vector_from_json(rows)
+        serialize._pairs_from_json(rows, 1)
     with pytest.raises(error):
-        serialize.matrix_from_json([rows, rows])
+        serialize._pairs_from_json([rows, rows], 2)
 
 
 @pytest.mark.parametrize("rows, values", [
@@ -222,7 +222,7 @@ def test_malformed_pairs_raise_as_pair_by_pair(name, rows, error):
     ([], []),
 ])
 def test_odd_but_readable_pairs_read_as_pair_by_pair(rows, values):
-    got = serialize.vector_from_json(rows)
+    got = serialize._pairs_from_json(rows, 1)
     assert got.dtype == np.complex128
     np.testing.assert_array_equal(got, np.array(values, dtype=np.complex128))
 
@@ -232,9 +232,9 @@ def test_pairs_read_and_write_keep_every_bit():
     m = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
     m[0, :] = -0.0
     m[1, :] = complex(0.0, -0.0)
-    rows = through_json(serialize.matrix_to_json(m))
+    rows = through_json(serialize._pairs_to_json(m))
     assert rows == [[[z.real, z.imag] for z in row] for row in m.tolist()]
-    back = serialize.matrix_from_json(rows)
+    back = serialize._pairs_from_json(rows, 2)
     assert back.tobytes() == m.tobytes()
     by_pair = np.array([[serialize.complex_from_json(p) for p in row] for row in rows])
     assert back.tobytes() == by_pair.tobytes()
