@@ -86,6 +86,11 @@ def decode(values: dict) -> dict:
             for k, v in values.items()}
 
 
+#: The window each real builder input is drawn from, in both seeded streams.
+WINDOWS = {"gamma": (-1.0, 1.0), "alpha": (-1.0, 1.0), "x0": (-0.2, 1.2),
+           "x1": (-0.2, 1.2), "overlap": (-1.1, 1.1)}
+
+
 def near_values(rng: random.Random, kind: str) -> dict:
     """Builder inputs near ones that build, drawn from ``rng``."""
     u = [rng.uniform(0.6, 1.3) for _ in range(3)]

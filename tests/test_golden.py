@@ -12,6 +12,7 @@ pair on the realizability boundary), ``c = 0``, ``alpha >= gamma^2`` and
 ``alpha < 0``, rra's failure amplitude of modulus 1, and the unambiguous
 family's ``x0 = gamma^2``, ``x0 = 0`` and ``x0 = 1`` corners.
 """
+import ast
 import json
 from pathlib import Path
 
@@ -56,9 +57,44 @@ def test_param_flags_match_the_parent_set():
     assert set(args) - common == PARENT_PARAM_KEYS
 
 
+def _code_strings(tree: ast.AST) -> set:
+    """The string constants of ``tree``'s code: docstrings and comments are
+    not code."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docs}
+
+
+def loaded_files(source: str, harness: str) -> set:
+    """The names a test module's code holds, directly or in the code of a
+    ``goldens`` function it reaches, ``harness`` being ``goldens.py``'s text."""
+    functions = {node.name: node for node in ast.parse(harness).body
+                 if isinstance(node, ast.FunctionDef)}
+    tree = ast.parse(source)
+    names = _code_strings(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "goldens" and node.attr in functions):
+            names |= _code_strings(functions[node.attr])
+    return names
+
+
+def test_a_docstring_or_comment_names_no_loaded_file():
+    harness = (goldens.HERE / "goldens.py").read_text()
+    module = '"""Checks ``golden_a.json``."""\n# golden_b.json\nX = goldens.load("golden_c.json")\n'
+    assert loaded_files(module, harness) == {"golden_c.json"}
+    # A harness function counts by its code, not by its docstring.
+    files = {path.name for path in goldens.HERE.glob("golden*.json")}
+    assert not loaded_files("goldens.declared", harness) & files
+    assert len(loaded_files("goldens.dump_inputs()", harness) & files) == 2
+
+
 def test_readme_tests_section_names_every_golden_file():
     root = Path(__file__).parents[1]
     readme = (root / "README.md").read_text()
+    harness = (goldens.HERE / "goldens.py").read_text()
     section = readme.split("\n## Tests\n")[1].split("\n## ")[0]
     rows = {}
     for line in section.splitlines():
@@ -68,5 +104,6 @@ def test_readme_tests_section_names_every_golden_file():
     for path in sorted((root / "tests").glob("golden*.json")):
         name = f"tests/{path.name}"
         assert name in rows, f"README's Tests section leaves out {name}"
-        # The test the row names reads the file.
-        assert path.name in (root / rows[name]).read_text(), name
+        # The test the row names loads the file, not only mentions it.
+        loaded = loaded_files((root / rows[name]).read_text(), harness)
+        assert path.name in loaded, f"{rows[name]} does not load {name}"

@@ -79,9 +79,7 @@ def _complex(rng: random.Random, radius: float) -> str:
 def _input(rng: random.Random, key: str) -> str:
     if goldens.INPUT_TYPES[key] is complex:
         return _complex(rng, 1.2 if key.startswith("c_") else 0.5)
-    lo, hi = {"gamma": (-1.0, 1.0), "alpha": (-1.0, 1.0), "x0": (-0.2, 1.2),
-              "x1": (-0.2, 1.2), "overlap": (-1.1, 1.1)}[key]
-    return _real(rng, lo, hi)
+    return _real(rng, *goldens.WINDOWS[key])
 
 
 def _priors(rng: random.Random, count: int) -> str:

@@ -35,6 +35,7 @@ stream reaches, and why.
 
 Write the file with ``PYTHONPATH=src python3 tests/test_golden_error_stream.py``.
 """
+import copy
 import functools
 import json
 import math
@@ -82,8 +83,6 @@ WILD_COMPLEX = [complex(NAN, NAN), complex(INF, 0.0), 0.5j, 0.3 + 0.4j,
                 0.99999999999999 + 0j, complex(0.3, NAN)]
 #: Complex values handed to a real input.
 COMPLEX_FOR_REAL = [0.5 + 0j, 0.3j, 0.5 + 1e-17j, complex(NAN, 0.0), -0.2 + 0j]
-WINDOWS = {"gamma": (-1.0, 1.0), "alpha": (-1.0, 1.0), "x0": (-0.2, 1.2),
-           "x1": (-0.2, 1.2), "overlap": (-1.1, 1.1)}
 
 
 # -- builders -----------------------------------------------------------------
@@ -157,7 +156,7 @@ def build_inputs(kind: str) -> list:
         else:
             values = {
                 k: _complex(rng, 1.2 if k.startswith("c_") else 0.5)
-                if goldens.INPUT_TYPES[k] is complex else _real(rng, *WINDOWS[k])
+                if goldens.INPUT_TYPES[k] is complex else _real(rng, *goldens.WINDOWS[k])
                 for k in spec.inputs
             }
             priors = _priors(rng, spec.n_priors)
@@ -174,15 +173,15 @@ def build_outcome(kind: str, arg) -> str:
 # -- scheme_from_json ---------------------------------------------------------
 
 def _base_dumps() -> list:
-    """Dump text of every eighth ``golden_build_stream.json`` draw per kind."""
+    """The parsed dump of every eighth ``golden_build_stream.json`` draw per kind."""
     golden = goldens.load("golden_build_stream.json")
-    texts = []
+    dumps = []
     for kind in sorted(golden):
         for ref in golden[kind][::8]:
             scheme = SCHEME_KINDS[kind].build(goldens.decode(ref["values"]), ref["priors"],
                                               ref["allow_trivial"])
-            texts.append(json.dumps(serialize.scheme_to_json(scheme)))
-    return texts
+            dumps.append(json.loads(json.dumps(serialize.scheme_to_json(scheme))))
+    return dumps
 
 
 _ARRAYS = ("coupling", "povm.elements", "ensemble.states", "ensemble.priors",
@@ -192,11 +191,18 @@ _KEYS = ("ensemble", "ancilla_dim", "coupling", "povm", "analytic_success",
          "povm.elements", "povm.labels", "params.kind", "params.0")
 
 
+def _own(holder, key):
+    """``holder[key]``, replaced by a copy of it first: a tampered dump shares
+    with its base only what it leaves as it is."""
+    holder[key] = value = copy.copy(holder[key])
+    return value
+
+
 def _walk(data: dict, path: str):
-    """The container that holds ``path``'s last part, and that part."""
+    """The container that holds ``path``'s last part, owned, and that part."""
     *head, last = path.split(".")
     for key in head:
-        data = data[key]
+        data = _own(data, key)
     if last == "0":  # the first field of params after its kind
         last = [k for k in data if k != "kind"][0]
     return data, last
@@ -212,7 +218,7 @@ def _tamper(rng: random.Random, data: dict) -> str:
         del holder[key]
         return f"drop {path}:{key}"
     if op == "label":
-        labels = data["povm"]["labels"]
+        labels = _own(_own(data, "povm"), "labels")
         k = rng.randrange(len(labels))
         new = rng.choice(("identify:5", "inconclusive", "identify:01", "Identify:0",
                           "identify:-1", "identify: 1", 0, None, labels[k - 1],
@@ -228,9 +234,9 @@ def _tamper(rng: random.Random, data: dict) -> str:
             holder[key] += delta
             return f"move {path} {delta!r}"
         spot = rng.choice(list(np.ndindex(np.shape(holder[key]))))
-        leaf = holder[key]
+        leaf = _own(holder, key)
         for i in spot[:-1]:
-            leaf = leaf[i]
+            leaf = _own(leaf, i)
         leaf[spot[-1]] += delta
         return f"move {path}{list(spot)} {delta!r}"
     if op == "transpose":
@@ -240,20 +246,20 @@ def _tamper(rng: random.Random, data: dict) -> str:
             holder[key] = [list(col) for col in zip(*holder[key])]
             return "transpose coupling"
         k = rng.randrange(len(holder[key]))
-        holder[key][k] = [list(col) for col in zip(*holder[key][k])]
+        _own(holder, key)[k] = [list(col) for col in zip(*holder[key][k])]
         return f"transpose povm.elements[{k}]"
     if op == "cut":
         path = rng.choice(_ARRAYS + ("coupling.row", "povm.element", "pair"))
         if path == "coupling.row":
-            data["coupling"][-1].pop()
+            _own(_own(data, "coupling"), -1).pop()
         elif path == "povm.element":
-            data["povm"]["elements"][0].pop()
+            _own(_own(_own(data, "povm"), "elements"), 0).pop()
         elif path == "pair":
-            data["coupling"][0][0].pop()
+            _own(_own(_own(data, "coupling"), 0), 0).pop()
         else:
             holder, key = _walk(data, path)
-            target = holder[key]
-            (target[-1] if path == "ensemble.states" else target).pop()
+            target = _own(holder, key)
+            (_own(target, -1) if path == "ensemble.states" else target).pop()
         return f"cut {path}"
     path = rng.choice(("ancilla_dim", "analytic_success", "params.kind",
                        "params.0", "ensemble.priors", "coupling"))
@@ -264,20 +270,27 @@ def _tamper(rng: random.Random, data: dict) -> str:
     return f"type {path}:{key} = {new!r}"
 
 
+class _Dump(str):
+    """A tampered dump's JSON text, which the input digest reads, holding as
+    ``data`` the tree it was written from, which the loader reads."""
+
+
 def load_inputs() -> list:
     rng = random.Random(f"{SEED}:load")
     bases = _base_dumps()
     inputs = []
     for _ in range(LOADS):
         k = rng.randrange(len(bases))
-        data = json.loads(bases[k])
+        data = dict(bases[k])
         what = _tamper(rng, data)
-        inputs.append((k, what, json.dumps(data)))
+        dump = _Dump(json.dumps(data))
+        dump.data = data
+        inputs.append((k, what, dump))
     return inputs
 
 
 def load_outcome(arg) -> str:
-    scheme = serialize.scheme_from_json(json.loads(arg[2]))
+    scheme = serialize.scheme_from_json(arg[2].data)
     return goldens.sha(json.dumps(serialize.scheme_to_json(scheme)))
 
 
