@@ -522,18 +522,13 @@ def right_classicality_check(
             f"state shape {rho.shape} is not "
             f"({dim_system}*{dim_ancilla}) squared"
         )
-    blocks = [
-        rho[m * dim_ancilla : (m + 1) * dim_ancilla,
-            n * dim_ancilla : (n + 1) * dim_ancilla]
-        for m in range(dim_system)
-        for n in range(dim_system)
-    ]
-    worst = 0.0
-    for b in blocks:
-        worst = max(worst, linalg.frobenius(b @ linalg.dag(b) - linalg.dag(b) @ b))
-    for i, b in enumerate(blocks):
-        for b2 in blocks[i + 1 :]:
-            worst = max(worst, linalg.frobenius(linalg.commutator(b, b2)))
+    a = dim_ancilla
+    blocks = [rho[m * a : (m + 1) * a, n * a : (n + 1) * a]
+              for m in range(dim_system) for n in range(dim_system)]
+    normal = [linalg.frobenius(b @ linalg.dag(b) - linalg.dag(b) @ b) for b in blocks]
+    commute = [linalg.frobenius(linalg.commutator(b, c))
+               for i, b in enumerate(blocks) for c in blocks[i + 1 :]]
+    worst = max([0.0, *normal, *commute])
     return worst <= tol.CLASSICAL, float(worst)
 
 
@@ -614,22 +609,35 @@ def simplex_size(step: float) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def simplex_grid(step: float) -> list[tuple[float, float, float]]:
-    """Probability triples on a lattice with the given spacing.
-
-    Walks ``(i*step, j*step, 1 - i*step - j*step)`` over all non-negative
-    combinations; includes the simplex boundary.  The step must divide 1,
-    so that every triple sums to 1; :func:`simplex_size` counts the
-    triples beforehand.
-    """
+def _lattice(step: float) -> np.ndarray:
+    """:func:`simplex_grid`'s triples as ``(T, 3)`` float64 rows, in its order
+    and with its floats, written one lattice line (fixed ``i``) at a time."""
     n = _simplex_divisions(step)
-    out = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            p0 = i * step
-            p1 = j * step
-            p2 = 1.0 - p0 - p1
-            if p2 < 0.0:
-                p2 = 0.0
-            out.append((p0, p1, p2))
-    return out
+    rows, axis = np.empty((simplex_size(step), 3)), np.arange(n + 1) * step
+    # Line i holds j = 0..n-i; int64 to float64 is exact, so axis[i] is i * step.
+    for i, line in enumerate(np.split(rows, np.cumsum(np.arange(n + 1, 1, -1)))):
+        line[:, 0], line[:, 1] = axis[i], axis[: len(line)]
+    np.subtract(1.0, rows[:, 0], out=rows[:, 2])  # in place: no temporary column
+    rows[:, 2] -= rows[:, 1]
+    rows[rows[:, 2] < 0.0, 2] = 0.0
+    return rows
+
+
+def _compare_priors(theorem: str, step: float) -> np.ndarray:
+    """The lattice rows ``compare`` takes: all for 2.1; for 3.1 each row sorted,
+    as its comparison sorts it, then the distinct rows in lexicographic order,
+    so a point whose floats differ by ordering survives in each of its forms."""
+    rows = _lattice(step)
+    if theorem == "3.1":
+        rows.sort(axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return rows
+
+
+def simplex_grid(step: float) -> list[tuple[float, float, float]]:
+    """Probability triples ``(i*step, j*step, 1 - i*step - j*step)``, i outer,
+    over all non-negative ``i + j <= 1/step``, the simplex boundary included.
+    The step must divide 1, so that every triple sums to 1;
+    :func:`simplex_size` counts the triples beforehand."""
+    return list(map(tuple, _lattice(step).tolist()))

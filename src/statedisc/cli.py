@@ -24,7 +24,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import serialize, tol
-from .analysis import compare_columns, simplex_grid, simplex_size
+from .analysis import _compare_priors, compare_columns, simplex_size
 from .errors import DiscriminationError, EmptyGridError
 from .montecarlo import brute_force_success, simulate
 from .schemes import SCHEME_KINDS, Scheme
@@ -33,7 +33,7 @@ from .schemes import SCHEME_KINDS, Scheme
 #: hold.  Points are compared and written ``_BLOCK`` at a time, so this is a
 #: time limit: about 5 us per point for CSV and 10 us for JSON on a 2-core
 #: Xeon, or 1.5 and 3 minutes at the bound.  The one term still held whole
-#: is the prior lattice: ``simplex_grid``'s list costs 144 B per triple.
+#: is the prior lattice, a float64 array of 24 B per triple (0.4 GB at 2^24).
 MAX_COMPARE_POINTS = 2**24
 #: Points ``compare`` compares, formats and writes at a time.
 _BLOCK = 1 << 10
@@ -158,11 +158,11 @@ def _config_value(key: str, value, convert, choices=None):
     return value
 
 
-def _read_config(path: str, flags) -> dict:
-    """The config file, each value read the way its flag in ``flags`` reads
+def _read_config(data: dict, flags) -> dict:
+    """A loaded config, each value read the way its flag in ``flags`` reads
     it.  A null counts as absent; a flag the command lacks is not read, nor
     is ``params`` without the scheme flags or ``grid`` without a grid flag."""
-    cfg = {k: v for k, v in _load_config(path).items() if v is not None}
+    cfg = {k: v for k, v in data.items() if v is not None}
     params = cfg["params"] = (_config_value("params", cfg.get("params") or {}, dict)
                               if "scheme" in flags else {})
     for key, (convert, choices) in _SCALAR_FLAGS.items():
@@ -179,10 +179,11 @@ def _read_config(path: str, flags) -> dict:
     return cfg
 
 
-def _merge_config(args) -> dict:
+def _merge_config(args, loaded: dict) -> dict:
     """The optional config file and the flags in one request map; a flag
-    wins over its value in the file."""
-    cfg = _read_config(args.config, vars(args)) if args.config else {}
+    wins over its value in the file, read unless ``loaded`` holds it."""
+    path = args.config
+    cfg = _read_config(loaded.get(path) or _load_config(path), vars(args)) if path else {}
     params = cfg.setdefault("params", {})
     for key in _SCALAR_FLAGS:
         val = getattr(args, key, None)
@@ -448,17 +449,13 @@ def _cmd_compare(cfg: dict) -> int:
     prior_step = cfg.get("prior_step", 0.05)
     p2_min = cfg.get("p2_min", 1.0 / 3.0 if theorem == "2.1" else 0.0)
 
-    # Both sizes are counted before their lists are built.
+    # Both sizes are counted before their arrays are built.
     if simplex_size(prior_step) > MAX_COMPARE_POINTS:
         raise UsageError(
             f"prior step {prior_step!r} gives more than {MAX_COMPARE_POINTS} "
             "prior triples"
         )
-    triples = simplex_grid(prior_step)
-    if theorem == "3.1":
-        # The comparison sorts priors anyway; deduplicate up to ordering.
-        triples = sorted(set(tuple(sorted(p)) for p in triples))
-    rows = np.array(triples, dtype=float)
+    rows = _compare_priors(theorem, prior_step)
     rows = rows[rows[:, 2] >= p2_min - tol.BOUNDARY]
     if not len(rows):
         raise UsageError(f"no prior triples with p2 >= {p2_min}")
@@ -512,31 +509,29 @@ _COMMANDS = {
 }
 
 
-def _command_from_config(argv: list[str]) -> list[str]:
-    """Allow ``statedisc --config FILE``: pull the command from the file."""
-    if not argv or argv[0] in _COMMANDS or argv[0] in ("-h", "--help"):
-        return argv
-    if argv[0] == "--config" and len(argv) >= 2:
+def _command_from_config(argv: list[str]) -> tuple[list[str], dict]:
+    """Allow ``statedisc --config FILE``: the file's command, and ``{FILE: data}``."""
+    if argv[:1] == ["--config"] and len(argv) >= 2:
         path = argv[1]
-    elif argv[0].startswith("--config="):
+    elif argv and argv[0].startswith("--config="):
         path = argv[0][len("--config=") :]
     else:
-        return argv
-    command = _load_config(path).get("command")
-    if not command:
+        return argv, {}
+    data = _load_config(path)
+    if not data.get("command"):
         raise UsageError("config file names no command and none was given")
-    return [str(command)] + argv
+    return [str(data["command"])] + argv, {path: data}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _command_from_config(argv)
+        argv, loaded = _command_from_config(argv)
         command = argv[0] if argv and argv[0] in _COMMAND_FLAGS else None
         args = _build_parser(command).parse_args(argv)
         if args.command is None:
             raise UsageError("missing command; see --help")
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, loaded)
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

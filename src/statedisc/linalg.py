@@ -160,10 +160,11 @@ def isometry_completion(domain_vectors, image_vectors, dim: int) -> np.ndarray:
     m = len(dom)
     # The Gram gap and the action residual only gate, so they are stacked.
     d_stack, i_stack = np.array(dom).reshape(m, dim), np.array(img).reshape(m, dim)
-    gap = np.abs(d_stack.conj() @ d_stack.T - i_stack.conj() @ i_stack.T)
-    gap = float(gap.max()) if m else 0.0
-    if gap > tol.GRAM:
-        raise GramMismatchError(f"Gram matrices differ by {gap:.3e} > {tol.GRAM}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        gap = np.abs(d_stack.conj() @ d_stack.T - i_stack.conj() @ i_stack.T).max(initial=0.0)
+    if not gap <= tol.GRAM:  # NaN fails, as inf - inf of overflowed products is
+        raise GramMismatchError(f"Gram matrices differ by {gap:.3e} > {tol.GRAM}"
+                                if np.isfinite(gap) else "Gram matrix products overflow")
 
     dom_basis: list[np.ndarray] = []
     img_basis: list[np.ndarray] = []

@@ -105,13 +105,8 @@ class ZeroAuxParams:
     g20: complex
 
 
-SchemeParams = Union[
-    RraParams,
-    MixedSpecialParams,
-    MixedGeneralParams,
-    UnambiguousSpecialParams,
-    ZeroAuxParams,
-]
+SchemeParams = Union[RraParams, MixedSpecialParams, MixedGeneralParams,
+                     UnambiguousSpecialParams, ZeroAuxParams]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -118,6 +119,15 @@ def test_columns_skip_counts_are_per_error_code_and_sorted():
     relabeled = replace(cols, code=np.array([0, 5, 6, 7, 1, 0, 0, 0, 0], np.int8))
     assert relabeled.skip_counts() == {"GammaOutOfRange": 1, "InvariantViolation": 3}
     assert cols.select(cols.code == 0).skip_counts() == {}
+
+
+def test_comparison_record_rejects_a_probability_outside_the_unit_interval():
+    with pytest.raises(InvariantViolationError) as info:
+        ComparisonRecord(gamma=0.5, alpha=None, priors=(0.3, 0.3, 0.4), p_mixed=1.5,
+                         p_una_reference=0.3, reference_kind="family_optimum",
+                         margin=1.2, verdict=True)
+    assert type(info.value) is InvariantViolationError
+    assert str(info.value) == "p_mixed = 1.5 outside [0, 1]"
 
 
 def test_comparison_record_rejects_inconsistent_fields():
@@ -322,6 +332,10 @@ def test_right_classicality_boundary_overlap_is_classical():
 def test_right_classicality_dimension_guard():
     with pytest.raises(DimensionMismatchError):
         right_classicality_check(np.eye(6) / 6.0, 4, 2)
+    for dims in ((0, 6), (6, 0)):
+        with pytest.raises(DimensionMismatchError) as info:
+            right_classicality_check(np.eye(6) / 6.0, *dims)
+        assert str(info.value) == "factor dimensions must be positive"
 
 
 # ---------------------------------------------------------------- grid oracle
@@ -509,6 +523,36 @@ def test_simplex_grid_step_validation():
     # Fine steps are counted without building their lattice.
     assert simplex_size(1e-4) == 10_001 * 10_002 // 2
     assert simplex_size(2.0**-20) == (2**20 + 1) * (2**20 + 2) // 2
+
+
+def _walked_lattice(step):
+    """The lattice as a Python double loop, the way ``simplex_grid`` once built it."""
+    n = analysis._simplex_divisions(step)
+    out = []
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            p0 = i * step
+            p1 = j * step
+            p2 = 1.0 - p0 - p1
+            if p2 < 0.0:
+                p2 = 0.0
+            out.append((p0, p1, p2))
+    return out
+
+
+def test_lattice_rows_are_the_walk_and_its_set_dedup_bit_for_bit():
+    def same_bits(new, old):
+        old = np.fromiter(itertools.chain.from_iterable(old), float).reshape(-1, 3)
+        return (new.shape == old.shape and np.array_equal(new, old)
+                and np.array_equal(np.signbit(new), np.signbit(old)))
+
+    for step in [1.0 / n for n in range(1, 301)] + [0.01, 0.04, 0.05]:
+        walked = _walked_lattice(step)
+        assert same_bits(analysis._compare_priors("2.1", step), walked), step
+        deduped = sorted(set(tuple(sorted(p)) for p in walked))
+        assert same_bits(analysis._compare_priors("3.1", step), deduped), step
+    assert simplex_grid(0.05) == _walked_lattice(0.05)
+    assert all(type(p) is tuple and type(p[2]) is float for p in simplex_grid(0.05))
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.04, 0.01])

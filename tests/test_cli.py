@@ -10,6 +10,7 @@ import pytest
 from goldens import load, ok, run
 
 from statedisc import cli, measurement, serialize
+from statedisc.analysis import simplex_size
 from statedisc.cli import main
 from statedisc.schemes import SCHEME_KINDS
 
@@ -163,6 +164,8 @@ def test_usage_errors_exit_1():
         # Counted against the compare bound before any value is made.
         (SWEEP_MIXED + ["--grid", "gamma=0:1e12:1"],
          "gamma grid has more than 16777216 values"),
+        (SWEEP_MIXED + ["--grid", "gamma"],
+         "bad grid 'gamma': expected PARAM=MIN:MAX:STEP"),
     ],
 )
 def test_request_errors_are_one_usage_line(argv, message):
@@ -550,6 +553,24 @@ def test_compare_memory_does_not_grow_with_the_grid(monkeypatch):
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
+@pytest.mark.parametrize("theorem, per_triple", [("2.1", 48), ("3.1", 128)])
+def test_compare_prior_lattice_is_one_array(monkeypatch, theorem, per_triple):
+    # The lattice is one float64 array at 24 B per triple; 3.1 sorts and
+    # dedups it as arrays.  A list of tuples costs about 144 B per triple.
+    triples = simplex_size(0.002)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            code = main(["compare", "--theorem", theorem, "--gamma-grid", "0.5:0.5:1",
+                         "--prior-step", "0.002", "--p2-min", "0.999"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and triples == 125_751
+    assert peak <= per_triple * triples, peak / triples
+
+
 def test_config_file_supplies_command_and_params(tmp_path):
     cfg = {
         "command": "run",
@@ -561,6 +582,19 @@ def test_config_file_supplies_command_and_params(tmp_path):
     path.write_text(json.dumps(cfg))
     out, _ = ok(["--config", str(path)])
     assert json.loads(out)["analytic_success"] == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["--config FILE", "--config=FILE"])
+def test_a_leading_config_file_is_read_once(tmp_path, monkeypatch, joined):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "run", "scheme": "mixed-special",
+                                "params": {"gamma": 0.5}, "priors": [0.3, 0.3, 0.4]}))
+    reads = []
+    load = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda p: reads.append(p) or load(p))
+    out, _ = ok([f"--config={path}"] if joined else ["--config", str(path)])
+    assert json.loads(out)["analytic_success"] == pytest.approx(0.7, abs=1e-12)
+    assert reads == [str(path)]
 
 
 def test_cli_flags_override_config(tmp_path):

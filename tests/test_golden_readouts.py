@@ -64,7 +64,7 @@ def test_sweep_stdout_bytes_and_summary(case):
 
 def _scheme(flags) -> schemes.Scheme:
     args = cli._build_parser().parse_args(["run", *flags])
-    return cli._build_scheme(cli._merge_config(args))
+    return cli._build_scheme(cli._merge_config(args, {}))
 
 
 @pytest.mark.parametrize("case", sorted(INPUTS))

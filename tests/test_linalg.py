@@ -77,12 +77,18 @@ def test_dag_and_frobenius():
     m = np.array([[1, 2j], [0, 1]], dtype=complex)
     assert np.array_equal(linalg.dag(m), m.conj().T)
     assert linalg.frobenius(m) == pytest.approx(np.sqrt(6.0))
+    # A real array is np.linalg.norm's, as a Python float.
+    real = linalg.frobenius(np.array([[3.0, 4.0]]))
+    assert real == 5.0 and type(real) is float
 
 
 def test_commutator_of_commuting_is_zero():
     a = np.diag([1.0, 2.0, 3.0])
     b = np.diag([4.0, 5.0, 6.0])
     assert linalg.frobenius(linalg.commutator(a, b)) == 0.0
+    with pytest.raises(DimensionMismatchError) as info:
+        linalg.commutator(np.eye(2), b)
+    assert str(info.value) == "commutator needs equal square matrices, got (2, 2) and (3, 3)"
 
 
 def test_hermitian_eig_sorted_and_reconstructs():
@@ -187,6 +193,19 @@ def test_isometry_completion_rejects_gram_mismatch():
         linalg.isometry_completion(dom, img, 2)
 
 
+@pytest.mark.parametrize("dom, img", [
+    ([[1e200, 0.0]], [[0.0, 1e200]]),  # realizable, but |d|^2 overflows on both sides
+    ([[1e200, 0.0]], [[1.0, 0.0]]),
+])
+def test_isometry_completion_names_an_overflowed_gram_gap(dom, img):
+    # inf - inf is a NaN gap, which the gate fails, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GramMismatchError) as info:
+            linalg.isometry_completion(dom, img, 2)
+    assert str(info.value) == "Gram matrix products overflow"
+
+
 def test_isometry_completion_handles_dependent_pairs():
     # second domain vector is a multiple of the first; images follow suit
     dom = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
@@ -223,6 +242,9 @@ def test_isometry_completion_rejects_nearly_dependent_pairs():
 def test_isometry_completion_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         linalg.isometry_completion([np.array([1.0, 0.0])], [], 2)
+    with pytest.raises(DimensionMismatchError) as info:
+        linalg.isometry_completion([[1.0, 0.0]], [[1.0, 0.0, 0.0]], 2)
+    assert str(info.value) == "vector length 3 != dim 2"
 
 
 def test_isometry_completion_random_partial_maps():

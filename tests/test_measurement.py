@@ -230,6 +230,9 @@ def test_confusion_matrix_rows_sum_to_one():
     e = two_state_ensemble(0.4)
     conf = confusion_matrix(e, projective_povm(2))
     assert np.allclose(conf.sum(axis=1), 1.0, atol=1e-12)
+    with pytest.raises(DimensionMismatchError) as info:
+        confusion_matrix(e, projective_povm(3))
+    assert str(info.value) == "POVM dim 3 vs state vectors of shape (2, 2)"
 
 
 def unambiguous_two_state_povm(overlap):

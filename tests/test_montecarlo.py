@@ -79,6 +79,10 @@ def test_sim_result_validation():
         SimResult(
             n=10, counts=counts, empirical_success=1.5, std_error=0.0, seed=7
         )
+    with pytest.raises(InvariantViolationError) as info:
+        SimResult(n=10, counts=[[11, -1], [0, 0]], empirical_success=1.0,
+                  std_error=0.0, seed=7)
+    assert str(info.value) == "counts must be a non-negative matrix"
 
 
 def test_sim_result_equality_is_exact():
@@ -88,6 +92,8 @@ def test_sim_result_equality_is_exact():
     c = SimResult(n=10, counts=counts.copy(), empirical_success=1.0, std_error=0.0, seed=8)
     assert a == b
     assert a != c
+    # Another type is not equal, and not an error.
+    assert a != 1 and a.__eq__(1) is NotImplemented
 
 
 def test_simulate_reproducible_and_unbiased():

@@ -209,6 +209,10 @@ def test_mixed_general_rejects_unrealizable_overlaps():
         build_mixed_general(1.0, 0.5, (0.3, 0.3, 0.4))
     with pytest.raises(ParamOutOfRangeError):
         build_mixed_general(0.4, 0.0, (0.3, 0.3, 0.4))  # needs allow_trivial
+    # Past the PSD gate by less than tol.PSD, but 1 - gamma^2 < |alpha - gamma^2|.
+    with pytest.raises(ParamOutOfRangeError) as info:
+        build_mixed_general(0.5, -0.5000000001, (0.3, 0.3, 0.4))
+    assert str(info.value) == "identifying amplitude would be imaginary"
     s = build_mixed_general(0.4, 0.0, (0.3, 0.3, 0.4), allow_trivial=True)
     special = build_mixed_special(0.4, (0.3, 0.3, 0.4))
     assert s.analytic_success == pytest.approx(special.analytic_success, abs=1e-12)
@@ -557,6 +561,22 @@ def test_separable_decomposition_requires_low_alpha():
     s = build_mixed_general(0.4, 0.3, (0.3, 0.3, 0.4))  # alpha > gamma^2
     with pytest.raises(HypothesisViolatedError):
         separable_decomposition(s)
+
+
+@pytest.mark.parametrize("scheme, message", [
+    (lambda: build_mixed_general(0.4, 0.3, (0.3, 0.3, 0.4)),
+     "alpha = 0.3 must lie below gamma^2 = 0.16000000000000003"),
+    (lambda: build_mixed_general(0.5, 0.25, (0.3, 0.3, 0.4), allow_trivial=True),
+     "alpha = 0.25 must lie below gamma^2 = 0.25"),
+    (lambda: build_mixed_special(0.5, (0.0, 0.0, 1.0)),
+     "p2 = 1 leaves an empty ancilla part"),
+    (lambda: build_unambiguous_special(0.5, 0.5, 0.5, (0.3, 0.3, 0.4)),
+     "decomposition applies to mixed schemes, not UnambiguousSpecialParams"),
+])
+def test_separable_decomposition_requires_its_hypothesis(scheme, message):
+    with pytest.raises(HypothesisViolatedError) as info:
+        separable_decomposition(scheme())
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------------------- scheme

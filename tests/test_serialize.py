@@ -6,6 +6,7 @@ import pytest
 from statedisc import serialize
 from statedisc.analysis import simplex_grid
 from statedisc.errors import (
+    DimensionMismatchError,
     InvariantViolationError,
     LabelMismatchError,
     ParamOutOfRangeError,
@@ -127,6 +128,11 @@ def test_scheme_loader_rejects_nan_priors():
 def test_params_unknown_kind_rejected():
     with pytest.raises(ParamOutOfRangeError):
         serialize.params_from_json({"kind": "telepathy"})
+    # A params object of no scheme kind is not written either.
+    for foreign, name in (({"kind": "rra"}, "dict"), (object(), "object")):
+        with pytest.raises(ParamOutOfRangeError) as info:
+            serialize.params_to_json(foreign)
+        assert str(info.value) == f"unknown params type {name}"
 
 
 def make_record():
@@ -267,6 +273,20 @@ def test_tampered_scheme_arrays_fail_as_before(path, value, error):
     node[path[-1]] = value
     with pytest.raises(error):
         serialize.scheme_from_json(data)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (["ancilla_dim"], 0, "ancilla dim 0 < 1"),
+    # A POVM on the system alone, where the joint space has dimension 6.
+    (["povm"], {"elements": [serialize._pairs_to_json(np.eye(3))],
+                "labels": ["inconclusive"]}, "POVM dim 3, joint space dim 6"),
+])
+def test_scheme_fields_of_another_dimension_raise(path, value, message):
+    data = _mixed_special_json()
+    data[path[0]] = value
+    with pytest.raises(DimensionMismatchError) as info:
+        serialize.scheme_from_json(data)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("path, value, error, message", [

@@ -29,6 +29,9 @@ def test_inner_is_antilinear_in_first_argument():
     b = Ket(np.eye(2)[1])
     # <a|b> picks up the conjugate of a's amplitude
     assert inner(a, b) == pytest.approx(-1j / np.sqrt(2))
+    with pytest.raises(DimensionMismatchError) as info:
+        inner(a, Ket(np.eye(3)[0]))
+    assert str(info.value) == "<a|b> with dims 2 and 3"
 
 
 def test_density_matrix_validates():
@@ -36,6 +39,10 @@ def test_density_matrix_validates():
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(InvariantViolationError):
         DensityMatrix(np.eye(2))  # trace 2
+    with pytest.raises(DimensionMismatchError) as info:
+        DensityMatrix(np.ones((2, 3)) / 3.0)
+    assert str(info.value) == "density matrix must be square, got (2, 3)"
+    assert DensityMatrix(np.eye(3) / 3.0).dim == 3
 
 
 def test_density_matrix_pure():

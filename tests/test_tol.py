@@ -2,6 +2,8 @@
 import ast
 import pathlib
 
+from statedisc import tol
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "statedisc"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 TOL_LINES = (SRC / "tol.py").read_text().splitlines()
@@ -74,3 +76,12 @@ def test_table_imports_nothing_and_comments_each_row():
     assert all(isinstance(n, (ast.Assign, ast.Expr)) for n in tree.body)
     for name, line in _table_rows().items():
         assert "  # " in TOL_LINES[line - 1], name
+
+
+def test_zero_aux_psd_gate_stays_behind_its_constraint_gate():
+    # build_zero_aux passes its modulus gate (|g12|, |g20| <= 1) and its
+    # constraint gate (|conj(g12 g20) - g01| <= tol.OVERLAP) only for an
+    # exact Gram matrix moved by at most tol.OVERLAP in one conjugate pair
+    # of entries, whose least eigenvalue stays above -tol.OVERLAP.  Its PSD
+    # gate at -tol.PSD is unreachable while this order holds.
+    assert tol.OVERLAP < tol.PSD
