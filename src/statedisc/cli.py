@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -39,19 +39,9 @@ MAX_COMPARE_POINTS = 2**24
 _BLOCK = 1 << 10
 
 
-def _input_types() -> dict:
-    """Every --<param> flag, first use first, with the type of the params
-    field it fills, which is its converter; rra's overlap fills none and
-    is a float."""
-    types = {}
-    for kind in SCHEME_KINDS.values():
-        hints = get_type_hints(kind.params)
-        for key in kind.inputs:
-            types.setdefault(key, hints.get(key, float))
-    return types
-
-
-_INPUT_TYPES = _input_types()
+#: Every --<param> flag, first use first, with the type its builder takes,
+#: which is its converter.
+_INPUT_TYPES = {k: t for kind in SCHEME_KINDS.values() for k, t in kind.types.items()}
 
 #: Every one-value flag with its converter and choices; a builder input is
 #: kept under ``params``, and a config value for a ``str`` flag must be text.

@@ -162,9 +162,10 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     reference stream, and sharded runs remain reproducible but produce a
     different (merged) tally.  At most 2^34 trials and 2^16 shards.
     """
-    # A fraction, NaN or infinity is out of range, never truncated.
+    # A fraction, NaN, infinity or boolean is out of range, never truncated.
     for name, value in (("trial count", n), ("shards", shards), ("seed", seed)):
-        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+        if isinstance(value, (bool, np.bool_)) or not whole:
             raise ParamOutOfRangeError(f"{name} {value!r} is not a whole number")
     n, shards, seed = int(n), int(shards), int(seed)
     if not 1 <= n <= _MAX_TRIALS:

@@ -31,15 +31,18 @@ ancilla in |1> flags the inconclusive outcome.  The recipe embeds the
 images, completes domain -> images to the coupling, and returns the
 validated scheme.
 
-``SCHEME_KINDS`` is the one table of these kinds: the command line and the
-JSON codec derive everything they know about a kind from it.
+``SCHEME_KINDS`` is the one table of these kinds.  Each kind's inputs,
+their types and whether it takes ``allow_trivial`` are read off its
+builder's signature, so a builder states them once; the command line and
+the JSON codec derive everything they know about a kind from the table.
 """
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Union, get_type_hints
 
 import numpy as np
 
@@ -612,70 +615,58 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
     )
 
 
+def _build_rra_from_overlap(
+    overlap: float, c_plus: complex, c_minus: complex, priors
+) -> Scheme:
+    """``build_rra`` on the qubit pair whose inner product is ``overlap``."""
+    return build_rra(*_rra_kets(overlap), priors, c_plus, c_minus)
+
+
 @dataclass(frozen=True)
 class SchemeKind:
     """What the command line and the JSON codec need to know about a kind.
 
-    ``inputs`` are the numbers the command line supplies (``None``: the
-    params fields), ``sweepable`` those a sweep may vary, and ``trivial``
-    whether ``allow_trivial`` admits boundary values.  ``build(values,
-    priors, allow_trivial)`` adapts them to the builder by input name.
+    The builder's signature states the rest, read once here: ``inputs``
+    are its parameters before ``priors``, ``types`` their type hints, and
+    ``trivial`` whether it takes ``allow_trivial``, which admits boundary
+    values.  ``sweepable`` are the inputs a sweep may vary.
     """
 
     params: type
     n_priors: int
-    build: Callable[[dict, list, bool], Scheme]
+    builder: Callable[..., Scheme]
     sweepable: tuple[str, ...] = ()
-    trivial: bool = False
-    inputs: Optional[tuple[str, ...]] = None
+    inputs: tuple[str, ...] = field(init=False)
+    types: dict[str, type] = field(init=False)
+    trivial: bool = field(init=False)
 
     def __post_init__(self):
-        if self.inputs is None:
-            names = tuple(f.name for f in fields(self.params))
-            object.__setattr__(self, "inputs", names)
+        names = list(inspect.signature(self.builder).parameters)
+        inputs = tuple(names[: names.index("priors")])
+        hints = get_type_hints(self.builder)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "types", {k: hints[k] for k in inputs})
+        object.__setattr__(self, "trivial", "allow_trivial" in names)
+
+    def build(self, values: dict, priors, allow_trivial: bool) -> Scheme:
+        """The builder on ``values`` in input order, then ``priors``."""
+        trivial = {"allow_trivial": allow_trivial} if self.trivial else {}
+        return self.builder(*(values[k] for k in self.inputs), priors, **trivial)
 
 
 #: Every scheme kind, keyed by its params ``kind`` tag.
 SCHEME_KINDS: dict[str, SchemeKind] = {
-    RraParams.kind: SchemeKind(
-        RraParams,
-        2,
-        lambda v, p, trivial: build_rra(
-            *_rra_kets(v["overlap"]), p, v["c_plus"], v["c_minus"]
-        ),
-        inputs=("overlap", "c_plus", "c_minus"),
-    ),
+    RraParams.kind: SchemeKind(RraParams, 2, _build_rra_from_overlap),
     MixedSpecialParams.kind: SchemeKind(
-        MixedSpecialParams,
-        3,
-        lambda v, p, trivial: build_mixed_special(
-            v["gamma"], p, allow_trivial=trivial
-        ),
-        sweepable=("gamma",),
-        trivial=True,
+        MixedSpecialParams, 3, build_mixed_special, ("gamma",)
     ),
     MixedGeneralParams.kind: SchemeKind(
-        MixedGeneralParams,
-        3,
-        lambda v, p, trivial: build_mixed_general(
-            v["gamma"], v["alpha"], p, allow_trivial=trivial
-        ),
-        sweepable=("gamma", "alpha"),
-        trivial=True,
+        MixedGeneralParams, 3, build_mixed_general, ("gamma", "alpha")
     ),
     UnambiguousSpecialParams.kind: SchemeKind(
-        UnambiguousSpecialParams,
-        3,
-        lambda v, p, trivial: build_unambiguous_special(
-            v["gamma"], v["x0"], v["x1"], p
-        ),
-        sweepable=("gamma", "x0", "x1"),
+        UnambiguousSpecialParams, 3, build_unambiguous_special, ("gamma", "x0", "x1")
     ),
-    ZeroAuxParams.kind: SchemeKind(
-        ZeroAuxParams,
-        3,
-        lambda v, p, trivial: build_zero_aux(v["g01"], v["g12"], v["g20"], p),
-    ),
+    ZeroAuxParams.kind: SchemeKind(ZeroAuxParams, 3, build_zero_aux),
 }
 
 

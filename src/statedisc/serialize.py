@@ -106,12 +106,9 @@ def povm_from_json(data) -> Povm:
     )
 
 
-# Codec per params field annotation, which is a string because schemes
-# postpones annotation evaluation: (to JSON, from JSON).
-_FIELD_CODECS = {
-    "complex": (complex_to_json, complex_from_json),
-    "float": (float, float),
-}
+# Codec per params field type, the type its kind's builder takes: (to JSON,
+# from JSON).
+_FIELD_CODECS = {complex: (complex_to_json, complex_from_json), float: (float, float)}
 
 
 def params_to_json(params: SchemeParams) -> dict:
@@ -120,7 +117,7 @@ def params_to_json(params: SchemeParams) -> dict:
         raise ParamOutOfRangeError(f"unknown params type {type(params).__name__}")
     out = {"kind": params.kind}
     for f in fields(params):
-        out[f.name] = _FIELD_CODECS[f.type][0](getattr(params, f.name))
+        out[f.name] = _FIELD_CODECS[kind.types[f.name]][0](getattr(params, f.name))
     return out
 
 
@@ -129,9 +126,8 @@ def params_from_json(data) -> SchemeParams:
     kind = SCHEME_KINDS.get(tag) if isinstance(tag, str) else None
     if kind is None:
         raise ParamOutOfRangeError(f"unknown params kind {tag!r}")
-    return kind.params(
-        **{f.name: _FIELD_CODECS[f.type][1](data[f.name]) for f in fields(kind.params)}
-    )
+    names = [f.name for f in fields(kind.params)]
+    return kind.params(**{k: _FIELD_CODECS[kind.types[k]][1](data[k]) for k in names})
 
 
 def scheme_to_json(scheme: Scheme) -> dict:

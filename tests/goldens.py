@@ -75,8 +75,8 @@ def dump_inputs() -> dict:
     return inputs
 
 
-#: The type of each builder input, that of the params field it fills: ``cli``
-#: derives its flag converters from the same ``SCHEME_KINDS`` type hints.
+#: The type of each builder input, read off its builder's signature: ``cli``
+#: derives its flag converters from the same ``SCHEME_KINDS`` types.
 INPUT_TYPES = cli._INPUT_TYPES
 
 

@@ -178,6 +178,23 @@ def test_simulate_argument_validation(monkeypatch):
         with pytest.raises(ParamOutOfRangeError, match="whole number"):
             simulate(s, n, seed, shards)
     assert simulate(s, 10.0, 1.0, 2.0) == simulate(s, 10, 1, 2)
+    assert simulate(s, np.int64(10), np.int64(1), np.int64(2)) == simulate(s, 10, 1, 2)
+
+
+@pytest.mark.parametrize("args, name, shown", [
+    ((True, 0, 1), "trial count", "True"),
+    ((10, True, 1), "seed", "True"),
+    ((10, 1, True), "shards", "True"),
+    ((10, np.False_, 1), "seed", "np.False_"),
+])
+def test_simulate_takes_no_boolean_as_a_count_or_a_seed(args, name, shown):
+    """A boolean is an integer to Python, but never a trial count, a seed or
+    a shard count: ``simulate(s, 10, True)`` is not the stream of seed 1."""
+    s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
+    with pytest.raises(ParamOutOfRangeError) as info:
+        simulate(s, *args)
+    assert type(info.value) is ParamOutOfRangeError
+    assert str(info.value) == f"{name} {shown} is not a whole number"
 
 
 def _compared(grid):

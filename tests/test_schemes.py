@@ -1,9 +1,10 @@
+from typing import get_type_hints
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from statedisc import linalg, schemes
+from statedisc import linalg, schemes, serialize
 from statedisc.errors import (
     AmplitudeOutOfRangeError,
     DiscriminationError,
@@ -623,6 +624,55 @@ VALID_INPUTS = {
     "unambiguous-special": ({"gamma": 0.5, "x0": 0.6, "x1": 0.6}, (0.3, 0.3, 0.4)),
     "zero-aux": ({"g01": 0.09, "g12": 0.3, "g20": 0.3}, (0.3, 0.3, 0.4)),
 }
+
+
+#: Each kind as the hand-written table stated it, before the table read a
+#: kind off its builder: inputs with their types, trivial, sweepable and
+#: the prior count.
+KIND_TABLE = {
+    "rra": ({"overlap": float, "c_plus": complex, "c_minus": complex}, False, (), 2),
+    "mixed-special": ({"gamma": float}, True, ("gamma",), 3),
+    "mixed-general": ({"gamma": float, "alpha": float}, True, ("gamma", "alpha"), 3),
+    "unambiguous-special": (
+        {"gamma": float, "x0": float, "x1": float}, False, ("gamma", "x0", "x1"), 3
+    ),
+    "zero-aux": ({"g01": complex, "g12": complex, "g20": complex}, False, (), 3),
+}
+
+
+def test_the_kind_table_reads_each_kind_off_its_builder():
+    assert list(SCHEME_KINDS) == list(KIND_TABLE)
+    for name, (types, trivial, sweepable, n_priors) in KIND_TABLE.items():
+        kind = SCHEME_KINDS[name]
+        assert kind.inputs == tuple(types), name
+        assert list(kind.types.items()) == list(types.items()), name
+        assert (kind.trivial, kind.sweepable, kind.n_priors) == (
+            trivial, sweepable, n_priors
+        ), name
+        # Every input has a JSON codec, and a params field the type its
+        # builder takes, so the codec and the params class cannot drift.
+        assert set(kind.types.values()) <= set(serialize._FIELD_CODECS), name
+        for key, hint in get_type_hints(kind.params).items():
+            assert kind.types[key] is hint, (name, key)
+
+
+@pytest.mark.parametrize("kind", ["rra", "unambiguous-special", "zero-aux"])
+def test_allow_trivial_is_ignored_by_a_builder_without_it(kind):
+    values, p = VALID_INPUTS[kind]
+    plain = SCHEME_KINDS[kind].build(values, p, False)
+    trivial = SCHEME_KINDS[kind].build(values, p, True)
+    assert serialize.scheme_to_json(trivial) == serialize.scheme_to_json(plain)
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+def test_each_kind_takes_exactly_its_prior_count(kind):
+    values, _ = VALID_INPUTS[kind]
+    n = SCHEME_KINDS[kind].n_priors
+    for m in (n - 1, n + 1):
+        with pytest.raises(DimensionMismatchError) as info:
+            SCHEME_KINDS[kind].build(values, [1.0 / m] * m, False)
+        assert type(info.value) is DimensionMismatchError
+        assert str(info.value) == f"expected {n} priors, got {m}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
