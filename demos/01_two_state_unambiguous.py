@@ -9,7 +9,7 @@ budget be shifted toward the less likely state.
 import numpy as np
 
 from statedisc.montecarlo import brute_force_success
-from statedisc.schemes import build_rra, scheme_confusion
+from statedisc.schemes import build_rra
 from statedisc.states import Ket
 
 
@@ -29,7 +29,7 @@ scheme = build_rra(plus, minus, (0.5, 0.5), 0.6, 0.6)
 print("\nsymmetric amplitudes c = 0.6:")
 print("  analytic success:", scheme.analytic_success)
 print("  pipeline success:", brute_force_success(scheme))
-conf = scheme_confusion(scheme)
+conf = scheme.confusion
 print("  P(identify wrong state):", max(conf[0, 1], conf[1, 0]))
 print("  P(inconclusive | state +):", conf[0, 2])
 
@@ -37,7 +37,7 @@ print("  P(inconclusive | state +):", conf[0, 2])
 scheme = build_rra(plus, minus, (0.8, 0.2), 0.4, 0.9)
 print("\nskewed amplitudes (priors 0.8/0.2, c_plus = 0.4):")
 print("  analytic success:", scheme.analytic_success)
-conf = scheme_confusion(scheme)
+conf = scheme.confusion
 print("  P(inconclusive | state +):", conf[0, 2])
 print("  P(inconclusive | state -):", conf[1, 2])
 print("  wrong identifications stay at:", max(conf[0, 1], conf[1, 0]))

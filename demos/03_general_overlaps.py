@@ -8,7 +8,7 @@ inconclusive outcome drops out of the measurement entirely.
 import numpy as np
 
 from statedisc.montecarlo import brute_force_success
-from statedisc.schemes import build_mixed_general, scheme_confusion
+from statedisc.schemes import build_mixed_general
 
 gamma, priors = 0.4, (0.3, 0.3, 0.4)
 crossover = gamma**2
@@ -17,7 +17,7 @@ print(f"gamma = {gamma}, crossover at alpha = gamma^2 = {crossover}")
 print(f"{'alpha':>8s}  {'success':>10s}  {'P(inconcl | u0)':>16s}  branch")
 for alpha in (0.02, 0.08, 0.14, crossover, 0.20, 0.30, 0.45):
     scheme = build_mixed_general(gamma, alpha, priors)
-    conf = scheme_confusion(scheme)
+    conf = scheme.confusion
     print(
         f"{alpha:8.3f}  {scheme.analytic_success:10.6f}  {conf[0, 3]:16.3e}"
         f"  {scheme.branch_note}"

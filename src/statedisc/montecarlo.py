@@ -98,6 +98,14 @@ def brute_force_success(scheme: Scheme) -> float:
     return float(min(1.0, max(0.0, scheme.pipeline_success)))
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int, if it is a whole real number and not a boolean."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ParamOutOfRangeError(f"{name} {value!r} is not a whole number")
+
+
 @dataclass(frozen=True, eq=False)
 class SimResult:
     """Outcome tallies of a seeded simulation run.
@@ -114,6 +122,8 @@ class SimResult:
     seed: int
 
     def __post_init__(self):
+        if _whole_number("trial count", self.n) < 1:
+            raise ParamOutOfRangeError(f"trial count {self.n!r} < 1")
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 2 or counts.min() < 0:
@@ -162,12 +172,9 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     reference stream, and sharded runs remain reproducible but produce a
     different (merged) tally.  At most 2^34 trials and 2^16 shards.
     """
-    # A fraction, NaN, infinity or boolean is out of range, never truncated.
-    for name, value in (("trial count", n), ("shards", shards), ("seed", seed)):
-        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
-        if isinstance(value, (bool, np.bool_)) or not whole:
-            raise ParamOutOfRangeError(f"{name} {value!r} is not a whole number")
-    n, shards, seed = int(n), int(shards), int(seed)
+    n = _whole_number("trial count", n)
+    shards = _whole_number("shards", shards)
+    seed = _whole_number("seed", seed)
     if not 1 <= n <= _MAX_TRIALS:
         raise ParamOutOfRangeError(f"trial count {n} outside [1, {_MAX_TRIALS}]")
     if not 1 <= shards <= min(n, _MAX_SHARDS):

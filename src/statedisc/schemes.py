@@ -572,8 +572,6 @@ def build_zero_aux(g01: complex, g12: complex, g20: complex, priors) -> Scheme:
         )
     gram = _three_state_gram(g01, g12, g20)
     w = np.linalg.eigvalsh(gram)
-    if w.min() < -tol.PSD:
-        raise GramNotPsdError(f"overlap matrix eigenvalue {w.min():.3e}")
     # psi0 and psi1 divide the parts of u0 and u1 orthogonal to u2 by
     # sqrt(1 - |g20|^2) and sqrt(1 - |g12|^2).  Their overlap is then the
     # constraint's residual over both roots, and the synthesis roundoff

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -160,26 +160,11 @@ def scheme_from_json(data) -> Scheme:
 
 
 def sim_result_to_json(result: SimResult) -> dict:
-    return {
-        "n": result.n,
-        "counts": [[int(c) for c in row] for row in result.counts],
-        "empirical_success": result.empirical_success,
-        "std_error": result.std_error,
-        "seed": result.seed,
-    }
+    return {**asdict(result), "counts": result.counts.tolist()}
 
 
 def comparison_record_to_json(record: ComparisonRecord) -> dict:
-    return {
-        "gamma": record.gamma,
-        "alpha": record.alpha,
-        "priors": list(record.priors),
-        "p_mixed": record.p_mixed,
-        "p_una_reference": record.p_una_reference,
-        "reference_kind": record.reference_kind,
-        "margin": record.margin,
-        "verdict": record.verdict,
-    }
+    return {**asdict(record), "priors": list(record.priors)}
 
 
 def _csv_row_template(reference_kind: str, has_alpha: bool) -> str:

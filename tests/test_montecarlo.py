@@ -85,6 +85,19 @@ def test_sim_result_validation():
     assert str(info.value) == "counts must be a non-negative matrix"
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "trial count 0 < 1"),
+    (True, "trial count True is not a whole number"),
+    (2.5, "trial count 2.5 is not a whole number"),
+])
+def test_sim_result_checks_its_trial_count_first(n, message):
+    # The std_error check divides by n, so n is checked before it.
+    with pytest.raises(ParamOutOfRangeError) as info:
+        SimResult(n, np.array([[int(n)]]), float(bool(n)), 0.0, 0)
+    assert type(info.value) is ParamOutOfRangeError
+    assert str(info.value) == message
+
+
 def test_sim_result_equality_is_exact():
     counts = np.array([[5, 0], [0, 5]], dtype=np.int64)
     a = SimResult(n=10, counts=counts, empirical_success=1.0, std_error=0.0, seed=7)
@@ -186,10 +199,17 @@ def test_simulate_argument_validation(monkeypatch):
     ((10, True, 1), "seed", "True"),
     ((10, 1, True), "shards", "True"),
     ((10, np.False_, 1), "seed", "np.False_"),
+    (("5", 0, 1), "trial count", "'5'"),
+    ((5 + 0j, 0, 1), "trial count", "(5+0j)"),
+    ((5, "7", 1), "seed", "'7'"),
+    ((5, 7 + 0j, 1), "seed", "(7+0j)"),
+    ((5, 7, "1"), "shards", "'1'"),
+    ((5, 7, 1 + 0j), "shards", "(1+0j)"),
 ])
 def test_simulate_takes_no_boolean_as_a_count_or_a_seed(args, name, shown):
     """A boolean is an integer to Python, but never a trial count, a seed or
-    a shard count: ``simulate(s, 10, True)`` is not the stream of seed 1."""
+    a shard count: ``simulate(s, 10, True)`` is not the stream of seed 1.
+    Nor is text, or a complex value, which is no raw ``TypeError`` either."""
     s = build_mixed_special(0.5, (0.3, 0.3, 0.4))
     with pytest.raises(ParamOutOfRangeError) as info:
         simulate(s, *args)

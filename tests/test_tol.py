@@ -82,6 +82,7 @@ def test_zero_aux_psd_gate_stays_behind_its_constraint_gate():
     # build_zero_aux passes its modulus gate (|g12|, |g20| <= 1) and its
     # constraint gate (|conj(g12 g20) - g01| <= tol.OVERLAP) only for an
     # exact Gram matrix moved by at most tol.OVERLAP in one conjugate pair
-    # of entries, whose least eigenvalue stays above -tol.OVERLAP.  Its PSD
-    # gate at -tol.PSD is unreachable while this order holds.
+    # of entries, whose least eigenvalue stays above -tol.OVERLAP.  The PSD
+    # gate that linalg.psd_cholesky then applies to that matrix at -tol.PSD
+    # is unreachable for zero-aux inputs while this order holds.
     assert tol.OVERLAP < tol.PSD
