@@ -15,6 +15,7 @@ verdicts.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
@@ -364,7 +365,9 @@ def _reference_point(theorem: str, gamma, priors) -> ComparisonColumns:
 
 
 def _check_grid_step(step) -> float:
-    """A grid step in ``[2^-20, inf)``: at most 2^20 values per unit axis."""
+    """A real grid step in ``[2^-20, inf)``: at most 2^20 values per unit axis."""
+    if not isinstance(step, numbers.Real) or isinstance(step, bool):
+        raise ParamOutOfRangeError(f"grid step {step!r} is not a real number")
     if not 2.0**-20 <= float(step) < np.inf:
         raise ParamOutOfRangeError(f"grid step {step!r} outside [2^-20, inf)")
     return float(step)
@@ -377,10 +380,14 @@ def _row_minimum(a0, a1, cost, centre, transpose) -> tuple[float, float, float]:
     or ``x0`` if ``transpose`` (callers take the larger prior's axis, so
     that few rows are flat up to rounding); each must be feasible on a
     suffix and convex there, with its minimum at ``centre(x)`` on the row
-    with fixed value ``x``.  The cost is evaluated once, on the 8 points
-    around each row's centre.  A row whose window rises by at most
-    ``tol.ROW_FLAT`` at an edge inside the axis may hold an equal point
-    beyond, as rounding shapes it, and is searched whole.
+    with fixed value ``x``, at most two columns left of its first feasible
+    one.  The cost is evaluated once, on the 4 columns ``s + (-2, -1, 0,
+    1)``, ``s = searchsorted(cols, centre, "right")``: by convexity a row's
+    grid minimum is one of the two that bracket its centre, both inside.
+    A row whose window rises by at most ``tol.ROW_FLAT`` at an edge inside
+    the axis (a bracket rounding misplaced, or a row it shapes) may hold an
+    equal point beyond, and is searched whole.  Windows run along the
+    leading axis, ``(4, rows)``: numpy is slow to reduce a short last axis.
     """
     rows, cols = (a1, a0) if transpose else (a0, a1)
     n = cols.shape[0]
@@ -392,14 +399,15 @@ def _row_minimum(a0, a1, cost, centre, transpose) -> tuple[float, float, float]:
         return v, (j * a1.shape[0] + r if transpose else r * a1.shape[0] + j)
 
     def least(v, mesh):  # the least value, and the first point of the mesh with it
-        return v.min(), int(mesh[v == v.min()].min())
+        return (lowest := v.min()), int(mesh[v == lowest].min())
 
-    r = np.arange(rows.shape[0])[:, None]
-    j = np.clip(np.searchsorted(cols, centre(rows[r])) + np.arange(-4, 4), 0, n - 1)
+    r = np.arange(rows.shape[0])
+    j = np.searchsorted(cols, centre(rows), "right") + np.arange(-2, 2)[:, None]
+    j = np.minimum(np.maximum(j, 0), n - 1)
     v, mesh = at(r, j)
-    low = v.min(axis=1, keepdims=True)
-    flat = (v[:, [0, -1]] <= low + tol.ROW_FLAT) & (j[:, [0, -1]] != (0, n - 1))
-    whole = r[flat.any(axis=1) & (low[:, 0] < np.inf)]  # searched one at a time
+    low = v.min(axis=0)
+    flat = (v[[0, -1]] <= low + tol.ROW_FLAT) & (j[[0, -1]] != [[0], [n - 1]])
+    whole = r[flat.any(axis=0) & (low < np.inf)]  # searched one at a time
     best, k = min([least(v, mesh)] + [least(*at(q, np.arange(n))) for q in whole])
     i, j = divmod(k, a1.shape[0])
     return float(best), float(a0[i]), float(a1[j])  # np.argmin's order

@@ -368,8 +368,10 @@ def test_symmetric_grid_domain():
         max_unambiguous_symmetric_grid(0.3, (0.3, 0.3, 0.4), step=5.0)
 
 
-# Non-finite, non-positive, or finer than 2^20 values per unit axis.
-BAD_STEPS = (0.0, -0.0, -1e-3, -np.inf, np.inf, np.nan, 1e-300, 5e-324, 2.0**-21)
+# Not a real number, non-finite, non-positive, or finer than 2^20 values
+# per unit axis.
+BAD_STEPS = (True, "1e-3", 0.0, -0.0, -1e-3, -np.inf, np.inf, np.nan, 1e-300,
+             5e-324, 2.0**-21)
 
 
 @pytest.mark.parametrize("step", BAD_STEPS)
@@ -378,6 +380,21 @@ def test_grid_steps_are_checked_before_any_grid(step):
         max_unambiguous_symmetric_grid(0.3, (0.3, 0.3, 0.4), step=step)
     with pytest.raises(ParamOutOfRangeError):
         optimize_unambiguous_special(0.3, (0.3, 0.3, 0.4), grid_step=step)
+
+
+@pytest.mark.parametrize("step", [True, False, "1e-3", 1e-3 + 0j, [1e-3]])
+def test_a_grid_step_is_a_real_number_and_not_a_boolean(step):
+    # True once read as a step of 1.0 (a one-point grid), and text as a number.
+    p = (0.2, 0.3, 0.5)
+    for call in (lambda: max_unambiguous_symmetric_grid(0.5, p, step=step),
+                 lambda: optimize_unambiguous_special(0.4, p, grid_step=step)):
+        with pytest.raises(ParamOutOfRangeError) as err:
+            call()
+        assert type(err.value) is ParamOutOfRangeError
+        assert str(err.value) == f"grid step {step!r} is not a real number"
+    # Real numbers of any numeric type still pass.
+    for real in (np.float64(1e-3), np.float32(0.25), np.int64(1), 1):
+        assert analysis._check_grid_step(real) == float(real)
 
 
 def test_grid_step_none_skips_the_guard_and_the_finest_step_passes():
@@ -463,7 +480,7 @@ def test_the_guard_equals_the_dense_mesh_where_rounding_shapes_the_rows(gamma, s
 
 
 #: Points per row that the row-wise kernel evaluates: its fixed window.
-WINDOW = 8
+WINDOW = 4
 
 
 def test_the_oracles_evaluate_one_window_per_row():
@@ -483,7 +500,9 @@ def test_the_oracles_evaluate_one_window_per_row():
         return row_minimum(a0, a1, counted_cost, centre, transpose)
 
     row_minimum = analysis._row_minimum
-    draws = list(_criterion_05_draws())[:25]
+    # A gamma on the grid centres the row x0 = gamma on a column that
+    # x0 x1 > gamma^2 leaves infeasible, its first feasible one next.
+    draws = list(_criterion_05_draws())[:25] + [(0.5, (0.3, 0.3, 0.4))]
     with mock.patch.object(analysis, "_row_minimum", counted):
         for gamma, p in draws:
             max_unambiguous_symmetric_grid(gamma, p)  # coarse and refine passes
@@ -492,6 +511,42 @@ def test_the_oracles_evaluate_one_window_per_row():
     assert {rows for rows, _ in calls[::3]} == {1000}  # the coarse pass's rows
     for rows, sizes in calls:
         assert len(sizes) == 1 and 0 < sizes[0] <= rows * WINDOW
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_the_row_kernel_equals_the_full_mesh_argmin(transpose):
+    # The kernel apart from the oracles, on small meshes of integer columns.
+    # Each row is inf on a prefix (half of them) and convex after it, or
+    # constant there, with ties in and across rows.  Its centre is off by
+    # less than two columns past an infeasible prefix (the kernel's reach:
+    # an all-inf window is skipped), else by up to 5.  A window the centre
+    # misplaces has its least value on an edge, and is searched whole.
+    rng = np.random.default_rng(4)
+    for _ in range(400):
+        n_rows, n_cols = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        axis = np.arange(n_cols, dtype=float)
+        start = rng.integers(0, n_cols, n_rows) * (rng.random(n_rows) < 0.5)
+        lowest = rng.integers(-2, 2 * n_cols + 2, n_rows) / 2.0  # a tie on a half
+        curve = rng.integers(0, 3, n_rows)[:, None]  # 0: a constant row
+        table = curve * (axis - lowest[:, None]) ** 2 + rng.integers(0, 4, (n_rows, 1))
+        table[axis < start[:, None]] = np.inf
+        reach = np.where(start > 0, 1.99, 5.0)
+        centres = np.maximum(lowest, start) + rng.uniform(-reach, reach)
+
+        def cost(x0, x1):
+            r, c = (x1, x0) if transpose else (x0, x1)
+            return table[np.asarray(r, dtype=int), np.asarray(c, dtype=int)]
+
+        def centre(x):
+            return centres[x.astype(int)]
+
+        rows = np.arange(n_rows, dtype=float)
+        a0, a1 = (axis, rows) if transpose else (rows, axis)
+        mesh = cost(*np.meshgrid(a0, a1, indexing="ij"))
+        i, j = divmod(int(np.argmin(mesh)), a1.shape[0])
+        want = (float(mesh[i, j]), float(a0[i]), float(a1[j]))
+        assert analysis._row_minimum(a0, a1, cost, centre, transpose) == want, (
+            table, centres)
 
 
 # -------------------------------------------------------------- simplex grid

@@ -27,6 +27,7 @@ from statedisc.errors import (
     DiscriminationError,
     GramMismatchError,
     InvariantViolationError,
+    ZeroProbabilityOutcomeError,
 )
 from statedisc.measurement import OutcomeLabel, Povm, unambiguity_check
 from statedisc.schemes import SCHEME_KINDS, coupled_ensemble, scheme_confusion
@@ -405,6 +406,35 @@ def test_unambiguous_success_is_one_minus_the_inconclusive_weight(case):
     ok, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
     fires = all(conf[i, identify[i]] > tol.UNAMBIGUOUS for i in range(n))
     assert worst <= tol.UNAMBIGUOUS and ok == fires, (kind, values, p, worst)
+
+
+#: Valid prior vectors by length.
+VALID_PRIORS = {
+    2: st.floats(0.0, 1.0).map(lambda a: (a, 1.0 - a)),
+    3: st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
+}
+
+
+@settings(SETTINGS, max_examples=100)
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@given(data=st.data())
+def test_the_confusion_matrix_does_not_read_the_priors(kind, data):
+    # No prior enters the confusion arithmetic, so the same inputs give the
+    # same bits at any two valid prior vectors, whatever the numeric kernel.
+    # The one gate that reads the priors is zero-aux's outcome of zero
+    # probability.
+    values, p = data.draw(BUILDERS[kind], label="inputs")
+    q = data.draw(VALID_PRIORS[SCHEME_KINDS[kind].n_priors], label="other priors")
+    try:
+        first = SCHEME_KINDS[kind].build(values, p, False)
+    except DiscriminationError:
+        return
+    try:
+        second = SCHEME_KINDS[kind].build(values, q, False)
+    except ZeroProbabilityOutcomeError:
+        assert kind == "zero-aux"
+        return
+    assert second.confusion.tobytes() == first.confusion.tobytes(), (values, p, q)
 
 
 def _builder_argv(command, kind, draw):
