@@ -15,7 +15,6 @@ verdicts.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
@@ -31,7 +30,7 @@ from .errors import (
     InvariantViolationError,
     ParamOutOfRangeError,
 )
-from .states import _HALF_SQRT2, DensityMatrix, priors_ok, validate_priors
+from .states import _HALF_SQRT2, DensityMatrix, _real_number, priors_ok, validate_priors
 
 #: What each comparison measures the mixed scheme against, by theorem.
 REFERENCE_KINDS = {"2.1": "family_optimum", "3.1": "xu_max"}
@@ -366,9 +365,7 @@ def _reference_point(theorem: str, gamma, priors) -> ComparisonColumns:
 
 def _check_grid_step(step) -> float:
     """A real grid step in ``[2^-20, inf)``: at most 2^20 values per unit axis."""
-    if not isinstance(step, numbers.Real) or isinstance(step, bool):
-        raise ParamOutOfRangeError(f"grid step {step!r} is not a real number")
-    if not 2.0**-20 <= float(step) < np.inf:
+    if not 2.0**-20 <= _real_number("grid step", step) < np.inf:
         raise ParamOutOfRangeError(f"grid step {step!r} outside [2^-20, inf)")
     return float(step)
 
@@ -380,14 +377,14 @@ def _row_minimum(a0, a1, cost, centre, transpose) -> tuple[float, float, float]:
     or ``x0`` if ``transpose`` (callers take the larger prior's axis, so
     that few rows are flat up to rounding); each must be feasible on a
     suffix and convex there, with its minimum at ``centre(x)`` on the row
-    with fixed value ``x``, at most two columns left of its first feasible
-    one.  The cost is evaluated once, on the 4 columns ``s + (-2, -1, 0,
-    1)``, ``s = searchsorted(cols, centre, "right")``: by convexity a row's
-    grid minimum is one of the two that bracket its centre, both inside.
-    A row whose window rises by at most ``tol.ROW_FLAT`` at an edge inside
-    the axis (a bracket rounding misplaced, or a row it shapes) may hold an
-    equal point beyond, and is searched whole.  Windows run along the
-    leading axis, ``(4, rows)``: numpy is slow to reduce a short last axis.
+    with fixed value ``x``.  The cost is evaluated once, window-major as
+    ``(4, rows)`` (numpy is slow to reduce a short last axis), on columns
+    ``s + (-2, -1, 0, 1)``, ``s = searchsorted(cols, centre)``, which
+    must reach the row's first feasible column: by convexity its grid
+    minimum is one of the two that bracket its centre, both inside.  A row
+    whose window rises by at most ``tol.ROW_FLAT`` at an edge inside the
+    axis (a bracket rounding misplaced, or a row it shapes) may hold an
+    equal point beyond, and is searched whole.
     """
     rows, cols = (a1, a0) if transpose else (a0, a1)
     n = cols.shape[0]
@@ -402,7 +399,7 @@ def _row_minimum(a0, a1, cost, centre, transpose) -> tuple[float, float, float]:
         return (lowest := v.min()), int(mesh[v == lowest].min())
 
     r = np.arange(rows.shape[0])
-    j = np.searchsorted(cols, centre(rows), "right") + np.arange(-2, 2)[:, None]
+    j = np.searchsorted(cols, centre(rows)) + np.arange(-2, 2)[:, None]
     j = np.minimum(np.maximum(j, 0), n - 1)
     v, mesh = at(r, j)
     low = v.min(axis=0)
@@ -560,12 +557,13 @@ def max_unambiguous_symmetric_grid(
         raise InvalidGammaError(f"symmetric overlap {gamma!r} outside [0, 1)")
     step = _check_grid_step(step)
     p = tuple(validate_priors(priors, 3).tolist())
+    gate = gamma**2 + tol.SCHUR  # x0 x1 above which the floor is finite
     if gamma == 0.0:
         return 1.0
 
     def cost_at(xx0, xx1):
         prod = xx0 * xx1
-        open_mask = prod > gamma**2 + tol.SCHUR
+        open_mask = prod > gate
         denom = np.where(open_mask, prod - gamma**2, 1.0)
         x2 = gamma**2 * (xx0 + xx1 - 2.0 * gamma) / denom
         feasible = open_mask & (x2 <= 1.0 + tol.BOUNDARY)
@@ -575,7 +573,7 @@ def max_unambiguous_symmetric_grid(
     def centre(x):  # stationary point, or feasible start if later; max(p0, p1) is free
         with np.errstate(all="ignore"):
             g2, r = gamma**2, np.sqrt(np.float64(p[2]) / max(p[0], p[1]))
-            start = np.maximum(g2 * (x - 2.0 * gamma + 1.0) / (x - g2), g2 / x)
+            start = np.maximum(g2 * (x - 2.0 * gamma + 1.0) / (x - g2), gate / x)
             return np.fmax((g2 + gamma * np.abs(x - gamma) * r) / x, start)
 
     def best_cost(lo0, hi0, lo1, hi1, h) -> tuple[float, float, float]:

@@ -33,7 +33,6 @@ two cores and 19 ns on one, 7 ns of it after the draw.
 """
 from __future__ import annotations
 
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from .analysis import ComparisonColumns, compare_columns
 from .errors import EmptyGridError, InvariantViolationError, ParamOutOfRangeError
 from .measurement import _identify_outcomes
 from .schemes import Scheme
+from .states import _real_number
 
 #: Rows of the uniform block drawn at a time.
 _CHUNK = 1 << 16
@@ -98,14 +98,6 @@ def brute_force_success(scheme: Scheme) -> float:
     return float(min(1.0, max(0.0, scheme.pipeline_success)))
 
 
-def _whole_number(name: str, value) -> int:
-    """``value`` as an int, if it is a whole real number and not a boolean."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise ParamOutOfRangeError(f"{name} {value!r} is not a whole number")
-
-
 @dataclass(frozen=True, eq=False)
 class SimResult:
     """Outcome tallies of a seeded simulation run.
@@ -122,7 +114,7 @@ class SimResult:
     seed: int
 
     def __post_init__(self):
-        if _whole_number("trial count", self.n) < 1:
+        if _real_number("trial count", self.n, whole=True) < 1:
             raise ParamOutOfRangeError(f"trial count {self.n!r} < 1")
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
@@ -172,9 +164,9 @@ def simulate(scheme: Scheme, n: int, seed: int, shards: int = 1) -> SimResult:
     reference stream, and sharded runs remain reproducible but produce a
     different (merged) tally.  At most 2^34 trials and 2^16 shards.
     """
-    n = _whole_number("trial count", n)
-    shards = _whole_number("shards", shards)
-    seed = _whole_number("seed", seed)
+    n = _real_number("trial count", n, whole=True)
+    shards = _real_number("shards", shards, whole=True)
+    seed = _real_number("seed", seed, whole=True)
     if not 1 <= n <= _MAX_TRIALS:
         raise ParamOutOfRangeError(f"trial count {n} outside [1, {_MAX_TRIALS}]")
     if not 1 <= shards <= min(n, _MAX_SHARDS):

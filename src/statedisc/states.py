@@ -6,6 +6,7 @@ value that exists is a value that satisfies its invariants.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -26,6 +27,17 @@ _HALF_SQRT2 = np.sqrt(0.5)
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _real_number(name: str, value, whole: bool = False):
+    """``value`` as a float, or an int if ``whole``: a real number, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not whole:
+            return float(value)
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    what = "whole" if whole else "real"
+    raise ParamOutOfRangeError(f"{name} {value!r} is not a {what} number")
 
 
 def validate_priors(priors, n: int) -> np.ndarray:

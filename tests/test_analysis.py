@@ -500,8 +500,10 @@ def test_the_oracles_evaluate_one_window_per_row():
         return row_minimum(a0, a1, counted_cost, centre, transpose)
 
     row_minimum = analysis._row_minimum
-    # A gamma on the grid centres the row x0 = gamma on a column that
-    # x0 x1 > gamma^2 leaves infeasible, its first feasible one next.
+    # A gamma on the grid: a centre that started the row x0 = gamma at
+    # gamma^2 / x0, not at the floor's gate (gamma^2 + tol.SCHUR) / x0,
+    # would fall on a column the gate leaves infeasible, and the row would
+    # be searched whole.
     draws = list(_criterion_05_draws())[:25] + [(0.5, (0.3, 0.3, 0.4))]
     with mock.patch.object(analysis, "_row_minimum", counted):
         for gamma, p in draws:
@@ -519,8 +521,9 @@ def test_the_row_kernel_equals_the_full_mesh_argmin(transpose):
     # Each row is inf on a prefix (half of them) and convex after it, or
     # constant there, with ties in and across rows.  Its centre is off by
     # less than two columns past an infeasible prefix (the kernel's reach:
-    # an all-inf window is skipped), else by up to 5.  A window the centre
-    # misplaces has its least value on an edge, and is searched whole.
+    # an all-inf window is skipped; that the oracles' centres keep it is
+    # the next test's), else by up to 5.  A window the centre misplaces has
+    # its least value on an edge, and is searched whole.
     rng = np.random.default_rng(4)
     for _ in range(400):
         n_rows, n_cols = int(rng.integers(1, 7)), int(rng.integers(1, 13))
@@ -547,6 +550,50 @@ def test_the_row_kernel_equals_the_full_mesh_argmin(transpose):
         want = (float(mesh[i, j]), float(a0[i]), float(a1[j]))
         assert analysis._row_minimum(a0, a1, cost, centre, transpose) == want, (
             table, centres)
+
+
+@pytest.mark.parametrize("gamma, p, step", [
+    (1e-8, (1 / 3, 1 / 3, 1 / 3), 2.0**-20),  # refine columns 9.5e-9 apart
+    (3e-8, (0.5, 0.2, 0.3), 2.0**-18),
+    (2e-7, (0.1, 0.6, 0.3), 2.0**-16),
+    (0.5, (0.3, 0.3, 0.4), 1e-3),  # a gamma on the coarse grid
+    (0.37, (0.25, 0.25, 0.5), 1e-3),
+])
+def test_the_oracles_centre_each_window_within_reach(gamma, p, step):
+    # The kernel skips a window with no finite value, so each oracle's
+    # centre must keep its row's first feasible column inside the window:
+    # column s + 1 is feasible, or no column of the row is.  A centre that
+    # started at gamma^2 / x0, not at the floor's gate (gamma^2 + tol.SCHUR)
+    # / x0, fell SCHUR / x0 short, several refine columns at step 2^-20, and
+    # lost the first case's refine minimum.  On meshes of up to 250,000
+    # points the kernel is also checked against the full mesh.
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return row_minimum(*args)
+
+    row_minimum = analysis._row_minimum
+    with mock.patch.object(analysis, "_row_minimum", recorded):
+        max_unambiguous_symmetric_grid(gamma, p, step=step)  # coarse and refine
+        optimize_unambiguous_special(gamma * SQRT2_INV, p, grid_step=step)
+    assert len(calls) == 3
+    for a0, a1, cost, centre, transpose in calls:
+        rows, cols = (a1, a0) if transpose else (a0, a1)
+        with np.errstate(all="ignore"):
+            s = np.searchsorted(cols, centre(rows))
+
+            def column(c):  # each row's cost at its column c
+                return cost(cols[c], rows) if transpose else cost(rows, cols[c])
+
+            reached = np.isfinite(column(np.minimum(s + 1, cols.size - 1)))
+            empty = np.isinf(column(np.full(rows.size, cols.size - 1)))
+            assert (reached | empty).all(), (a0.size, a1.size, transpose)
+            if a0.size * a1.size <= 250_000:
+                mesh = cost(*np.meshgrid(a0, a1, indexing="ij"))
+                i, j = divmod(int(np.argmin(mesh)), a1.size)
+                want = (mesh[i, j], a0[i], a1[j])
+                assert row_minimum(a0, a1, cost, centre, transpose) == want
 
 
 # -------------------------------------------------------------- simplex grid

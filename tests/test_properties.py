@@ -47,11 +47,16 @@ def normalized(draw):
     return tuple(x / total for x in w) if total > 0.0 else (0.0, 0.0, 1.0)
 
 
+#: Valid prior vectors, by length.
+VALID_PRIORS = {
+    2: st.floats(0.0, 1.0).map(lambda a: (a, 1.0 - a)),
+    3: st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
+}
+
 priors = st.one_of(
     st.tuples(any_float, any_float, any_float),
     st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4).map(tuple),
-    normalized(),
-    st.sampled_from(simplex_grid(0.25)),
+    VALID_PRIORS[3],
 )
 CHECKS = {"2.1": theorem21_check, "3.1": theorem31_check}
 
@@ -102,7 +107,7 @@ def _guard_outcome(guard, gamma, p):
 @given(
     st.one_of(st.floats(-(2**-0.5), 2**-0.5), st.sampled_from([2**-0.5, -(2**-0.5)])),
     st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.5, 0.99])),
-    st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
+    VALID_PRIORS[3],
     st.booleans(),
 )
 @example(0.5, 0.5, (0.5, 0.0, 0.5), True)  # a row flat up to rounding
@@ -180,7 +185,7 @@ def _phase(draw, modulus):
 
 # Priors that sum to 1, or any three floats, non-finite included.
 scheme_priors = _mostly(
-    st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
+    VALID_PRIORS[3],
     st.tuples(any_float, any_float, any_float),
 )
 
@@ -216,8 +221,7 @@ def rra_inputs(draw):
         ))
     values = {"overlap": overlap, "c_plus": c_plus, "c_minus": c_minus}
     p = draw(st.one_of(
-        st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)]),
-        st.floats(0.0, 1.0).map(lambda a: (a, 1.0 - a)),
+        st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)]), VALID_PRIORS[2]
     ))
     return values, p
 
@@ -406,13 +410,6 @@ def test_unambiguous_success_is_one_minus_the_inconclusive_weight(case):
     ok, worst = unambiguity_check(coupled_ensemble(scheme), scheme.povm)
     fires = all(conf[i, identify[i]] > tol.UNAMBIGUOUS for i in range(n))
     assert worst <= tol.UNAMBIGUOUS and ok == fires, (kind, values, p, worst)
-
-
-#: Valid prior vectors by length.
-VALID_PRIORS = {
-    2: st.floats(0.0, 1.0).map(lambda a: (a, 1.0 - a)),
-    3: st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
-}
 
 
 @settings(SETTINGS, max_examples=100)
