@@ -107,7 +107,7 @@ def _guard_outcome(guard, gamma, p):
 @given(
     st.one_of(st.floats(-(2**-0.5), 2**-0.5), st.sampled_from([2**-0.5, -(2**-0.5)])),
     st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.5, 0.99])),
-    VALID_PRIORS[3],
+    st.one_of(normalized(), st.sampled_from(simplex_grid(0.25))),
     st.booleans(),
 )
 @example(0.5, 0.5, (0.5, 0.0, 0.5), True)  # a row flat up to rounding
